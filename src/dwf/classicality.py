@@ -7,7 +7,8 @@ the global minimum is (sum of per-basis minima - 1) / d and a minimizing
 configuration is explicit -- put each basis's minimizing projector on the
 ray and read the value at the origin.  `brute_force_min` enumerates every
 net and point and exists to validate that argument; it must never be
-shortcut through the closed form.
+shortcut through the closed form.  `classify` shares that exhaustive scan
+to list its most negative witnesses.
 
 Membership comes with a constructive certificate: the coefficients
 
@@ -20,17 +21,19 @@ all non-negative precisely on the polytope members.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .galois import FieldSpec
-from .geometry import PhasePoint, build_striations, origin
+from .geometry import PhasePoint, all_points, build_striations, origin
 from .mub import MubSet
 from .quantum_net import net_context
 from .tolerances import MEMBERSHIP
 from .wigner import DensityState, ProbabilityTable, probabilities
+
+# The exhaustive scan covers d^(d+1) nets: 1,024 at d = 4, 15,625 at d = 5.
+BRUTE_FORCE_MAX_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -76,57 +79,61 @@ class ClassificationReport:
     witnesses: tuple[Witness, ...]
 
 
-def min_wigner(rho: DensityState, mub: MubSet) -> ClassicalityReport:
-    """Minimum Wigner value over all nets and points, in closed form,
-    with an explicit minimizing net and point when the value is negative."""
-    table = probabilities(rho, mub)
+def _report(table: ProbabilityTable, gf: FieldSpec) -> ClassicalityReport:
     minima = table.minima()
     total = float(minima.sum())
-    value = (total - 1.0) / mub.dim
+    value = (total - 1.0) / gf.order
     argmins = table.argmin_choices()
     classical = value >= -MEMBERSHIP
-    gf = mub.field
-    if not classical:
-        witness_point, witness_net = origin(gf), argmins
-    else:
-        witness_point, witness_net = None, None
+    witness_point, witness_net = (None, None) if classical else (origin(gf), argmins)
     return ClassicalityReport(value, total, classical, witness_point, witness_net, argmins)
 
 
-def brute_force_min(rho: DensityState, mub: MubSet, gf: FieldSpec) -> float:
-    """Minimum over every net and every point by exhaustive enumeration.
+def min_wigner(rho: DensityState, mub: MubSet) -> ClassicalityReport:
+    """Minimum Wigner value over all nets and points, in closed form,
+    with an explicit minimizing net and point when the value is negative."""
+    return _report(probabilities(rho, mub), mub.field)
 
-    Only the table of basis probabilities enters each Wigner value, so the
-    scan is pure index arithmetic over the d^(d+1) ray-choice tuples.
-    Dimensions above 4 are refused (the net count grows as d^(d+1))."""
+
+def _scan(table: ProbabilityTable, mub: MubSet, gf: FieldSpec) -> np.ndarray:
+    """Wigner values of every net at every point by exhaustive enumeration:
+    values[r_0, ..., r_d, alpha] for the net with ray choices (r_0 .. r_d).
+
+    Only the table of basis probabilities enters each value, so the scan
+    is one gather over the d^(d+1) ray-choice tuples.  Larger dimensions
+    are refused, since the net count grows as d^(d+1)."""
     d = gf.order
-    if d > 4:
+    if d > BRUTE_FORCE_MAX_DIM:
         raise ValueError(
             f"brute force over {d ** (d + 1)} nets at d={d} is not supported; use min_wigner"
         )
-    ctx = net_context(mub, build_striations(gf))
-    table = probabilities(rho, mub).values
-    # per striation: value_at[point_index, ray_choice] = p[kappa, assigned j]
-    per_striation = []
-    for kappa, s in enumerate(ctx.striations):
-        pos = np.array([s.positions[s.line_of[pt]] for pt in ctx.points])
-        per_striation.append(table[kappa][ctx.sigma[kappa]][pos, :])
-    best = np.inf
-    for choices in itertools.product(range(d), repeat=d + 1):
-        pencil_sum = sum(m[:, r] for m, r in zip(per_striation, choices))
-        best = min(best, float(pencil_sum.min()))
-    return (best - 1.0) / d
+    pencil = net_context(mub, build_striations(gf)).pencil
+    kappas = np.arange(d + 1)
+    # on_line[kappa, alpha, r]: probability on the line through alpha when the ray gets r
+    on_line = table.values[kappas[:, None, None], pencil]
+    choices = np.indices((d,) * (d + 1)).reshape(d + 1, -1).T
+    pencil_sum = on_line[kappas, :, choices].sum(axis=1)
+    return ((pencil_sum - 1.0) / d).reshape((d,) * (d + 1) + (d * d,))
+
+
+def brute_force_min(rho: DensityState, mub: MubSet, gf: FieldSpec) -> float:
+    """Minimum over every net and every point by exhaustive enumeration,
+    never through the closed form; refused for d > 4."""
+    return float(_scan(probabilities(rho, mub), mub, gf).min())
+
+
+def _decomposition(table: ProbabilityTable) -> DecompositionResult:
+    d = table.dim
+    minima = table.minima()
+    x = float(minima.sum() - 1.0)
+    coeff = table.values - minima[:, None] + x / (d + 1)
+    return DecompositionResult(coeff, x, (x / d) >= -MEMBERSHIP)
 
 
 def convex_decomposition(rho: DensityState, mub: MubSet) -> DecompositionResult:
     """Expansion of the state over the basis projectors that is convex
     exactly when the state is a polytope member; exact for any input."""
-    table = probabilities(rho, mub)
-    minima = table.minima()
-    x = float(minima.sum() - 1.0)
-    coeff = table.values - minima[:, None] + x / (mub.dim + 1)
-    certified = (x / mub.dim) >= -MEMBERSHIP
-    return DecompositionResult(coeff, x, certified)
+    return _decomposition(probabilities(rho, mub))
 
 
 def classify(
@@ -138,33 +145,21 @@ def classify(
     For d <= 4 the witness list comes from the exhaustive scan; above that
     only the closed-form minimizing configuration is reported."""
     table = probabilities(rho, mub)
-    report = min_wigner(rho, mub)
-    decomposition = convex_decomposition(rho, mub)
+    report = _report(table, mub.field)
     witnesses: list[Witness] = []
-    if not report.classical:
-        d = gf.order
-        if d <= 4:
-            ctx = net_context(mub, build_striations(gf))
-            per_striation = []
-            for kappa, s in enumerate(ctx.striations):
-                pos = np.array([s.positions[s.line_of[pt]] for pt in ctx.points])
-                per_striation.append(table.values[kappa][ctx.sigma[kappa]][pos, :])
-            found: list[tuple[float, tuple[int, ...], int]] = []
-            for choices in itertools.product(range(d), repeat=d + 1):
-                pencil = sum(m[:, r] for m, r in zip(per_striation, choices))
-                values = (pencil - 1.0) / d
-                for i in np.flatnonzero(values < -MEMBERSHIP):
-                    found.append((float(values[i]), choices, int(i)))
-            found.sort(key=lambda t: t[0])
-            witnesses = [
-                Witness(choices, ctx.points[i], value)
-                for value, choices, i in found[:top_k]
-            ]
-        else:
-            witnesses = [
-                Witness(report.witness_ray_choices, report.witness_point, report.min_wigner)
-            ]
-    return ClassificationReport(table, report, decomposition, tuple(witnesses))
+    if not report.classical and gf.order > BRUTE_FORCE_MAX_DIM:
+        witnesses.append(
+            Witness(report.witness_ray_choices, report.witness_point, report.min_wigner)
+        )
+    elif not report.classical:
+        values = _scan(table, mub, gf)
+        flat = values.ravel()
+        hits = np.flatnonzero(flat < -MEMBERSHIP)
+        points = all_points(gf)
+        for i in hits[np.argsort(flat[hits], kind="stable")][:top_k]:
+            *choices, alpha = np.unravel_index(i, values.shape)
+            witnesses.append(Witness(tuple(map(int, choices)), points[alpha], float(flat[i])))
+    return ClassificationReport(table, report, _decomposition(table), tuple(witnesses))
 
 
 def random_projector_mixture(

@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .classicality import brute_force_min, classify, convex_decomposition, min_wigner
+from .classicality import BRUTE_FORCE_MAX_DIM, brute_force_min, classify, convex_decomposition
 from .clifford import fourier_operator, is_clifford, squeezing_operator
 from .formats import (
     FormatError,
@@ -38,7 +38,6 @@ from .wigner import wigner_function
 @dataclass
 class RunConfig:
     subcommand: str
-    dimension: int | None
     seed: int
     args: argparse.Namespace
 
@@ -193,6 +192,9 @@ def _cmd_nets(cfg: RunConfig) -> int:
     d = args.d
     gf = field(d)
     total = net_count(d, args.fix_axes)
+    if args.out and not args.ray_choices:
+        print("error: --out needs --ray-choices", file=sys.stderr)
+        return 2
     if args.count_only:
         print(total)
         return 0
@@ -221,9 +223,6 @@ def _cmd_nets(cfg: RunConfig) -> int:
         print(",".join(str(r) for r in net.ray_choices))
         count += 1
     print(f"total: {count}")
-    if args.out:
-        print("error: --out needs --ray-choices", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -248,6 +247,10 @@ def _cmd_classicality(cfg: RunConfig) -> int:
     d = state.dim
     if d not in SUPPORTED_DIMENSIONS:
         raise FormatError(f"field 'dim': {d} is not a supported dimension")
+    if args.brute_force and d > BRUTE_FORCE_MAX_DIM:
+        print(f"error: --brute-force supports d <= {BRUTE_FORCE_MAX_DIM}, got d={d}",
+              file=sys.stderr)
+        return 2
     gf = field(d)
     mub = standard_mub(d)
     out = classify(state, mub, gf)
@@ -363,7 +366,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(args.subcommand, getattr(args, "d", None), args.seed, args)
+    cfg = RunConfig(args.subcommand, args.seed, args)
     try:
         return _COMMANDS[args.subcommand](cfg)
     except FormatError as exc:

@@ -281,31 +281,3 @@ def field(d: int) -> FieldSpec:
         n += 1
     return FieldSpec(p, n, _PRIMITIVE_POLYS[d])
 
-
-def companion_matrix(spec: FieldSpec) -> np.ndarray:
-    """The matrix of multiplication by the field generator, columns in the
-    polynomial basis."""
-    return spec.companion.copy()
-
-
-def self_dual_basis(spec: FieldSpec) -> tuple[FieldElement, ...] | None:
-    """A basis {e_i} with trace(e_i * e_j) = identity, or None.
-
-    Exhaustive search in element-index order, so the result is stable.
-    Only characteristic 2 is supported (the Fourier construction is the
-    sole consumer).
-    """
-    if spec.p != 2:
-        raise ValueError("self-dual basis search is only supported for p = 2")
-    nonzero = spec.elements[1:]
-    for cand in itertools.permutations(nonzero, spec.n):
-        mat = np.array([e.coords for e in cand], dtype=np.int64)
-        if round(np.linalg.det(mat)) % 2 == 0:
-            continue
-        if all(
-            spec.trace(cand[i] * cand[j]) == (1 if i == j else 0)
-            for i in range(spec.n)
-            for j in range(i, spec.n)
-        ):
-            return cand
-    return None

@@ -135,9 +135,6 @@ class PauliOperator:
             out = out * self
         return out
 
-    def same_label(self, other: "PauliOperator") -> bool:
-        return self.label == other.label
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PauliOperator)
@@ -151,11 +148,6 @@ class PauliOperator:
 
     def __repr__(self) -> str:
         return f"T(q={self.qvec}, p={self.pvec}, phase^{self.phase_exp})"
-
-
-def translation_operator(gf: FieldSpec, qvec, pvec) -> PauliOperator:
-    """The canonical (phase-free) translation with the given exponent tuples."""
-    return PauliOperator(gf, qvec, pvec)
 
 
 def symplectic_product(a: PauliOperator, b: PauliOperator) -> int:
@@ -273,11 +265,6 @@ def build_labeling(gf: FieldSpec) -> Labeling:
     return Labeling(gf)
 
 
-def point_to_translation(point: PhasePoint, labeling: Labeling) -> PauliOperator:
-    """The translation operator sitting at a phase-space point."""
-    return labeling.operator_at(point)
-
-
 @lru_cache(maxsize=None)
 def standard_sets(gf: FieldSpec) -> tuple[AbelianSet, ...]:
     """The d+1 disjoint commuting sets, ordered like the striations:
@@ -291,6 +278,3 @@ def standard_sets(gf: FieldSpec) -> tuple[AbelianSet, ...]:
         sets.append(abelian_set(gf, e0, labeling.momentum_tuple(slope)))
     return tuple(sets)
 
-
-def dense_commutator_norm(a: PauliOperator, b: PauliOperator) -> float:
-    return float(np.linalg.norm(a.dense @ b.dense - b.dense @ a.dense))

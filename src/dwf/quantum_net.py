@@ -2,19 +2,29 @@
 
 A net is determined by one free projector choice per striation (the
 choice for the ray); covariance under translations fixes every other
-line.  The completion is computed once per dimension as permutation
-tables: sigma[kappa][t] maps the ray choice r to the projector index
-assigned to line t of striation kappa, obtained by conjugating each basis
-projector with the translation that carries the ray onto that line.  Nets
-are then pure index arithmetic, which keeps exhaustive enumeration over
-all d^(d+1) of them cheap.
+line.  The completion is exact integer arithmetic, done once per
+dimension.  The translation T(a) shifts the eigenvalue label m of every
+vector of a basis by the symplectic products of a with the basis
+generators g_i, so with a_t the lowest-index point of line t,
+
+    sigma[kappa, t, r] = index of the label (m_i(r) + <T(a_t), g_i>) mod p
+
+is the projector on line t of striation kappa when the ray gets choice r.
+Reading sigma at the line through each point gives the one table every
+Wigner and classicality kernel gathers from,
+
+    pencil[kappa, alpha, r] = sigma[kappa, line of alpha in kappa, r],
+
+the projector on the line through point alpha in striation kappa.  Nets
+are pure index arithmetic, which keeps exhaustive enumeration over all
+d^(d+1) of them cheap.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,14 +37,9 @@ from .geometry import (
     build_striations,
     line_points,
 )
-from .mub import MubSet, standard_mub
-from .pauli import Labeling, build_labeling
+from .mub import Basis, MubSet, standard_mub
+from .pauli import Labeling, build_labeling, symplectic_product
 from .tolerances import LOOKUP
-
-
-class CovarianceError(AssertionError):
-    """Conjugating a basis projector left the basis: the labeling and the
-    striation geometry disagree, which indicates an internal bug."""
 
 
 @dataclass(eq=False)
@@ -45,7 +50,9 @@ class NetContext:
     striations: tuple[Striation, ...]
     mub: MubSet
     labeling: Labeling
-    sigma: tuple[np.ndarray, ...]  # per striation: (d lines) x (d ray choices)
+    sigma: np.ndarray  # sigma[kappa, line position, ray choice] = projector index
+    pencil: np.ndarray  # pencil[kappa, point index, ray choice] = projector index
+    projectors: np.ndarray  # projectors[kappa, j] = d x d projector
     points: tuple[PhasePoint, ...]
 
     @property
@@ -56,50 +63,37 @@ class NetContext:
         return covariant_completion(ray_choices, self.mub, self.striations)
 
 
-def _transport_table(
-    striation: Striation, mub: MubSet, labeling: Labeling, kappa: int
-) -> np.ndarray:
-    """sigma[t][r]: projector index landing on line t when the ray gets r."""
-    gf = mub.field
-    d = gf.order
-    table = np.zeros((d, d), dtype=np.int64)
-    for t, line in enumerate(striation.lines):
-        rep = min(line_points(line), key=lambda pt: pt.index)
-        u = labeling.unitary_at(rep)
-        for r in range(d):
-            conj = u @ mub.projector(kappa, r) @ u.conj().T
-            hits = [
-                j
-                for j in range(d)
-                if np.linalg.norm(conj - mub.projector(kappa, j)) < LOOKUP
-            ]
-            if len(hits) != 1:
-                raise CovarianceError(
-                    f"striation {kappa}: translated projector {r} matched {hits}"
-                )
-            table[t, r] = hits[0]
-        if sorted(table[t]) != list(range(d)):
-            raise CovarianceError(f"striation {kappa}, line {t}: not a bijection")
-    if not np.array_equal(table[0], np.arange(d)):
-        raise CovarianceError(f"striation {kappa}: ray does not keep its own choice")
-    return table
+def _label_shift_table(striation: Striation, basis: Basis, labeling: Labeling) -> np.ndarray:
+    """sigma[t][r] of one striation: the label of choice r shifted by the
+    translation to the lowest-index point of line t."""
+    p = labeling.field.p
+    index = {label: j for j, label in enumerate(basis.labels)}
+    table = []
+    for line in striation.lines:
+        translation = labeling.operator_at(min(line_points(line), key=lambda pt: pt.index))
+        shifts = [symplectic_product(translation, g) for g in basis.generators]
+        table.append([
+            index[tuple((m + s) % p for m, s in zip(label, shifts))] for label in basis.labels
+        ])
+    return np.array(table)
 
 
-_CONTEXT_CACHE: dict[tuple[int, int], NetContext] = {}
-
-
+@lru_cache(maxsize=None)
 def net_context(mub: MubSet, striations: tuple[Striation, ...]) -> NetContext:
-    key = (id(mub), id(striations))
-    if key not in _CONTEXT_CACHE:
-        gf = mub.field
-        labeling = build_labeling(gf)
-        sigma = tuple(
-            _transport_table(s, mub, labeling, k) for k, s in enumerate(striations)
-        )
-        _CONTEXT_CACHE[key] = NetContext(
-            gf, striations, mub, labeling, sigma, all_points(gf)
-        )
-    return _CONTEXT_CACHE[key]
+    gf = mub.field
+    labeling = build_labeling(gf)
+    points = all_points(gf)
+    sigma = np.stack([
+        _label_shift_table(s, basis, labeling) for s, basis in zip(striations, mub.bases)
+    ])
+    position = np.array([[s.positions[s.line_of[pt]] for pt in points] for s in striations])
+    pencil = sigma[np.arange(len(striations))[:, None], position]
+    projectors = np.array([
+        [mub.projector(kappa, j) for j in range(gf.order)] for kappa in range(len(striations))
+    ])
+    for shared in (sigma, pencil, projectors):
+        shared.flags.writeable = False
+    return NetContext(gf, striations, mub, labeling, sigma, pencil, projectors, points)
 
 
 @lru_cache(maxsize=None)
@@ -114,11 +108,16 @@ class QuantumNet:
     context: NetContext
     ray_choices: tuple[int, ...]
     indices: tuple[tuple[int, ...], ...]  # indices[kappa][line position] = j
-    _point_ops: dict = dc_field(default_factory=dict, repr=False)
+    _point_ops: np.ndarray | None = dc_field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.context.dim
+
+    @cached_property
+    def pencil(self) -> np.ndarray:
+        """pencil[kappa, point index] = j of the line through the point."""
+        return self.context.pencil[np.arange(self.dim + 1), :, self.ray_choices]
 
     def projector_index(self, line: Line) -> tuple[int, int]:
         """(kappa, j) for the projector assigned to a line (0-based)."""
@@ -136,25 +135,20 @@ class QuantumNet:
 
     def pencil_indices(self, point: PhasePoint) -> tuple[tuple[int, int], ...]:
         """The d+1 (kappa, j) pairs of the lines through a point."""
-        out = []
-        for kappa, s in enumerate(self.context.striations):
-            t = s.positions[s.line_of[point]]
-            out.append((kappa, self.indices[kappa][t]))
-        return tuple(out)
+        return tuple(enumerate(self.pencil[:, point.index].tolist()))
 
     def point_operator(self, point: PhasePoint) -> np.ndarray:
         """(sum of the d+1 projectors through the point - identity) / d."""
-        if point not in self._point_ops:
-            d = self.dim
-            total = -np.eye(d, dtype=complex)
-            for kappa, j in self.pencil_indices(point):
-                total = total + self.context.mub.projector(kappa, j)
-            self._point_ops[point] = total / d
-        return self._point_ops[point]
+        return self.point_operator_table()[point.index]
 
     def point_operator_table(self) -> np.ndarray:
-        """All d^2 point operators stacked in point-index order."""
-        return np.stack([self.point_operator(pt) for pt in self.context.points])
+        """All d^2 point operators stacked in point-index order, read-only."""
+        if self._point_ops is None:
+            d = self.dim
+            total = self.context.projectors[np.arange(d + 1)[:, None], self.pencil].sum(axis=0)
+            self._point_ops = (total - np.eye(d)) / d
+            self._point_ops.flags.writeable = False
+        return self._point_ops
 
     def __repr__(self) -> str:
         return f"QuantumNet(d={self.dim}, ray_choices={self.ray_choices})"
@@ -169,10 +163,7 @@ def covariant_completion(
     choices = tuple(int(r) for r in ray_choices)
     if len(choices) != d + 1 or any(not 0 <= r < d for r in choices):
         raise ValueError(f"ray_choices must be {d + 1} indices in [0, {d})")
-    indices = tuple(
-        tuple(int(ctx.sigma[kappa][t, r]) for t in range(d))
-        for kappa, r in enumerate(choices)
-    )
+    indices = tuple(map(tuple, ctx.sigma[np.arange(d + 1), :, choices].tolist()))
     return QuantumNet(ctx, choices, indices)
 
 

@@ -28,7 +28,7 @@ from .clifford import (
 from .galois import field
 from .geometry import all_points, build_striations, line_points, lines_through, origin
 from .mub import standard_mub, unbiasedness_report
-from .pauli import build_labeling, commutes, point_to_translation, standard_sets
+from .pauli import build_labeling, commutes, standard_sets
 from .quantum_net import enumerate_nets, is_flow, net_count, standard_context
 from .wigner import DensityState, reconstruct_state, wigner_from_point_operators, wigner_function
 
@@ -112,7 +112,7 @@ def _check_pauli(d, rng):
     lab = build_labeling(gf)
     for s, aset in zip(build_striations(gf), sets):
         ray_labels = {
-            point_to_translation(pt, lab).label
+            lab.operator_at(pt).label
             for pt in line_points(s.ray)
             if pt != origin(gf)
         }

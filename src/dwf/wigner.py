@@ -35,6 +35,8 @@ class DensityState:
         d = self.rho.shape[0]
         if self.rho.shape != (d, d):
             raise ValueError(f"state matrix must be square, got {self.rho.shape}")
+        if not np.isfinite(self.rho).all():
+            raise ValueError("state matrix has non-finite entries")
         if np.linalg.norm(self.rho - self.rho.conj().T) > SPECTRAL:
             raise ValueError("state matrix is not Hermitian")
         if abs(np.trace(self.rho) - 1.0) > SPECTRAL:
@@ -52,6 +54,8 @@ class DensityState:
     @classmethod
     def from_vector(cls, amplitudes) -> "DensityState":
         v = np.asarray(amplitudes, dtype=complex)
+        if not np.isfinite(v).all():
+            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(v)
         if norm < 1e-12:
             raise ValueError("cannot normalize the zero vector")
@@ -109,17 +113,6 @@ def probabilities(rho: DensityState, mub: MubSet) -> ProbabilityTable:
     return ProbabilityTable(np.array(rows))
 
 
-@dataclass(frozen=True)
-class PointOperator:
-    alpha: PhasePoint
-    dense: np.ndarray
-
-
-def point_operator(net: QuantumNet, alpha: PhasePoint) -> PointOperator:
-    """The Hermitian witness whose expectation is the Wigner value at alpha."""
-    return PointOperator(alpha, net.point_operator(alpha))
-
-
 @dataclass(eq=False)
 class WignerTable:
     """values[q_index, p_index]; normalized to one, real by construction."""
@@ -149,30 +142,20 @@ def wigner_function(rho: DensityState, net: QuantumNet) -> WignerTable:
     if rho.dim != d:
         raise ValueError(f"state dimension {rho.dim} != net dimension {d}")
     table = probabilities(rho, net.context.mub).values
-    w = np.zeros((d, d))
-    for pt in net.context.points:
-        total = sum(table[kappa, j] for kappa, j in net.pencil_indices(pt))
-        w[pt.q.index, pt.p.index] = (total - 1.0) / d
-    return WignerTable(w, net)
+    pencil_sum = table[np.arange(d + 1)[:, None], net.pencil].sum(axis=0)
+    return WignerTable(((pencil_sum - 1.0) / d).reshape(d, d), net)
 
 
 def wigner_from_point_operators(rho: DensityState, net: QuantumNet) -> np.ndarray:
     """Independent route: trace the state against each point operator."""
     d = net.dim
-    w = np.zeros((d, d))
-    for pt in net.context.points:
-        w[pt.q.index, pt.p.index] = np.trace(rho.rho @ net.point_operator(pt)).real
-    return w
+    return np.einsum("xy,ayx->a", rho.rho, net.point_operator_table()).real.reshape(d, d)
 
 
 def reconstruct_state(table: WignerTable) -> DensityState:
     """Invert the Wigner map: rho = d * sum_alpha W_alpha A(alpha)."""
-    net = table.net
-    d = table.dim
-    rho = np.zeros((d, d), dtype=complex)
-    for pt in net.context.points:
-        rho += table.value(pt) * net.point_operator(pt)
-    return DensityState(d * rho, kind="mixed")
+    ops = table.net.point_operator_table()
+    return DensityState(table.dim * np.tensordot(table.values.ravel(), ops, axes=1), kind="mixed")
 
 
 def line_probability(rho: DensityState, net: QuantumNet, line) -> float:

@@ -78,6 +78,15 @@ def test_nets_bad_ray_choices(capsys):
     assert main(["nets", "--d", "2", "--ray-choices", "a,b,c"]) == 2
 
 
+def test_nets_out_without_ray_choices_refused_before_enumerating(tmp_path, capsys):
+    out_path = tmp_path / "net.json"
+    assert main(["nets", "--d", "5", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out needs --ray-choices" in captured.err
+    assert not out_path.exists()
+
+
 def test_nets_large_dimension_refused(capsys):
     assert main(["nets", "--d", "8"]) == 2
     assert "refused" in capsys.readouterr().err
@@ -134,6 +143,35 @@ def test_classicality_malformed_state(tmp_path, capsys):
     bad = write_state(tmp_path / "bad.json", {"dim": 2, "kind": "pure"})
     assert main(["classicality", "--state", bad]) == 2
     assert "data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("density", [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]),
+    ("density", [[[0.5, 0], [float("inf"), 0]], [[float("inf"), 0], [0.5, 0]]]),
+    ("pure", [[float("nan"), 0], [1, 0]]),
+])
+def test_non_finite_state_is_a_usage_error(tmp_path, capsys, kind, data):
+    state = write_state(tmp_path / "bad.json", {"dim": 2, "kind": kind, "data": data})
+    net = write_state(tmp_path / "net.json", {"dim": 2, "ray_choices": [0, 0, 0]})
+    for argv in (
+        ["classicality", "--state", state],
+        ["classicality", "--state", state, "--brute-force"],
+        ["wigner", "--state", state, "--net", net, "--out", str(tmp_path / "w.csv")],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "'data'" in captured.err
+        assert "nan" not in captured.out
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_classicality_brute_force_above_d4_is_a_usage_error(tmp_path, capsys):
+    amps = [[1, 0]] + [[0, 0]] * 4
+    state = write_state(tmp_path / "d5.json", {"dim": 5, "kind": "pure", "data": amps})
+    assert main(["classicality", "--state", state, "--brute-force"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --brute-force supports d <= 4")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_clifford_check_accepts_hadamard(tmp_path, capsys):

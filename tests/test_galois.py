@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dwf.galois import SUPPORTED_DIMENSIONS, companion_matrix, field, self_dual_basis
+from dwf.galois import SUPPORTED_DIMENSIONS, field
 
 ALL_DIMS = list(SUPPORTED_DIMENSIONS)
 
@@ -86,11 +86,11 @@ def test_generator_has_full_order(d):
 
 
 def test_companion_matrix_gf2():
-    assert companion_matrix(field(2)).tolist() == [[1]]
+    assert field(2).companion.tolist() == [[1]]
 
 
 def test_companion_matrix_gf4():
-    m = companion_matrix(field(4))
+    m = field(4).companion
     assert m.tolist() == [[0, 1], [1, 1]]
     m3 = np.linalg.matrix_power(m, 3) % 2
     assert np.array_equal(m3, np.eye(2, dtype=np.int64))
@@ -128,32 +128,11 @@ def test_companion_transpose_powers(d):
         assert np.array_equal(gf.companion_power(j).T, np.linalg.matrix_power(gf.companion.T, j) % gf.p)
 
 
-def test_self_dual_basis_gf2_is_identity():
-    gf = field(2)
-    assert self_dual_basis(gf) == (gf.one,)
-
-
-def test_self_dual_basis_gf4():
+def test_trace_of_omega_powers_gf4():
     gf = field(4)
     omega = gf.generator
-    basis = self_dual_basis(gf)
-    assert basis == (omega, omega * omega)
     assert gf.trace(omega * omega) == 1
     assert gf.trace(omega * omega * omega) == 0
-
-
-def test_self_dual_basis_gf8_exists():
-    gf = field(8)
-    basis = self_dual_basis(gf)
-    assert basis is not None
-    for i, ei in enumerate(basis):
-        for j, ej in enumerate(basis):
-            assert gf.trace(ei * ej) == (1 if i == j else 0)
-
-
-def test_self_dual_basis_rejects_odd_characteristic():
-    with pytest.raises(ValueError):
-        self_dual_basis(field(3))
 
 
 def test_unsupported_dimension_rejected():

@@ -10,10 +10,8 @@ from dwf.pauli import (
     abelian_set,
     build_labeling,
     commutes,
-    point_to_translation,
     standard_sets,
     symplectic_product,
-    translation_operator,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -31,15 +29,15 @@ def op_from_label(gf, label):
 
 def test_single_qubit_translations_are_xyz():
     gf = field(2)
-    assert np.allclose(translation_operator(gf, (1,), (0,)).dense, X)
-    assert np.allclose(translation_operator(gf, (0,), (1,)).dense, Z)
-    assert np.allclose(translation_operator(gf, (1,), (1,)).dense, Y)
-    assert np.allclose(translation_operator(gf, (1,), (1,)).dense, 1j * X @ Z)
+    assert np.allclose(PauliOperator(gf, (1,), (0,)).dense, X)
+    assert np.allclose(PauliOperator(gf, (0,), (1,)).dense, Z)
+    assert np.allclose(PauliOperator(gf, (1,), (1,)).dense, Y)
+    assert np.allclose(PauliOperator(gf, (1,), (1,)).dense, 1j * X @ Z)
 
 
 def test_two_qubit_translation_without_cross_phase():
     gf = field(4)
-    op = translation_operator(gf, (1, 0), (0, 1))
+    op = PauliOperator(gf, (1, 0), (0, 1))
     # register 0 carries X, register 1 carries Z; no phase since q.p = 0
     expected = np.kron(Z, X)  # register 0 is the least significant factor
     assert np.allclose(op.dense, expected)
@@ -101,13 +99,13 @@ def test_odd_translations_have_order_p(d):
 
 def test_commutation_examples():
     gf = field(2)
-    x = translation_operator(gf, (1,), (0,))
-    z = translation_operator(gf, (0,), (1,))
+    x = PauliOperator(gf, (1,), (0,))
+    z = PauliOperator(gf, (0,), (1,))
     assert not commutes(x, z)
     assert commutes(x, x)
     gf3 = field(3)
-    a = translation_operator(gf3, (1,), (0,))
-    b = translation_operator(gf3, (1,), (1,))
+    a = PauliOperator(gf3, (1,), (0,))
+    b = PauliOperator(gf3, (1,), (1,))
     assert symplectic_product(a, b) == 1
     assert not commutes(a, b)
     assert np.linalg.norm(a.dense @ b.dense - b.dense @ a.dense) > 0.1
@@ -214,23 +212,23 @@ def test_point_to_translation_identity_at_origin():
     for d in (2, 3, 4):
         gf = field(d)
         lab = build_labeling(gf)
-        assert point_to_translation(origin(gf), lab).is_identity_label()
+        assert lab.operator_at(origin(gf)).is_identity_label()
 
 
 def test_point_to_translation_d2_pauli_triple():
     gf = field(2)
     lab = build_labeling(gf)
     pt = lambda a, b: PhasePoint(gf.element(a), gf.element(b))
-    assert np.allclose(point_to_translation(pt(1, 0), lab).dense, X)
-    assert np.allclose(point_to_translation(pt(0, 1), lab).dense, Z)
-    assert np.allclose(point_to_translation(pt(1, 1), lab).dense, Y)
+    assert np.allclose(lab.operator_at(pt(1, 0)).dense, X)
+    assert np.allclose(lab.operator_at(pt(0, 1)).dense, Z)
+    assert np.allclose(lab.operator_at(pt(1, 1)).dense, Y)
 
 
 def test_point_to_translation_horizontal_ray_d4():
     gf = field(4)
     lab = build_labeling(gf)
     omega = gf.generator
-    op = point_to_translation(PhasePoint(omega, gf.zero), lab)
+    op = lab.operator_at(PhasePoint(omega, gf.zero))
     expected_q = tuple((gf.companion @ np.array([1, 0])) % 2)
     assert op.qvec == expected_q
     assert op.pvec == (0, 0)
@@ -246,9 +244,9 @@ def test_labeling_is_additive(d):
     for i, j in idx:
         v, w = pts[i], pts[j]
         s = PhasePoint(v.q + w.q, v.p + w.p)
-        lhs = point_to_translation(s, lab).label
-        a = point_to_translation(v, lab).label
-        b = point_to_translation(w, lab).label
+        lhs = lab.operator_at(s).label
+        a = lab.operator_at(v).label
+        b = lab.operator_at(w).label
         assert lhs == tuple((x + y) % gf.p for x, y in zip(a, b))
 
 
@@ -261,7 +259,7 @@ def test_ray_points_carry_the_striation_set(d):
     o = origin(gf)
     for s, aset in zip(striations, sets):
         ray_ops = {
-            point_to_translation(pt, lab).label
+            lab.operator_at(pt).label
             for pt in line_points(s.ray)
             if pt != o
         }

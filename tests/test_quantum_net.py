@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwf.galois import field
+from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.geometry import PhasePoint, build_striations, line_points
 from dwf.mub import standard_mub
 from dwf.quantum_net import (
@@ -11,6 +11,7 @@ from dwf.quantum_net import (
     net_count,
     standard_context,
 )
+from dwf.tolerances import LOOKUP
 
 
 def make_net(d, choices):
@@ -181,3 +182,29 @@ def test_large_dimension_nets_smoke(d):
         a = net.point_operator(pt)
         assert abs(np.trace(a) - 1.0 / d) < 1e-12
         assert np.linalg.norm(a - a.conj().T) < 1e-12
+
+
+def dense_transport(ctx, kappa, line):
+    """Reference for one row of sigma: conjugate every projector of basis
+    kappa with the translation to the lowest-index point of the line and
+    match the image against the basis."""
+    d = ctx.dim
+    u = ctx.labeling.unitary_at(min(line_points(line), key=lambda pt: pt.index))
+    row = []
+    for r in range(d):
+        conj = u @ ctx.mub.projector(kappa, r) @ u.conj().T
+        hits = [j for j in range(d) if np.linalg.norm(conj - ctx.mub.projector(kappa, j)) < LOOKUP]
+        assert len(hits) == 1
+        row.append(hits[0])
+    return row
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_exact_sigma_matches_dense_transport(d):
+    ctx = standard_context(d)
+    for kappa, s in enumerate(ctx.striations):
+        for t, line in enumerate(s.lines):
+            assert ctx.sigma[kappa, t].tolist() == dense_transport(ctx, kappa, line)
+        for pt in ctx.points:
+            t = s.positions[s.line_of[pt]]
+            assert np.array_equal(ctx.pencil[kappa, pt.index], ctx.sigma[kappa, t])

@@ -10,7 +10,6 @@ from dwf.quantum_net import covariant_completion, enumerate_nets, standard_conte
 from dwf.wigner import (
     DensityState,
     line_probability,
-    point_operator,
     probabilities,
     reconstruct_state,
     wigner_from_point_operators,
@@ -67,7 +66,7 @@ def test_point_operator_d2_origin_assembled_entrywise():
         + np.outer(y_plus, y_plus.conj())
         - np.eye(2)
     ) / 2
-    a = point_operator(net, origin(gf)).dense
+    a = net.point_operator(origin(gf))
     assert np.linalg.norm(a - expected) < 1e-12
 
 
@@ -110,6 +109,23 @@ def test_two_routes_agree(d):
         via_prob = wigner_function(rho, net).values
         via_trace = wigner_from_point_operators(rho, net)
         assert np.max(np.abs(via_prob - via_trace)) < 1e-12
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_gather_equals_per_point_loop_exactly(d):
+    # reference: walk each point's pencil through the line geometry and add
+    # the assigned probabilities in striation order, as a per-point loop
+    rng = np.random.default_rng(11)
+    ctx = standard_context(d)
+    rho = DensityState.random_mixed(d, rng)
+    table = probabilities(rho, ctx.mub).values
+    for _ in range(4):
+        net = ctx.complete(tuple(rng.integers(0, d, d + 1)))
+        expected = np.zeros((d, d))
+        for pt in ctx.points:
+            total = sum(table[net.projector_index(s.line_of[pt])] for s in ctx.striations)
+            expected[pt.q.index, pt.p.index] = (total - 1.0) / d
+        assert np.array_equal(wigner_function(rho, net).values, expected)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
