@@ -30,7 +30,7 @@ from .galois import SUPPORTED_DIMENSIONS, field
 from .geometry import build_striations, line_points
 from .mub import standard_mub, unbiasedness_report
 from .pauli import standard_sets
-from .quantum_net import enumerate_nets, is_flow, net_count, standard_context
+from .quantum_net import ENUMERATION_MAX_DIM, enumerate_nets, is_flow, net_count, standard_context
 from .verification import DEFAULT_SEED, run_verification
 from .wigner import wigner_function
 
@@ -214,7 +214,7 @@ def _cmd_nets(cfg: RunConfig) -> int:
             write_json(args.out, net_to_payload(net), d, cfg.seed)
             print(f"wrote {args.out}")
         return 0
-    if d > 5:
+    if d > ENUMERATION_MAX_DIM:
         print(f"error: enumeration of {total} nets at d={d} is refused; "
               "use --ray-choices to select one", file=sys.stderr)
         return 2
@@ -317,6 +317,10 @@ def _cmd_clifford(cfg: RunConfig) -> int:
     if args.no_flow_scan:
         if gf.p != 2:
             print("error: the Fourier scan needs characteristic 2", file=sys.stderr)
+            return 2
+        if d > ENUMERATION_MAX_DIM:
+            print(f"error: the Fourier scan enumerates nets only for d <= "
+                  f"{ENUMERATION_MAX_DIM}, got d={d}", file=sys.stderr)
             return 2
         fop = fourier_operator(gf).dense
         fix_axes = d > 2

@@ -15,6 +15,13 @@ symplectic table F reduces to it through the pairs T(F(0|e_i)), T(F(e_i|0)).
 The discrete squeezing operator and the finite Fourier transform are both
 obtained this way; the stabilizer tableau at the bottom cross-validates
 generator-level circuits against dense simulation for qubit registers.
+
+Primitives come from the layers below: mod-p rank and inverse from
+`galois`, index <-> digit maps from the field (element(z).coords,
+from_coords), the spectral projection to a phase-fixed vector from
+`mub.joint_eigenvector`, the X-type basis from `mub.standard_mub` and
+`is_flow` from `quantum_net`.  One monomial test, `_extract_permutation`,
+decides both MUB-to-MUB maps and preservation of the Z and X bases.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .galois import FieldSpec
-from .mub import MubSet
-from .pauli import PauliOperator, AbelianSet, _zp_rank, symplectic_product
+from .galois import FieldSpec, inverse_mod_p, rank_mod_p
+from .mub import MubSet, joint_eigenvector, standard_mub
+from .pauli import PauliOperator, AbelianSet, symplectic_product
 from .quantum_net import is_flow  # noqa: F401  (re-exported net-flow test)
 from .tolerances import LOOKUP, SPECTRAL
 
@@ -49,29 +56,6 @@ def is_symplectic_table(f: np.ndarray, p: int) -> bool:
     return np.array_equal((f.T @ j @ f) % p, j % p)
 
 
-def _invert_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    n = a.shape[0]
-    aug = np.concatenate([a % p, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r, col] % p), None)
-        if pivot is None:
-            raise ValueError("matrix is singular mod p")
-        aug[[col, pivot]] = aug[[pivot, col]]
-        aug[col] = (aug[col] * pow(int(aug[col, col]), -1, p)) % p
-        for r in range(n):
-            if r != col and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[col]) % p
-    return aug[:, n:]
-
-
-def _digits(index: int, p: int, n: int) -> tuple[int, ...]:
-    return tuple((index // p**i) % p for i in range(n))
-
-
-def _index(digits, p: int) -> int:
-    return sum(int(d) % p * p**i for i, d in enumerate(digits))
-
-
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
@@ -88,10 +72,6 @@ class SymplecticClifford:
     def __bool__(self) -> bool:
         return True
 
-    def apply_label(self, label) -> tuple[int, ...]:
-        p = self.field.p
-        return tuple((self.symplectic @ np.array(label, dtype=np.int64)) % p)
-
 
 @dataclass(eq=False)
 class NotClifford:
@@ -104,15 +84,9 @@ class NotClifford:
 
 def generator_operators(gf: FieldSpec) -> tuple[PauliOperator, ...]:
     """X_1..X_n then Z_1..Z_n as canonical translations."""
-    n = gf.n
-    outs = []
-    for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        outs.append(PauliOperator(gf, e, (0,) * n))
-    for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        outs.append(PauliOperator(gf, (0,) * n, e))
-    return tuple(outs)
+    units, zero = np.eye(gf.n, dtype=np.int64), (0,) * gf.n
+    xs = tuple(PauliOperator(gf, e, zero) for e in units)
+    return xs + tuple(PauliOperator(gf, zero, e) for e in units)
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +113,7 @@ def _match_translation(gf: FieldSpec, op: np.ndarray):
 def _phase_to_exponent(gf: FieldSpec, phase: complex) -> int:
     order = 4 if gf.p == 2 else gf.p
     k = int(round(np.angle(phase) / (2 * np.pi / order))) % order
-    if abs(phase - np.exp(2j * np.pi * k / order)) > 1e-6:
+    if abs(phase - np.exp(2j * np.pi * k / order)) > LOOKUP * 100:
         raise AssertionError(f"phase {phase} is not a unit root of order {order}")
     return k
 
@@ -172,24 +146,6 @@ def is_clifford(u: np.ndarray, gf: FieldSpec):
 # synthesis
 # ---------------------------------------------------------------------------
 
-def _joint_plus_one_eigenvector(ms: tuple[PauliOperator, ...]) -> np.ndarray:
-    gf = ms[0].field
-    d, p = gf.order, gf.p
-    proj = np.eye(d, dtype=complex)
-    for m in ms:
-        acc = np.eye(d, dtype=complex)
-        spectral = np.zeros((d, d), dtype=complex)
-        for _ in range(p):
-            spectral += acc
-            acc = acc @ m.dense
-        proj = proj @ (spectral / p)
-    if abs(np.trace(proj) - 1.0) > SPECTRAL * 100:
-        raise AssertionError("joint +1 eigenspace is not one-dimensional")
-    col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-    v = proj[:, col]
-    return v / np.linalg.norm(v)
-
-
 def synthesize_from_pairs(
     ms: tuple[PauliOperator, ...], ns: tuple[PauliOperator, ...]
 ) -> np.ndarray:
@@ -199,7 +155,7 @@ def synthesize_from_pairs(
     symplectic(N_i, M_j) = delta_ij; all three are checked.
     """
     gf = ms[0].field
-    p, n, d = gf.p, gf.n, gf.order
+    d = gf.order
     for a, b in itertools.combinations(ms, 2):
         if symplectic_product(a, b):
             raise ValueError("ms do not commute")
@@ -210,16 +166,15 @@ def synthesize_from_pairs(
         for j, mm in enumerate(ms):
             if symplectic_product(nn, mm) != (1 if i == j else 0):
                 raise ValueError("pairing of ns against ms is not the identity")
-    psi0 = _joint_plus_one_eigenvector(ms)
+    psi0 = joint_eigenvector([m.dense for m in ms], (0,) * gf.n, gf.p)
     columns = np.zeros((d, d), dtype=complex)
     for z in range(d):
         v = psi0
-        for i, digit in enumerate(_digits(z, p, n)):
+        for i, digit in enumerate(gf.element(z).coords):
             for _ in range(digit):
                 v = ns[i].dense @ v
         columns[:, z] = v
-    c_dagger = columns
-    return c_dagger.conj().T
+    return columns.conj().T
 
 
 @dataclass(eq=False)
@@ -238,8 +193,8 @@ def syndrome_standard_pairs(s: AbelianSet, t: AbelianSet) -> SyndromeData:
     """
     gf = s.field
     ms = s.generators()
-    gen_rows = [list(m.label) for m in ms] + [list(x.label) for x in t.generators()]
-    if _zp_rank(gen_rows, gf.p) != 2 * gf.n:
+    gen_rows = [m.label for m in ms] + [x.label for x in t.generators()]
+    if rank_mod_p(gen_rows, gf.p) != 2 * gf.n:
         raise ValueError("sets intersect nontrivially; no standardization exists")
     syndromes: dict[tuple[int, ...], PauliOperator] = {}
     for member in t.members:
@@ -261,12 +216,10 @@ def standardize_pair(s: AbelianSet, t: AbelianSet) -> SymplecticClifford:
     gf = s.field
     data = syndrome_standard_pairs(s, t)
     c = synthesize_from_pairs(data.generators, data.partners)
-    for m, z in zip(data.generators, generator_operators(gf)[gf.n:]):
-        if np.linalg.norm(c @ m.dense @ c.conj().T - z.dense) > LOOKUP:
-            raise AssertionError("standardization failed to map a generator onto Z_i")
-    for nn, x in zip(data.partners, generator_operators(gf)[: gf.n]):
-        if np.linalg.norm(c @ nn.dense @ c.conj().T - x.dense) > LOOKUP:
-            raise AssertionError("standardization failed to map a partner onto X_i")
+    # generator_operators lists X_1..X_n, then Z_1..Z_n
+    for source, target in zip(data.partners + data.generators, generator_operators(gf)):
+        if np.linalg.norm(c @ source.dense @ c.conj().T - target.dense) > LOOKUP:
+            raise AssertionError(f"standardization failed to map {source} onto {target}")
     result = is_clifford(c, gf)
     if not result:
         raise AssertionError("synthesized standardizer is not Clifford")
@@ -280,17 +233,10 @@ def clifford_from_symplectic(f: np.ndarray, gf: FieldSpec) -> SymplecticClifford
     f = np.array(f, dtype=np.int64) % p
     if not is_symplectic_table(f, p):
         raise ValueError("table does not preserve the symplectic form mod p")
-    ms, ns = [], []
-    for i in range(n):
-        ez = np.zeros(2 * n, dtype=np.int64)
-        ez[n + i] = 1
-        ex = np.zeros(2 * n, dtype=np.int64)
-        ex[i] = 1
-        mz = (f @ ez) % p
-        mx = (f @ ex) % p
-        ms.append(PauliOperator(gf, tuple(mz[:n]), tuple(mz[n:])))
-        ns.append(PauliOperator(gf, tuple(mx[:n]), tuple(mx[n:])))
-    u = synthesize_from_pairs(tuple(ms), tuple(ns)).conj().T
+    # column n + i of F is the image label of Z_i, column i that of X_i
+    ms = tuple(PauliOperator(gf, f[:n, n + i], f[n:, n + i]) for i in range(n))
+    ns = tuple(PauliOperator(gf, f[:n, i], f[n:, i]) for i in range(n))
+    u = synthesize_from_pairs(ms, ns).conj().T
     result = is_clifford(u, gf)
     if not result or not np.array_equal(result.symplectic, f):
         raise AssertionError("synthesis did not reproduce the requested table")
@@ -305,12 +251,9 @@ def squeezing_operator(gf: FieldSpec) -> SymplecticClifford:
     """
     if gf.n < 2:
         raise ValueError("squeezing needs an extension field (n >= 2)")
-    n = gf.n
     m = gf.companion
-    mt_inv = _invert_mod_p(m.T, gf.p)
-    f = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    f[:n, :n] = m
-    f[n:, n:] = mt_inv
+    zero = np.zeros_like(m)
+    f = np.block([[m, zero], [zero, inverse_mod_p(m.T, gf.p)]])
     return clifford_from_symplectic(f, gf)
 
 
@@ -321,8 +264,7 @@ def _reflection_form_basis(gf: FieldSpec) -> tuple:
     ell = lambda x: x.coords[0]
     nonzero = gf.elements[1:]
     for cand in itertools.permutations(nonzero, gf.n):
-        mat = np.array([e.coords for e in cand], dtype=np.int64)
-        if round(np.linalg.det(mat)) % 2 == 0:
+        if rank_mod_p([e.coords for e in cand], 2) < gf.n:
             continue
         if all(
             ell(cand[i] * cand[j]) == (1 if i == j else 0)
@@ -343,13 +285,8 @@ def fourier_operator(gf: FieldSpec) -> SymplecticClifford:
     """
     if gf.p != 2:
         raise ValueError("the Fourier construction is only supported for p = 2")
-    d = gf.order
-    mat = np.zeros((d, d))
-    for zi in range(d):
-        for zj in range(d):
-            prod = gf.element(zi) * gf.element(zj)
-            mat[zi, zj] = (-1.0) ** prod.coords[0]
-    result = is_clifford(mat / np.sqrt(d), gf)
+    signs = np.array([[(x * y).coords[0] for y in gf.elements] for x in gf.elements])
+    result = is_clifford((-1.0) ** signs / np.sqrt(gf.order), gf)
     if not result:
         raise AssertionError("Fourier matrix failed the Clifford check")
     return result
@@ -361,14 +298,12 @@ def hadamard_in_chart(gf: FieldSpec) -> np.ndarray:
     basis = _reflection_form_basis(gf)
     d, n = gf.order, gf.n
     mat = np.array([e.coords for e in basis], dtype=np.int64)
-    inv = _invert_mod_p(mat.T, 2)
+    inv = inverse_mod_p(mat.T, 2)
     v = np.zeros((d, d))
     for z in range(d):
-        chart = tuple((inv @ np.array(gf.element(z).coords)) % 2)
-        v[_index(chart, 2), z] = 1.0
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-    hn = reduce(np.kron, [h] * n)
-    return v.T @ hn @ v
+        chart = inv @ np.array(gf.element(z).coords)
+        v[gf.from_coords(chart).index, z] = 1.0
+    return v.T @ reduce(np.kron, [_H] * n) @ v
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +327,11 @@ def maps_mub_to_mub(u: np.ndarray, b1: MubSet, b2: MubSet) -> MubMapResult:
     perm = []
     for basis in b1.bases:
         image = u @ basis.vectors
-        target = None
-        for k2, other in enumerate(b2.bases):
-            overlaps = np.abs(other.vectors.conj().T @ image)
-            cols_ok = np.all(overlaps.max(axis=0) > 1.0 - LOOKUP)
-            rows_distinct = len(set(np.argmax(overlaps, axis=0))) == b1.dim
-            if cols_ok and rows_distinct:
-                target = k2
-                break
+        target = next(
+            (k2 for k2, other in enumerate(b2.bases)
+             if _extract_permutation(other.vectors.conj().T @ image)[0] is not None),
+            None,
+        )
         if target is None:
             return MubMapResult(False, None)
         perm.append(target)
@@ -422,12 +354,12 @@ class AffineData:
     global_phase: float
 
     def predicted_column(self, gf: FieldSpec, z: int) -> tuple[int, complex]:
-        p, n = gf.p, gf.n
-        a_inv = _invert_mod_p(self.a_matrix, p)
-        zd = np.array(_digits(z, p, n), dtype=np.int64)
-        image = (a_inv @ (zd - np.array(self.b_shift, dtype=np.int64))) % p
+        p = gf.p
+        a_inv = inverse_mod_p(self.a_matrix, p)
+        zd = np.array(gf.element(z).coords, dtype=np.int64)
+        image = a_inv @ (zd - np.array(self.b_shift, dtype=np.int64))
         angle = 2 * np.pi / p * int(np.dot(self.c_phase, zd)) + self.global_phase
-        return _index(image, p), np.exp(1j * angle)
+        return gf.from_coords(image).index, np.exp(1j * angle)
 
 
 @dataclass(frozen=True)
@@ -441,30 +373,22 @@ class NotBasisPreserving:
 
 
 def _extract_permutation(u: np.ndarray):
+    """The monomial test: is u a permutation matrix with phases?  Each
+    column's leak (norm off its largest entry) must be <= LOOKUP and the
+    largest entries must sit in distinct rows.  Returns ((perm, phases),
+    -1, 0.0), else (None, failing column, leak)."""
     d = u.shape[0]
-    perm = np.zeros(d, dtype=np.int64)
-    phases = np.zeros(d)
-    for z in range(d):
-        col = u[:, z]
-        idx = int(np.argmax(np.abs(col)))
-        leak = float(np.linalg.norm(np.delete(col, idx)))
-        if leak > LOOKUP:
-            return None, z, leak
-        perm[z] = idx
-        phases[z] = float(np.angle(col[idx]))
+    cols = np.arange(d)
+    perm = np.argmax(np.abs(u), axis=0)
+    rest = u.copy()
+    rest[perm, cols] = 0
+    leaks = np.linalg.norm(rest, axis=0)
+    bad = np.flatnonzero(leaks > LOOKUP)
+    if bad.size:
+        return None, int(bad[0]), float(leaks[bad[0]])
     if len(set(perm.tolist())) != d:
         return None, int(perm[0]), 1.0
-    return (perm, phases), -1, 0.0
-
-
-def _dft_matrix(p: int) -> np.ndarray:
-    w = np.exp(2j * np.pi / p)
-    return np.array([[w ** (j * k) for k in range(p)] for j in range(p)]) / np.sqrt(p)
-
-
-def x_basis_matrix(gf: FieldSpec) -> np.ndarray:
-    """Columns are the X-type eigenbasis reached from the computational one."""
-    return reduce(np.kron, [_dft_matrix(gf.p)] * gf.n)
+    return (perm, np.angle(u[perm, cols])), -1, 0.0
 
 
 def affine_extraction(u: np.ndarray, gf: FieldSpec):
@@ -474,7 +398,7 @@ def affine_extraction(u: np.ndarray, gf: FieldSpec):
     z_result, bad, leak = _extract_permutation(u)
     if z_result is None:
         return NotBasisPreserving("Z", bad, leak)
-    w = x_basis_matrix(gf)
+    w = standard_mub(d).bases[1].vectors
     x_result, bad, leak = _extract_permutation(w.conj().T @ u @ w)
     if x_result is None:
         return NotBasisPreserving("X", bad, leak)
@@ -483,26 +407,20 @@ def affine_extraction(u: np.ndarray, gf: FieldSpec):
     inverse = np.zeros(d, dtype=np.int64)
     inverse[perm] = np.arange(d)
 
-    b = np.array(_digits(int(inverse[0]), p, n), dtype=np.int64)
-    a = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        a[:, i] = (np.array(_digits(int(inverse[p**i]), p, n)) - b) % p
-    for z in range(d):
-        zd = np.array(_digits(z, p, n), dtype=np.int64)
-        if _index((a @ zd + b) % p, p) != int(inverse[z]):
-            raise AssertionError("basis-preserving map is not affine; internal error")
-    _invert_mod_p(a, p)  # raises if singular
+    # row z of coords is the digit vector of index z; index p^i is unit vector e_i
+    coords = np.array([e.coords for e in gf.elements], dtype=np.int64)
+    units = p ** np.arange(n)
+    b = coords[inverse[0]]
+    a = (coords[inverse[units]] - b).T % p
+    if [gf.from_coords(v).index for v in coords @ a.T + b] != inverse.tolist():
+        raise AssertionError("basis-preserving map is not affine; internal error")
+    inverse_mod_p(a, p)  # raises if singular
 
     delta = float(phases[0])
-    c = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        rel = phases[p**i] - delta
-        c[i] = int(round(rel / (2 * np.pi / p))) % p
-    for z in range(d):
-        zd = np.array(_digits(z, p, n), dtype=np.int64)
-        predicted = np.exp(1j * (2 * np.pi / p * int(c @ zd) + delta))
-        if abs(np.exp(1j * phases[z]) - predicted) > LOOKUP * 100:
-            raise AssertionError("basis-preserving phases are not affine; internal error")
+    c = np.round((phases[units] - delta) / (2 * np.pi / p)).astype(np.int64) % p
+    predicted = np.exp(1j * (2 * np.pi / p * (coords @ c) + delta))
+    if np.max(np.abs(np.exp(1j * phases) - predicted)) > LOOKUP * 100:
+        raise AssertionError("basis-preserving phases are not affine; internal error")
     return AffineData(a, tuple(int(x) for x in b), tuple(int(x) for x in c), delta)
 
 
@@ -566,7 +484,7 @@ class StabilizerTableau:
             x[i] = [int(b) % 2 for b in xbits]
             z[i] = [int(b) % 2 for b in zbits]
             r[i] = 0 if sign == 1 else 1
-        if _zp_rank([list(x[i]) + list(z[i]) for i in range(n)], 2) != n:
+        if rank_mod_p(np.concatenate([x, z], axis=1), 2) != n:
             raise ValueError("stabilizer generators are not independent")
         for i in range(n):
             for j in range(i + 1, n):
@@ -608,17 +526,10 @@ class StabilizerTableau:
         )
 
     def state_vector(self) -> np.ndarray:
-        d = 2**self.n
-        proj = np.eye(d, dtype=complex)
-        for xbits, zbits, sign in self.rows():
-            proj = proj @ (np.eye(d) + _row_dense(xbits, zbits, 0 if sign == 1 else 1)) / 2
-        if abs(np.trace(proj) - 1.0) > SPECTRAL * 100:
-            raise AssertionError("tableau does not stabilize a unique state")
-        col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-        v = proj[:, col]
-        v = v / np.linalg.norm(v)
-        lead = next(a for a in v if abs(a) > 1e-8)
-        return v * (lead.conjugate() / abs(lead))
+        """The stabilized state: the joint eigenvector of the unsigned rows
+        with eigenvalue (-1)^r[i], phase-fixed like the MUB vectors."""
+        rows = [_row_dense(xbits, zbits, 0) for xbits, zbits in zip(self.x, self.z)]
+        return joint_eigenvector(rows, self.r.astype(int), 2)
 
 
 def tableau_apply(circuit, n: int, initial=None) -> StabilizerTableau:

@@ -16,6 +16,9 @@ generator omega in coordinates: coords(omega * y) = M @ coords(y).  Powers
 of M and of its transpose label translations along phase-space rays in the
 modules built on top of this one.
 
+Linear algebra over Z_p lives here too: one Gauss-Jordan row reduction,
+from which both rank_mod_p and inverse_mod_p are read.
+
 Elements carry their field handle and support +, -, *, /, ** and unary
 minus; all tables are precomputed at construction (d <= 9, so every table
 is tiny) and never mutated afterwards.
@@ -252,9 +255,6 @@ class FieldSpec:
     def generator_power(self, k: int) -> FieldElement:
         return self._elements[self._exp[k % (self.order - 1)]]
 
-    def companion_power(self, j: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.companion, j % (self.order - 1)) % self.p
-
     def trace(self, x: FieldElement) -> int:
         """Absolute trace GF(p^n) -> Z_p, as an integer in [0, p)."""
         acc = x
@@ -268,6 +268,44 @@ class FieldSpec:
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, n={self.n}, poly={self.primitive_poly})"
+
+
+def _row_reduce(a, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of an integer matrix over Z_p, with the
+    pivot columns in order.  Plain lists: the matrices are at most 6 x 12,
+    where numpy's per-call overhead dominates."""
+    m = [[int(x) % p for x in row] for row in a]
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [(x * inv) % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+    return m, pivots
+
+
+def rank_mod_p(a, p: int) -> int:
+    """Rank over Z_p of the rows of an integer matrix."""
+    return len(_row_reduce(a, p)[1])
+
+
+def inverse_mod_p(a, p: int) -> np.ndarray:
+    """Inverse over Z_p of a square integer matrix; raises ValueError if
+    it is singular mod p."""
+    n = len(a)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    reduced, pivots = _row_reduce(augmented, p)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular mod p")
+    return np.array([row[n:] for row in reduced], dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

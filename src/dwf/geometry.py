@@ -49,9 +49,6 @@ class Line:
         scale = b.inverse() if b else a.inverse()
         return cls(a * scale, b * scale, c * scale)
 
-    def contains(self, point: PhasePoint) -> bool:
-        return self.b * point.q + self.a * point.p == self.c
-
     def __repr__(self) -> str:
         return f"Line(b={self.b.index}, a={self.a.index}, c={self.c.index})"
 
@@ -83,9 +80,6 @@ class Striation:
     @property
     def ray(self) -> Line:
         return self.lines[0]
-
-    def position_of(self, line: Line) -> int:
-        return self.positions[line]
 
     def describe(self) -> str:
         if not self.alpha:

@@ -1,14 +1,18 @@
 """Mutually unbiased bases as joint eigenbases of the commuting sets.
 
-One basis per striation, built by spectral projection: for a commuting set
-with generators g_1 .. g_n, the vector with eigenvalue label (m_1 .. m_n)
-is extracted from the rank-one projector
+One basis per striation, built by spectral projection: for commuting
+generators g_1 .. g_n, the vector with eigenvalue label (m_1 .. m_n) is
+extracted from the rank-one projector
 
     prod_i  (1/p) sum_t  w^(-m_i t) g_i^t ,        w = exp(2 pi i / p).
 
 Vectors are ordered lexicographically by label (so the all +1 vector comes
 first) and each global phase is fixed by making the first significant
 amplitude real positive, which keeps serialized bases stable across runs.
+
+`joint_eigenvector` is the one place a spectral projector becomes a
+phase-fixed vector; the synthesized Clifford unitaries (all-zero label)
+and the qubit tableau (p = 2, projector (I + (-1)^r P) / 2) use it too.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .galois import FieldSpec, field
 from .pauli import AbelianSet, PauliOperator, standard_sets
-from .tolerances import SPECTRAL
+from .tolerances import LOOKUP, SPECTRAL
 
 
 @dataclass(eq=False)
@@ -67,9 +71,36 @@ class UnbiasednessReport:
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     for x in v:
-        if abs(x) > 1e-8:
+        if abs(x) > LOOKUP:
             return v * (x.conjugate() / abs(x))
     raise AssertionError("zero vector cannot be phase-normalized")
+
+
+def joint_eigenvector(generators, label, p: int) -> np.ndarray:
+    """The phase-fixed unit vector v with g_i v = w^(m_i) v for dense
+    commuting generators g_i and label (m_i), w = exp(2 pi i / p).
+
+    A joint eigenspace of dimension other than one means the generators
+    do not form a maximal commuting set and raises.
+    """
+    d = generators[0].shape[0]
+    w = np.exp(2j * np.pi / p)
+    proj = np.eye(d, dtype=complex)
+    for g, m in zip(generators, label):
+        spectral = np.eye(d, dtype=complex)  # the t = 0 term
+        power = g
+        for t in range(1, p):
+            spectral += w ** (-m * t) * power
+            power = power @ g
+        proj = proj @ (spectral / p)
+    if abs(np.trace(proj) - 1.0) > SPECTRAL * 100:
+        raise AssertionError(
+            f"joint eigenspace for label {tuple(label)} has dimension "
+            f"{np.trace(proj).real:.6f}, generators are not maximal commuting"
+        )
+    col = int(np.argmax(np.linalg.norm(proj, axis=0)))
+    v = proj[:, col]
+    return _fix_phase(v / np.linalg.norm(v))
 
 
 def joint_eigenbasis(s: AbelianSet) -> Basis:
@@ -77,41 +108,21 @@ def joint_eigenbasis(s: AbelianSet) -> Basis:
 
     Labels are read off by applying each generator, never from
     diagonalization order, so degeneracy in any single generator is
-    harmless.  A joint eigenspace of dimension other than one means the
-    input set was not maximal and raises.
+    harmless.
     """
     gf = s.field
-    p, d = gf.p, gf.order
-    w = np.exp(2j * np.pi / p)
+    w = np.exp(2j * np.pi / gf.p)
     gens = s.generators()
-    powers = []
-    for g in gens:
-        pw = [np.eye(d, dtype=complex)]
-        for _ in range(p - 1):
-            pw.append(pw[-1] @ g.dense)
-        powers.append(pw)
-
+    dense = [g.dense for g in gens]
+    labels = tuple(itertools.product(range(gf.p), repeat=gf.n))
     columns = []
-    labels = []
-    for label in itertools.product(range(p), repeat=gf.n):
-        proj = np.eye(d, dtype=complex)
+    for label in labels:
+        v = joint_eigenvector(dense, label, gf.p)
         for i, m in enumerate(label):
-            spectral = sum(w ** (-m * t) * powers[i][t] for t in range(p)) / p
-            proj = proj @ spectral
-        if abs(np.trace(proj) - 1.0) > SPECTRAL * 100:
-            raise AssertionError(
-                f"joint eigenspace for label {label} has dimension "
-                f"{np.trace(proj).real:.6f}, set is not maximal Abelian"
-            )
-        col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-        v = proj[:, col]
-        v = _fix_phase(v / np.linalg.norm(v))
-        for i, m in enumerate(label):
-            if np.linalg.norm(gens[i].dense @ v - w**m * v) > SPECTRAL:
+            if np.linalg.norm(dense[i] @ v - w**m * v) > SPECTRAL:
                 raise AssertionError(f"label {label} not reproduced by generator {i}")
         columns.append(v)
-        labels.append(label)
-    return Basis(np.column_stack(columns), tuple(labels), s, gens)
+    return Basis(np.column_stack(columns), labels, s, gens)
 
 
 def build_mub(gf: FieldSpec) -> MubSet:

@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .galois import FieldElement, FieldSpec
+from .galois import FieldElement, FieldSpec, rank_mod_p
 from .geometry import PhasePoint
 
 
@@ -175,7 +175,7 @@ class AbelianSet:
         rows: list[list[int]] = []
         for m in self.members:
             candidate = rows + [list(m.label)]
-            if _zp_rank(candidate, self.field.p) == len(candidate):
+            if rank_mod_p(candidate, self.field.p) == len(candidate):
                 gens.append(m)
                 rows = candidate
             if len(gens) == self.field.n:
@@ -204,25 +204,6 @@ def abelian_set(gf: FieldSpec, avec, bvec) -> AbelianSet:
     if len({m.label for m in members}) != gf.order - 1:
         raise AssertionError("orbit of (avec, bvec) collapsed early")
     return AbelianSet(avec, bvec, tuple(members), gf)
-
-
-def _zp_rank(rows: list[list[int]], p: int) -> int:
-    mat = [[int(x) % p for x in r] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 class Labeling:

@@ -41,6 +41,10 @@ from .mub import Basis, MubSet, standard_mub
 from .pauli import Labeling, build_labeling, symplectic_product
 from .tolerances import LOOKUP
 
+# Largest d whose nets are enumerated exhaustively (d^(d+1) = 15,625 at
+# d = 5, 5,764,801 at d = 7); above it only sampling is offered.
+ENUMERATION_MAX_DIM = 5
+
 
 @dataclass(eq=False)
 class NetContext:
@@ -171,12 +175,9 @@ def fixed_axes_choices(ctx: NetContext) -> tuple[int, int]:
     """Ray choices for the vertical and horizontal striations under the
     coordinate convention: computational 0 for the vertical ray, the
     uniform superposition for the horizontal ray."""
-    d = ctx.dim
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    uniform = np.full(d, 1.0 / np.sqrt(d))
-    j_vert = int(np.argmax(np.abs(ctx.mub.bases[0].vectors.conj().T @ e0)))
-    j_horiz = int(np.argmax(np.abs(ctx.mub.bases[1].vectors.conj().T @ uniform)))
+    # overlaps with |0> are row 0 of a basis, with the uniform state its column sums
+    j_vert = int(np.argmax(np.abs(ctx.mub.bases[0].vectors[0])))
+    j_horiz = int(np.argmax(np.abs(ctx.mub.bases[1].vectors.sum(axis=0))))
     return j_vert, j_horiz
 
 
@@ -193,9 +194,9 @@ def enumerate_nets(
 ):
     """Yield nets in lexicographic ray-choice order, each exactly once.
 
-    Full enumeration is only allowed for d <= 5 (8, 81, 1024 and 15625
-    nets); larger dimensions must pass `sample` to draw that many nets at
-    random instead.
+    Full enumeration is only allowed for d <= ENUMERATION_MAX_DIM (8, 81,
+    1024 and 15625 nets); larger dimensions must pass `sample` to draw that
+    many nets at random instead.
     """
     mub = mub if mub is not None else standard_mub(gf.order)
     ctx = net_context(mub, build_striations(gf))
@@ -208,7 +209,7 @@ def enumerate_nets(
                 choices[0], choices[1] = fixed_axes_choices(ctx)
             yield ctx.complete(tuple(choices))
         return
-    if d > 5:
+    if d > ENUMERATION_MAX_DIM:
         raise ValueError(
             f"refusing to enumerate {net_count(d, fix_axes)} nets at d={d}; "
             "pass sample= to draw a random subset"
@@ -224,15 +225,18 @@ def enumerate_nets(
 
 def is_flow(unitary: np.ndarray, net: QuantumNet) -> bool:
     """True iff conjugation by the unitary permutes the net's point
-    operators among themselves."""
+    operators among themselves: every image U A U~ lies within LOOKUP of
+    some point operator.
+
+    Point operators and their images all have the same Hilbert-Schmidt
+    norm, so the nearest point operator is the one of largest overlap;
+    only that one distance per image is formed, never all d^2 x d^2.
+    """
     table = net.point_operator_table()
     flat = table.reshape(len(table), -1)
-    for a in table:
-        image = (unitary @ a @ unitary.conj().T).reshape(-1)
-        dists = np.linalg.norm(flat - image, axis=1)
-        if dists.min() >= LOOKUP:
-            return False
-    return True
+    images = (unitary @ table @ unitary.conj().T).reshape(len(table), -1)
+    nearest = np.argmax((images @ flat.conj().T).real, axis=1)
+    return bool(np.all(np.linalg.norm(images - flat[nearest], axis=1) < LOOKUP))
 
 
 def squeezing_covariant_nets(

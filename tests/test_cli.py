@@ -198,6 +198,16 @@ def test_clifford_scan_and_squeeze(capsys):
     assert "symplectic table" in capsys.readouterr().out
 
 
+def test_clifford_scan_refuses_unenumerable_dimension(capsys, monkeypatch):
+    def unexpected(gf):
+        raise AssertionError("the Fourier operator was built before the refusal")
+
+    monkeypatch.setattr("dwf.cli.fourier_operator", unexpected)
+    assert main(["clifford", "--no-flow-scan", "--d", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the Fourier scan enumerates nets only for d <= 5, got d=8\n"
+
+
 def test_clifford_flag_validation(capsys):
     assert main(["clifford"]) == 2
     capsys.readouterr()

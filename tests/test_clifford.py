@@ -24,7 +24,7 @@ from dwf.clifford import (
     syndrome_standard_pairs,
     tableau_apply,
 )
-from dwf.galois import field
+from dwf.galois import field, inverse_mod_p
 from dwf.geometry import all_points
 from dwf.mub import standard_mub
 from dwf.pauli import PauliOperator, build_labeling, standard_sets
@@ -166,9 +166,7 @@ def test_squeezing_conjugation_relation(d):
     gf = field(d)
     us = squeezing_operator(gf).dense
     m = gf.companion
-    from dwf.clifford import _invert_mod_p
-
-    mt_inv = _invert_mod_p(m.T, gf.p)
+    mt_inv = inverse_mod_p(m.T, gf.p)
     rng = np.random.default_rng(2)
     labels = list(itertools.product(range(gf.p), repeat=2 * gf.n))
     picks = labels if d == 4 else [labels[i] for i in rng.choice(len(labels), 12, replace=False)]

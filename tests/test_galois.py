@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dwf.galois import SUPPORTED_DIMENSIONS, field
+from dwf.galois import SUPPORTED_DIMENSIONS, field, inverse_mod_p, rank_mod_p
 
 ALL_DIMS = list(SUPPORTED_DIMENSIONS)
 
@@ -121,11 +123,29 @@ def test_companion_matrix_matches_generator_action(d):
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("d", ALL_DIMS)
-def test_companion_transpose_powers(d):
-    gf = field(d)
-    for j in range(d - 1):
-        assert np.array_equal(gf.companion_power(j).T, np.linalg.matrix_power(gf.companion.T, j) % gf.p)
+@st.composite
+def square_matrix_mod_p(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 4))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    return p, np.array(entries, dtype=np.int64).reshape(n, n)
+
+
+@settings(max_examples=200)
+@given(square_matrix_mod_p())
+def test_row_reduction_rank_and_inverse(case):
+    p, a = case
+    n = a.shape[0]
+    # brute force: the row space holds p^rank distinct vectors
+    coefficients = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+    row_space = {tuple(v) for v in (coefficients @ a) % p}
+    rank = rank_mod_p(a, p)
+    assert p**rank == len(row_space)
+    if rank == n:
+        assert np.array_equal((inverse_mod_p(a, p) @ a) % p, np.eye(n, dtype=np.int64))
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            inverse_mod_p(a, p)
 
 
 def test_trace_of_omega_powers_gf4():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dwf.clifford import squeezing_operator
 from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.geometry import PhasePoint, build_striations, line_points
 from dwf.mub import standard_mub
@@ -8,7 +9,9 @@ from dwf.quantum_net import (
     covariant_completion,
     enumerate_nets,
     fixed_axes_choices,
+    is_flow,
     net_count,
+    squeezing_covariant_nets,
     standard_context,
 )
 from dwf.tolerances import LOOKUP
@@ -208,3 +211,27 @@ def test_exact_sigma_matches_dense_transport(d):
         for pt in ctx.points:
             t = s.positions[s.line_of[pt]]
             assert np.array_equal(ctx.pencil[kappa, pt.index], ctx.sigma[kappa, t])
+
+
+def nearest_image_distance(u, net):
+    """Reference loop for the flow criterion: the largest distance from an
+    image U A U~ to its nearest point operator."""
+    table = net.point_operator_table()
+    return max(min(np.linalg.norm(u @ a @ u.conj().T - b) for b in table) for a in table)
+
+
+@pytest.mark.parametrize("factor, flows", [(10.0, False), (0.1, True)])
+def test_is_flow_is_the_distance_criterion_at_lookup(factor, flows):
+    gf = field(4)
+    us = squeezing_operator(gf).dense
+    net = squeezing_covariant_nets(gf, standard_mub(4), us)[0]
+    g = np.random.default_rng(3).standard_normal((4, 4, 2)) @ np.array([1.0, 1.0j])
+    lam, v = np.linalg.eigh(g + g.conj().T)
+
+    def perturbed(eps):
+        return us @ (v * np.exp(1j * eps * lam)) @ v.conj().T
+
+    slope = nearest_image_distance(perturbed(1e-6), net) / 1e-6
+    u = perturbed(factor * LOOKUP / slope)
+    assert nearest_image_distance(u, net) == pytest.approx(factor * LOOKUP, rel=0.1)
+    assert is_flow(u, net) is flows

@@ -1,0 +1,45 @@
+"""Smoke tests of the experiment scripts at their documented arguments.
+
+Each script runs in a fresh interpreter, as a user would run it, and its
+printed summary is held to the expectation stated in its docstring.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_flow_census_d4():
+    out = run_script("flow_census.py", "--d", "4")
+    assert "translations flow on 64/64 nets" in out
+    assert "squeezing flows on 4/64 nets" in out
+    assert "Fourier flows on 0/64 nets" in out
+
+
+def test_negativity_census_oracle_gap_is_zero():
+    out = run_script("negativity_census.py", "--d", "4", "--states", "3")
+    gaps = [float(g) for g in re.findall(r"oracle gap (\S+)", out)]
+    assert gaps == [0.0, 0.0, 0.0]
+
+
+def test_bloch_rigidity_scan_flags_only_basis_states():
+    out = run_script("bloch_rigidity_scan.py", "--resolution-deg", "1.0")
+    m = re.search(r"max angular distance of a flagged state to a basis axis: (\S+) rad", out)
+    assert m is not None and float(m.group(1)) == 0.0
