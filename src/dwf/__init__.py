@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .galois import FieldElement, FieldSpec, field  # noqa: F401
 from .geometry import Line, PhasePoint, Striation, build_striations  # noqa: F401
 from .pauli import AbelianSet, PauliOperator, standard_sets  # noqa: F401
-from .mub import MubSet, build_mub, standard_mub, unbiasedness_report  # noqa: F401
+from .mub import MubSet, standard_mub, unbiasedness_report  # noqa: F401
 from .quantum_net import QuantumNet, covariant_completion, enumerate_nets  # noqa: F401
 from .wigner import (  # noqa: F401
     DensityState,

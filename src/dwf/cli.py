@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .classicality import BRUTE_FORCE_MAX_DIM, brute_force_min, classify, convex_decomposition
 from .clifford import fourier_operator, is_clifford, squeezing_operator
@@ -31,15 +30,9 @@ from .geometry import build_striations, line_points
 from .mub import standard_mub, unbiasedness_report
 from .pauli import standard_sets
 from .quantum_net import ENUMERATION_MAX_DIM, enumerate_nets, is_flow, net_count, standard_context
+from .tolerances import ALGEBRAIC
 from .verification import DEFAULT_SEED, run_verification
 from .wigner import wigner_function
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    seed: int
-    args: argparse.Namespace
 
 
 def _dimension(value: str) -> int:
@@ -110,8 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_field(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_field(args: argparse.Namespace) -> int:
     d = args.p**args.n
     try:
         gf = field(d)
@@ -142,11 +134,11 @@ def _cmd_field(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_geometry(cfg: RunConfig) -> int:
-    d = cfg.args.d
+def _cmd_geometry(args: argparse.Namespace) -> int:
+    d = args.d
     striations = build_striations(field(d))
     print(f"d={d}: {len(striations)} striations of {d} lines each")
-    if cfg.args.striations:
+    if args.striations:
         for s in striations:
             print(f"striation {s.kappa}: {s.describe()}")
             for ln in s.lines:
@@ -156,12 +148,12 @@ def _cmd_geometry(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_pauli(cfg: RunConfig) -> int:
-    d = cfg.args.d
+def _cmd_pauli(args: argparse.Namespace) -> int:
+    d = args.d
     gf = field(d)
     sets = standard_sets(gf)
     print(f"d={d}: {len(sets)} disjoint maximal commuting sets")
-    if cfg.args.sets:
+    if args.sets:
         for kappa, s in enumerate(sets, start=1):
             print(f"set {kappa}: avec={s.avec} bvec={s.bvec}")
             for m in s.members:
@@ -169,26 +161,25 @@ def _cmd_pauli(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_mub(cfg: RunConfig) -> int:
-    d = cfg.args.d
+def _cmd_mub(args: argparse.Namespace) -> int:
+    d = args.d
     mub = standard_mub(d)
     report = unbiasedness_report(mub)
     print(f"d={d}: {len(mub.bases)} bases")
     print(f"max |overlap|^2 deviation: {report.max_deviation:.3e} at {report.worst_pair}")
-    if cfg.args.check:
+    if args.check:
         for kappa, basis in enumerate(mub.bases, start=1):
             print(f"basis {kappa} (rows are vectors, entries re+im):")
             for j in range(d):
                 amps = " ".join(f"{z.real:+.4f}{z.imag:+.4f}j" for z in basis.vector(j))
                 print(f"  |{kappa},{j}>: {amps}")
-    if cfg.args.json:
-        write_json(cfg.args.json, mub_to_payload(mub), d, cfg.seed)
-        print(f"wrote {cfg.args.json}")
+    if args.json:
+        write_json(args.json, mub_to_payload(mub), d, args.seed)
+        print(f"wrote {args.json}")
     return 0
 
 
-def _cmd_nets(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_nets(args: argparse.Namespace) -> int:
     d = args.d
     gf = field(d)
     total = net_count(d, args.fix_axes)
@@ -211,7 +202,7 @@ def _cmd_nets(cfg: RunConfig) -> int:
             return 2
         print(f"net {net.ray_choices} on d={d}")
         if args.out:
-            write_json(args.out, net_to_payload(net), d, cfg.seed)
+            write_json(args.out, net_to_payload(net), d, args.seed)
             print(f"wrote {args.out}")
         return 0
     if d > ENUMERATION_MAX_DIM:
@@ -226,8 +217,7 @@ def _cmd_nets(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_wigner(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_wigner(args: argparse.Namespace) -> int:
     state = state_from_payload(read_json(args.state))
     net = net_from_payload(read_json(args.net))
     if state.dim != net.dim:
@@ -241,8 +231,7 @@ def _cmd_wigner(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_classicality(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_classicality(args: argparse.Namespace) -> int:
     state = state_from_payload(read_json(args.state))
     d = state.dim
     if d not in SUPPORTED_DIMENSIONS:
@@ -268,7 +257,7 @@ def _cmd_classicality(cfg: RunConfig) -> int:
         brute = brute_force_min(state, mub, gf)
         gap = abs(brute - rep.min_wigner)
         print(f"brute_force_min: {brute:.12f} (gap {gap:.2e})")
-        if gap > 1e-12:
+        if gap > ALGEBRAIC:
             print("error: brute force disagrees with the closed form", file=sys.stderr)
             return 1
     if args.decompose:
@@ -278,13 +267,12 @@ def _cmd_classicality(cfg: RunConfig) -> int:
             "coefficients": [[float(c) for c in row] for row in result.coefficients],
             "certified_classical": bool(result.certified_classical),
         }
-        write_json(args.decompose, payload, d, cfg.seed)
+        write_json(args.decompose, payload, d, args.seed)
         print(f"wrote {args.decompose}")
     return 0
 
 
-def _cmd_clifford(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_clifford(args: argparse.Namespace) -> int:
     chosen = [bool(args.check), args.no_flow_scan, args.squeeze]
     if sum(chosen) != 1:
         print("error: pick exactly one of --check, --no-flow-scan, --squeeze",
@@ -342,15 +330,15 @@ def _cmd_clifford(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    results = run_verification(cfg.args.d, seed=cfg.seed)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    results = run_verification(args.d, seed=args.seed)
     width = max(len(f"{r.group}: {r.name}") for r in results)
     failures = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         failures += 0 if r.passed else 1
         print(f"{status}  {f'{r.group}: {r.name}':{width}s}  {r.seconds:6.2f}s  {r.detail}")
-    print(f"{len(results) - failures}/{len(results)} checks passed at d={cfg.args.d}")
+    print(f"{len(results) - failures}/{len(results)} checks passed at d={args.d}")
     return 0 if failures == 0 else 1
 
 
@@ -370,9 +358,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(args.subcommand, args.seed, args)
     try:
-        return _COMMANDS[args.subcommand](cfg)
+        return _COMMANDS[args.subcommand](args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -160,12 +160,19 @@ def wigner_values_from_csv(text: str) -> np.ndarray:
     d = int(round(np.sqrt(len(body))))
     if d * d != len(body):
         raise FormatError(f"CSV holds {len(body)} rows, expected a square count")
-    values = np.zeros((d, d))
-    for line in body:
+    values = np.full((d, d), np.nan)
+    for row, line in enumerate(body, start=2):
         parts = line.split(",")
         if len(parts) != 3:
-            raise FormatError(f"CSV row '{line}' is not 'q,p,W'")
-        qi, pi, w = int(parts[0]), int(parts[1]), float(parts[2])
+            raise FormatError(f"CSV row {row} '{line}' is not 'q,p,W'")
+        try:
+            qi, pi, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise FormatError(f"CSV row {row} '{line}' must hold integers q, p and a number W") from None
+        if not (0 <= qi < d and 0 <= pi < d and np.isfinite(w)):
+            raise FormatError(f"CSV row {row} '{line}' needs q, p in [0, {d}) and a finite W")
+        if not np.isnan(values[qi, pi]):
+            raise FormatError(f"CSV row {row} '{line}' repeats the point ({qi}, {pi})")
         values[qi, pi] = w
     return values
 

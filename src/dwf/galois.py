@@ -1,19 +1,22 @@
 """Exact arithmetic in GF(p^n) for the supported phase-space dimensions.
 
 Elements are coordinate tuples over Z_p in the polynomial basis
-{1, x, ..., x^(n-1)}; addition is componentwise, multiplication reduces
-modulo a fixed primitive polynomial.  One polynomial is shipped per
-dimension so every derived labeling (striations, commuting sets, net
-indices) is reproducible run to run:
+{1, x, ..., x^(n-1)}; addition is componentwise.  One primitive
+polynomial is shipped per dimension so every derived labeling
+(striations, commuting sets, net indices) is reproducible run to run:
 
     d=2 : x + 1              d=3 : x + 1    (root 2)
     d=4 : x^2 + x + 1        d=5 : x + 3    (root 2)
     d=7 : x + 4   (root 3)   d=8 : x^3 + x + 1
     d=9 : x^2 + x + 2
 
-The companion matrix M of the polynomial represents multiplication by the
-generator omega in coordinates: coords(omega * y) = M @ coords(y).  Powers
-of M and of its transpose label translations along phase-space rays in the
+The companion matrix M, read straight off the polynomial (ones on the
+subdiagonal, last column -c_i mod p), is the one definition of
+multiplication: coords(omega * y) = M @ coords(y), hence
+coords(x * y) = (sum_i x_i M^i) @ coords(y).  omega = M @ coords(1) must
+have multiplicative order d - 1, which proves the polynomial primitive
+(and so irreducible); any other polynomial is refused.  Powers of M and
+of its transpose label translations along phase-space rays in the
 modules built on top of this one.
 
 Linear algebra over Z_p lives here too: one Gauss-Jordan row reduction,
@@ -110,49 +113,6 @@ class FieldElement:
         return f"GF{self.field.order}({self.index})"
 
 
-def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
-
-
-def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(_poly_trim(tuple(a))) - 1 >= dm and any(a):
-        a = list(_poly_trim(tuple(a)))
-        if len(a) - 1 < dm:
-            break
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * inv_lead) % p
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * mi) % p
-    return _poly_trim(tuple(a))
-
-
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(poly) - 1
-    if deg == 1:
-        return True
-    for k in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=k):
-            divisor = tuple(tail) + (1,)
-            if not _poly_mod(poly, divisor, p):
-                return False
-    return True
-
-
 class FieldSpec:
     """GF(p^n) with a fixed primitive polynomial, generator and companion matrix.
 
@@ -166,8 +126,6 @@ class FieldSpec:
             raise ValueError(f"unsupported characteristic p={p}")
         if len(primitive_poly) != n + 1 or primitive_poly[-1] != 1:
             raise ValueError("primitive polynomial must be monic of degree n")
-        if not _is_irreducible(primitive_poly, p):
-            raise ValueError(f"{primitive_poly} is reducible over Z_{p}")
         self.p = p
         self.n = n
         self.order = p**n
@@ -179,26 +137,26 @@ class FieldSpec:
         self._index_of = {c: i for i, c in enumerate(self._coords)}
         self._elements = tuple(FieldElement(self, i) for i in range(self.order))
 
-        self._add = [
-            [self._index_of[tuple((x + y) % p for x, y in zip(a, b))] for b in self._coords]
-            for a in self._coords
-        ]
-        self._neg = [self._index_of[tuple((-x) % p for x in a)] for a in self._coords]
-        self._mul = [
-            [self._index_of[self._reduced_product(a, b)] for b in self._coords]
-            for a in self._coords
-        ]
+        # Multiplication by omega: x * x^j = x^(j+1) below the top power,
+        # x * x^(n-1) = -(c_0 + c_1 x + ... + c_(n-1) x^(n-1)).
+        m = np.zeros((n, n), dtype=np.int64)
+        m[np.arange(1, n), np.arange(n - 1)] = 1
+        m[:, -1] = [(-c) % p for c in primitive_poly[:-1]]
+        self.companion = m
 
-        # omega is the polynomial x itself for n >= 2, the root of the
-        # linear polynomial for n = 1.
-        omega_index = (
-            self._index_of[(0, 1) + (0,) * (n - 2)] if n >= 2
-            else (-primitive_poly[0]) % p
-        )
+        # coords(x * y) = (sum_i x_i M^i) coords(y), one matrix per x.
+        coords = np.array(self._coords, dtype=np.int64)
+        weights = p ** np.arange(n)
+        powers = np.stack([np.linalg.matrix_power(m, i) % p for i in range(n)])
+        left = np.einsum("xi,ijk->xjk", coords, powers)
+        self._add = (((coords[:, None] + coords[None]) % p) @ weights).tolist()
+        self._neg = (((-coords) % p) @ weights).tolist()
+        self._mul = ((np.einsum("xjk,yk->xyj", left, coords) % p) @ weights).tolist()
+
+        # omega = M applied to 1.  Its powers fill the log/exp tables; full
+        # order d - 1 proves the polynomial primitive, hence irreducible.
+        omega_index = int(m[:, 0] @ weights)
         self.generator = self._elements[omega_index]
-        self._check_generator_order()
-
-        # Log/exp tables over the multiplicative group.
         self._exp = [0] * (self.order - 1)
         self._log = [0] * self.order
         acc = 1
@@ -206,31 +164,15 @@ class FieldSpec:
             self._exp[k] = acc
             self._log[acc] = k
             acc = self._mul[acc][omega_index]
+            if acc == 1:
+                break
+        if acc != 1 or k != self.order - 2:
+            raise ValueError(
+                f"{primitive_poly} is not primitive over Z_{p}: x does not have order {self.order - 1}"
+            )
         self._inv = [0] * self.order
         for i in range(1, self.order):
             self._inv[i] = self._exp[(self.order - 1 - self._log[i]) % (self.order - 1)]
-
-        self.companion = self._build_companion()
-
-    def _reduced_product(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        prod = _poly_mod(_poly_mul(a, b, self.p), self.primitive_poly, self.p)
-        return prod + (0,) * (self.n - len(prod))
-
-    def _check_generator_order(self) -> None:
-        acc = self.generator
-        for k in range(1, self.order - 1):
-            if acc.index == 1:
-                raise ValueError(f"generator has order {k} < {self.order - 1}")
-            acc = acc * self.generator
-        if acc.index != 1:
-            raise ValueError("generator does not have full multiplicative order")
-
-    def _build_companion(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=np.int64)
-        for j in range(self.n):
-            basis_j = self._elements[self._index_of[tuple(1 if i == j else 0 for i in range(self.n))]]
-            m[:, j] = (self.generator * basis_j).coords
-        return m
 
     # -- element access -------------------------------------------------
 

@@ -10,12 +10,19 @@ them.  They are built in a fixed order -- vertical (q = c), horizontal
 lines inside a striation are ordered by the constant of the direction form
 beta*q - alpha*p = c, which puts the ray (c = 0) first.  For
 characteristic 2 the direction form coincides with the stored equation.
+
+Internally a striation is one integer table, position[point index] =
+index of beta*q - alpha*p, the position of the line through each point
+(points are numbered q-major, q * d + p).  Line, PhasePoint,
+line_points and lines_through are the object view at the API edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .galois import FieldElement, FieldSpec
 
@@ -74,7 +81,7 @@ class Striation:
     alpha: FieldElement  # direction vector (alpha, beta) of every line
     beta: FieldElement
     lines: tuple[Line, ...]
-    line_of: dict[PhasePoint, Line]
+    position: np.ndarray  # position[point index] = t of the line through it, read-only
     positions: dict[Line, int]
 
     @property
@@ -90,19 +97,11 @@ class Striation:
 
 
 def _build_striation(gf: FieldSpec, kappa: int, alpha: FieldElement, beta: FieldElement) -> Striation:
-    lines = tuple(
-        Line.make(-alpha, beta, c) for c in gf.elements
-    )
-    line_of: dict[PhasePoint, Line] = {}
-    for ln in lines:
-        for pt in line_points(ln):
-            if pt in line_of:
-                raise AssertionError(f"striation {kappa}: lines overlap at {pt}")
-            line_of[pt] = ln
-    if len(line_of) != gf.order**2:
-        raise AssertionError(f"striation {kappa} does not cover the grid")
-    positions = {ln: t for t, ln in enumerate(lines)}
-    return Striation(kappa, alpha, beta, lines, line_of, positions)
+    lines = tuple(Line.make(-alpha, beta, c) for c in gf.elements)
+    # line t is beta*q - alpha*p = element t, so the constant is the position
+    position = np.array([(beta * q - alpha * p).index for q in gf.elements for p in gf.elements])
+    position.flags.writeable = False
+    return Striation(kappa, alpha, beta, lines, position, {ln: t for t, ln in enumerate(lines)})
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +118,7 @@ def build_striations(gf: FieldSpec) -> tuple[Striation, ...]:
 
 def lines_through(point: PhasePoint, striations: tuple[Striation, ...]) -> tuple[Line, ...]:
     """The pencil through a point: exactly one line per striation."""
-    return tuple(s.line_of[point] for s in striations)
+    return tuple(s.lines[s.position[point.index]] for s in striations)
 
 
 def all_points(gf: FieldSpec) -> tuple[PhasePoint, ...]:

@@ -125,14 +125,11 @@ def joint_eigenbasis(s: AbelianSet) -> Basis:
     return Basis(np.column_stack(columns), labels, s, gens)
 
 
-def build_mub(gf: FieldSpec) -> MubSet:
-    """The d+1 bases attached to the standard sets in striation order."""
-    return MubSet(gf, tuple(joint_eigenbasis(s) for s in standard_sets(gf)))
-
-
 @lru_cache(maxsize=None)
 def standard_mub(d: int) -> MubSet:
-    return build_mub(field(d))
+    """The d+1 bases attached to the standard sets in striation order."""
+    gf = field(d)
+    return MubSet(gf, tuple(joint_eigenbasis(s) for s in standard_sets(gf)))
 
 
 def unbiasedness_report(mub: MubSet) -> UnbiasednessReport:

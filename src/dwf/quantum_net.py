@@ -10,10 +10,10 @@ generators g_i, so with a_t the lowest-index point of line t,
     sigma[kappa, t, r] = index of the label (m_i(r) + <T(a_t), g_i>) mod p
 
 is the projector on line t of striation kappa when the ray gets choice r.
-Reading sigma at the line through each point gives the one table every
-Wigner and classicality kernel gathers from,
+Reading sigma through each striation's position table gives the one
+table every Wigner and classicality kernel gathers from,
 
-    pencil[kappa, alpha, r] = sigma[kappa, line of alpha in kappa, r],
+    pencil[kappa, alpha, r] = sigma[kappa, position[kappa, alpha], r],
 
 the projector on the line through point alpha in striation kappa.  Nets
 are pure index arithmetic, which keeps exhaustive enumeration over all
@@ -29,14 +29,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .galois import FieldSpec, field
-from .geometry import (
-    Line,
-    PhasePoint,
-    Striation,
-    all_points,
-    build_striations,
-    line_points,
-)
+from .geometry import Line, PhasePoint, Striation, all_points, build_striations
 from .mub import Basis, MubSet, standard_mub
 from .pauli import Labeling, build_labeling, symplectic_product
 from .tolerances import LOOKUP
@@ -67,14 +60,14 @@ class NetContext:
         return covariant_completion(ray_choices, self.mub, self.striations)
 
 
-def _label_shift_table(striation: Striation, basis: Basis, labeling: Labeling) -> np.ndarray:
+def _label_shift_table(anchors: list[PhasePoint], basis: Basis, labeling: Labeling) -> np.ndarray:
     """sigma[t][r] of one striation: the label of choice r shifted by the
-    translation to the lowest-index point of line t."""
+    translation to the anchor (lowest-index point) of line t."""
     p = labeling.field.p
     index = {label: j for j, label in enumerate(basis.labels)}
     table = []
-    for line in striation.lines:
-        translation = labeling.operator_at(min(line_points(line), key=lambda pt: pt.index))
+    for anchor in anchors:
+        translation = labeling.operator_at(anchor)
         shifts = [symplectic_product(translation, g) for g in basis.generators]
         table.append([
             index[tuple((m + s) % p for m, s in zip(label, shifts))] for label in basis.labels
@@ -85,15 +78,19 @@ def _label_shift_table(striation: Striation, basis: Basis, labeling: Labeling) -
 @lru_cache(maxsize=None)
 def net_context(mub: MubSet, striations: tuple[Striation, ...]) -> NetContext:
     gf = mub.field
+    d = gf.order
     labeling = build_labeling(gf)
     points = all_points(gf)
+    position = np.stack([s.position for s in striations])
+    # anchor[kappa, t] = first point index whose line in kappa is t
+    anchor = np.argmax(position[:, None, :] == np.arange(d)[:, None], axis=2)
     sigma = np.stack([
-        _label_shift_table(s, basis, labeling) for s, basis in zip(striations, mub.bases)
+        _label_shift_table([points[a] for a in row], basis, labeling)
+        for row, basis in zip(anchor.tolist(), mub.bases)
     ])
-    position = np.array([[s.positions[s.line_of[pt]] for pt in points] for s in striations])
     pencil = sigma[np.arange(len(striations))[:, None], position]
     projectors = np.array([
-        [mub.projector(kappa, j) for j in range(gf.order)] for kappa in range(len(striations))
+        [mub.projector(kappa, j) for j in range(d)] for kappa in range(len(striations))
     ])
     for shared in (sigma, pencil, projectors):
         shared.flags.writeable = False

@@ -26,10 +26,11 @@ from .clifford import (
     tableau_apply,
 )
 from .galois import field
-from .geometry import all_points, build_striations, line_points, lines_through, origin
+from .geometry import all_points, build_striations, line_points, origin
 from .mub import _fix_phase, standard_mub, unbiasedness_report
 from .pauli import PauliOperator, build_labeling, commutes, standard_sets
 from .quantum_net import enumerate_nets, is_flow, net_count, standard_context
+from .tolerances import ALGEBRAIC, SPECTRAL
 from .wigner import DensityState, reconstruct_state, wigner_from_point_operators, wigner_function
 
 DEFAULT_SEED = 20250808
@@ -78,12 +79,15 @@ def _check_geometry(d, rng):
     striations = build_striations(gf)
     if len(striations) != d + 1:
         return False, f"{len(striations)} striations"
-    pts = all_points(gf)
-    for p1, p2 in itertools.combinations(pts, 2):
-        common = [ln for ln in lines_through(p1, striations) if p2 in line_points(ln)]
-        if len(common) != 1:
-            return False, f"points {p1}, {p2} share {len(common)} lines"
-    return True, f"{d + 1} striations, unique joins over {len(pts)} points"
+    # joins[a, b] = number of striations in which points a and b share a line
+    position = np.stack([s.position for s in striations])
+    joins = (position[:, :, None] == position[:, None, :]).sum(axis=0)
+    bad = np.argwhere(joins != 1 + d * np.eye(d * d, dtype=int))
+    if len(bad):
+        a, b = bad[0]
+        pts = all_points(gf)
+        return False, f"points {pts[a]}, {pts[b]} share {joins[a, b]} lines"
+    return True, f"{d + 1} striations, unique joins over {d * d} points"
 
 
 def _check_pauli(d, rng):
@@ -98,7 +102,7 @@ def _check_pauli(d, rng):
         for lb in picks:
             a = PauliOperator(gf, la[: gf.n], la[gf.n:])
             b = PauliOperator(gf, lb[: gf.n], lb[gf.n:])
-            dense_zero = np.linalg.norm(a.dense @ b.dense - b.dense @ a.dense) < 1e-12
+            dense_zero = np.linalg.norm(a.dense @ b.dense - b.dense @ a.dense) < ALGEBRAIC
             if commutes(a, b) != dense_zero:
                 return False, f"symplectic test disagrees at {la}, {lb}"
     sets = standard_sets(gf)
@@ -122,11 +126,11 @@ def _check_pauli(d, rng):
 def _check_mub(d, rng):
     mub = standard_mub(d)
     report = unbiasedness_report(mub)
-    if report.max_deviation >= 1e-10:
+    if report.max_deviation >= SPECTRAL:
         return False, f"overlap deviation {report.max_deviation:.2e}"
     for basis in mub.bases:
         total = sum(basis.projector(j) for j in range(d))
-        if np.linalg.norm(total - np.eye(d)) > 1e-10:
+        if np.linalg.norm(total - np.eye(d)) > SPECTRAL:
             return False, "projectors do not resolve the identity"
     return True, f"max overlap deviation {report.max_deviation:.2e}"
 
@@ -144,7 +148,7 @@ def _check_nets(d, rng):
         table = net.point_operator_table()
         gram = np.einsum("aij,bji->ab", table, table).real
         target = np.eye(d * d) / d
-        if np.max(np.abs(gram - target)) > 1e-10:
+        if np.max(np.abs(gram - target)) > SPECTRAL:
             return False, "point operators are not orthogonal"
     return True, f"{len(nets)} nets built, point-operator gram exact on 3"
 
@@ -155,16 +159,16 @@ def _check_wigner(d, rng):
         rho = DensityState.random_mixed(d, rng)
         net = ctx.complete(tuple(rng.integers(0, d, d + 1)))
         table = wigner_function(rho, net)
-        if np.max(np.abs(table.values - wigner_from_point_operators(rho, net))) > 1e-12:
+        if np.max(np.abs(table.values - wigner_from_point_operators(rho, net))) > ALGEBRAIC:
             return False, "probability route disagrees with trace route"
         for s in ctx.striations:
             for line in s.lines:
                 kappa, j = net.projector_index(line)
                 target = np.trace(rho.rho @ ctx.mub.projector(kappa, j)).real
                 total = sum(table.value(pt) for pt in line_points(line))
-                if abs(total - target) > 1e-10:
+                if abs(total - target) > SPECTRAL:
                     return False, "line sums break the defining property"
-        if np.linalg.norm(reconstruct_state(table).rho - rho.rho) > 1e-10:
+        if np.linalg.norm(reconstruct_state(table).rho - rho.rho) > SPECTRAL:
             return False, "reconstruction failed"
     return True, "line sums, dual route and reconstruction on 4 random states"
 
@@ -174,9 +178,9 @@ def _check_classicality(d, rng):
     for _ in range(10):
         rho = random_projector_mixture(mub, rng)
         result = convex_decomposition(rho, mub)
-        if result.min_coefficient() < -1e-10:
+        if result.min_coefficient() < -SPECTRAL:
             return False, "projector mixture produced a negative coefficient"
-        if np.linalg.norm(result.reconstruct(mub) - rho.rho) > 1e-10:
+        if np.linalg.norm(result.reconstruct(mub) - rho.rho) > SPECTRAL:
             return False, "decomposition does not reconstruct"
     detail = "decomposition convex on 10 mixtures"
     if d <= 3:
@@ -185,7 +189,7 @@ def _check_classicality(d, rng):
             gap = abs(
                 brute_force_min(rho, mub, field(d)) - min_wigner(rho, mub).min_wigner
             )
-            if gap > 1e-12:
+            if gap > ALGEBRAIC:
                 return False, f"oracle mismatch {gap:.2e}"
         detail += f"; brute force over {net_count(d)} nets matches closed form"
     return True, detail
@@ -211,7 +215,7 @@ def _check_clifford(d, rng):
         details.append("squeezing synthesized")
     if gf.p == 2:
         fop = fourier_operator(gf)
-        if np.linalg.norm(fop.dense @ fop.dense - np.eye(d)) > 1e-10:
+        if np.linalg.norm(fop.dense @ fop.dense - np.eye(d)) > SPECTRAL:
             return False, "Fourier transform is not an involution"
         details.append("Fourier involution")
         sets = standard_sets(gf)
@@ -221,7 +225,7 @@ def _check_clifford(d, rng):
             circuit = random_clifford_circuit(gf.n, 12, rng)
             sv = tableau_apply(circuit, gf.n).state_vector()
             dense = circuit_unitary(circuit, gf.n)[:, 0]  # the image of |0..0>
-            if np.linalg.norm(sv - _fix_phase(dense)) > 1e-10:
+            if np.linalg.norm(sv - _fix_phase(dense)) > SPECTRAL:
                 return False, "tableau disagrees with dense simulation"
         details.append("tableau vs dense on 5 circuits")
     return True, ", ".join(details)

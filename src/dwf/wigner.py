@@ -56,10 +56,13 @@ class DensityState:
         v = np.asarray(amplitudes, dtype=complex)
         if not np.isfinite(v).all():
             raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
+        # scale by the largest modulus first, so the norm neither overflows
+        # nor underflows; only the exact zero vector has no direction
+        largest = np.abs(v).max(initial=0.0)
+        if largest == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        v = v / norm
+        v = v.real / largest + 1j * (v.imag / largest)  # real division: no overflow
+        v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()), kind="pure")
 
     @classmethod

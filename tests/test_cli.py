@@ -126,6 +126,13 @@ def test_classicality_zero_state(tmp_path, zero_state, capsys):
     assert abs(sum(sum(row) for row in payload["coefficients"]) - 1.0) < 1e-9
 
 
+def test_classicality_huge_pure_amplitudes(tmp_path, capsys):
+    state = write_state(tmp_path / "huge.json",
+                        {"dim": 2, "kind": "pure", "data": [[1e200, 0], [1e200, 0]]})
+    assert main(["classicality", "--state", state]) == 0
+    assert "classical: True" in capsys.readouterr().out  # |+> is a basis state
+
+
 def test_classicality_nonclassical_state(tmp_path, capsys):
     a = 1 / np.sqrt(2)
     state = write_state(

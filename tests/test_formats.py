@@ -122,6 +122,18 @@ def test_wigner_csv_header_required():
         wigner_values_from_csv("a,b,c\n0,0,1.0\n")
 
 
+@pytest.mark.parametrize("row, fragment", [
+    ("0,x,0.25", "row 3 '0,x,0.25' must hold integers"),
+    ("0,2,0.25", "row 3 '0,2,0.25' needs q, p in [0, 2)"),
+    ("0,0,0.25", "row 3 '0,0,0.25' repeats the point (0, 0)"),
+])
+def test_wigner_csv_bad_row_is_named(row, fragment):
+    text = f"q,p,W\n0,0,0.25\n{row}\n1,0,0.25\n1,1,0.25\n"
+    with pytest.raises(FormatError) as err:
+        wigner_values_from_csv(text)
+    assert fragment in str(err.value)
+
+
 def test_read_json_errors(tmp_path):
     with pytest.raises(FormatError, match="not found"):
         read_json(str(tmp_path / "missing.json"))

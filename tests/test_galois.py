@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwf.galois import SUPPORTED_DIMENSIONS, field, inverse_mod_p, rank_mod_p
+from dwf.galois import SUPPORTED_DIMENSIONS, FieldSpec, field, inverse_mod_p, rank_mod_p
 
 ALL_DIMS = list(SUPPORTED_DIMENSIONS)
 
@@ -39,8 +39,9 @@ def test_gf4_product_of_generator_and_successor():
     assert omega * (omega + gf.one) == gf.one
 
 
-def test_gf4_all_products_against_polynomial_oracle():
-    gf = field(4)
+@pytest.mark.parametrize("d", ALL_DIMS)
+def test_all_products_against_polynomial_oracle(d):
+    gf = field(d)
     for a in gf.elements:
         for b in gf.elements:
             expected = naive_poly_product(a.coords, b.coords, gf.primitive_poly, gf.p)
@@ -153,6 +154,16 @@ def test_trace_of_omega_powers_gf4():
     omega = gf.generator
     assert gf.trace(omega * omega) == 1
     assert gf.trace(omega * omega * omega) == 0
+
+
+@pytest.mark.parametrize("p, n, poly", [
+    (2, 2, (1, 0, 1)),  # (x + 1)^2
+    (3, 2, (2, 0, 1)),  # (x + 1)(x + 2)
+    (3, 2, (1, 0, 1)),  # irreducible, but x has order 4
+])
+def test_non_primitive_polynomial_rejected(p, n, poly):
+    with pytest.raises(ValueError, match="not primitive"):
+        FieldSpec(p, n, poly)
 
 
 def test_unsupported_dimension_rejected():

@@ -43,6 +43,17 @@ def test_striation_count_and_shape(d):
         assert len(covered) == d * d
 
 
+@pytest.mark.parametrize("d", DIMS)
+def test_position_table_matches_line_points(d):
+    for s in build_striations(field(d)):
+        assert not s.position.flags.writeable
+        expected = [None] * (d * d)
+        for t, ln in enumerate(s.lines):
+            for pt in line_points(ln):
+                expected[pt.index] = t
+        assert s.position.tolist() == expected
+
+
 def test_d2_striations_are_the_three_forced_families():
     gf = field(2)
     striations = build_striations(gf)

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dwf.galois import field
-from dwf.mub import build_mub, joint_eigenbasis, standard_mub, unbiasedness_report
+from dwf.mub import MubSet, joint_eigenbasis, standard_mub, unbiasedness_report
 from dwf.pauli import abelian_set
 
 MUB_DIMS = (2, 3, 4, 5, 7, 8, 9)
@@ -71,10 +73,12 @@ def test_vectors_are_joint_eigenvectors_of_their_set(d):
 
 
 def test_unbiasedness_report_flags_corrupted_basis():
-    mub = build_mub(field(2))
-    vecs = mub.bases[1].vectors.copy()
+    # a copy, so the cached standard bases stay intact
+    bases = [dataclasses.replace(b) for b in standard_mub(2).bases]
+    vecs = bases[1].vectors.copy()
     vecs[:, 0] = np.array([1.0, 0.0])  # replace |+> by |0>
-    mub.bases[1].vectors = vecs
+    bases[1].vectors = vecs
+    mub = MubSet(field(2), tuple(bases))
     report = unbiasedness_report(mub)
     assert report.max_deviation >= 1.0 / 2 - 1e-12
 

@@ -5,11 +5,13 @@ from dwf.clifford import squeezing_operator
 from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.geometry import PhasePoint, build_striations, line_points
 from dwf.mub import standard_mub
+from dwf.formats import net_from_payload
 from dwf.quantum_net import (
     covariant_completion,
     enumerate_nets,
     fixed_axes_choices,
     is_flow,
+    net_context,
     net_count,
     squeezing_covariant_nets,
     standard_context,
@@ -187,6 +189,16 @@ def test_large_dimension_nets_smoke(d):
         assert np.linalg.norm(a - a.conj().T) < 1e-12
 
 
+def test_net_contexts_stay_one_per_dimension():
+    # the context cache is keyed on MubSet identity; the standard bases are
+    # the only ones the package builds, so it never holds more than one per d
+    for d in SUPPORTED_DIMENSIONS:
+        make_net(d, (0,) * (d + 1))
+        next(enumerate_nets(field(d), sample=1))
+        net_from_payload({"dim": d, "ray_choices": [1] * (d + 1)})
+    assert net_context.cache_info().currsize <= len(SUPPORTED_DIMENSIONS)
+
+
 def dense_transport(ctx, kappa, line):
     """Reference for one row of sigma: conjugate every projector of basis
     kappa with the translation to the lowest-index point of the line and
@@ -209,7 +221,7 @@ def test_exact_sigma_matches_dense_transport(d):
         for t, line in enumerate(s.lines):
             assert ctx.sigma[kappa, t].tolist() == dense_transport(ctx, kappa, line)
         for pt in ctx.points:
-            t = s.positions[s.line_of[pt]]
+            t = s.positions[s.lines[s.position[pt.index]]]
             assert np.array_equal(ctx.pencil[kappa, pt.index], ctx.sigma[kappa, t])
 
 

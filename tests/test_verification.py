@@ -1,14 +1,17 @@
+import ast
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from dwf.galois import SUPPORTED_DIMENSIONS
 from dwf.verification import run_verification
 
 
-@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
 def test_all_checks_pass(d):
     results = run_verification(d)
     assert len(results) == 9
@@ -48,3 +51,18 @@ def test_tolerance_scale_env_knob():
         capture_output=True, text=True, check=True,
     ).stdout.split()
     assert [float(x) for x in plain] == [1e-12, 1e-10, 1e-8]
+
+
+def test_no_tolerance_literals_outside_tolerances_module():
+    # every small float threshold comes from dwf.tolerances, so
+    # DWF_TOLERANCE_SCALE scales them all
+    package = Path(__file__).resolve().parents[1] / "src" / "dwf"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "tolerances.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        and 0 < node.value < 1e-6
+    ]
+    assert found == []

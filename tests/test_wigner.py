@@ -123,7 +123,7 @@ def test_gather_equals_per_point_loop_exactly(d):
         net = ctx.complete(tuple(rng.integers(0, d, d + 1)))
         expected = np.zeros((d, d))
         for pt in ctx.points:
-            total = sum(table[net.projector_index(s.line_of[pt])] for s in ctx.striations)
+            total = sum(table[net.projector_index(s.lines[s.position[pt.index]])] for s in ctx.striations)
             expected[pt.q.index, pt.p.index] = (total - 1.0) / d
         assert np.array_equal(wigner_function(rho, net).values, expected)
 
@@ -207,3 +207,14 @@ def test_state_validation_errors():
         DensityState(np.eye(2))
     with pytest.raises(ValueError, match="dimension"):
         wigner_function(DensityState.maximally_mixed(3), base_net(2))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-320])
+def test_from_vector_extreme_amplitudes_give_plus(scale):
+    state = DensityState.from_vector([scale, scale])
+    assert np.allclose(state.rho, np.full((2, 2), 0.5), atol=1e-15)
+
+
+def test_from_vector_refuses_only_the_exact_zero_vector():
+    with pytest.raises(ValueError, match="zero vector"):
+        DensityState.from_vector([0.0, 0.0])
