@@ -7,7 +7,7 @@ at the bottom of the range.  Random pure states land outside the
 classical polytope essentially always; mixtures move inward as they
 approach the maximally mixed state.
 
-Usage: python scripts/negativity_census.py [--d 3] [--states 10] [--seed 7]
+Usage: python scripts/negativity_census.py [--d {2,3,4,5}] [--states 10] [--seed 7]
 """
 
 import argparse
@@ -15,15 +15,16 @@ import argparse
 import numpy as np
 
 from dwf.classicality import min_wigner
-from dwf.galois import field
+from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.mub import standard_mub
-from dwf.quantum_net import enumerate_nets
+from dwf.quantum_net import ENUMERATION_MAX_DIM, enumerate_nets
 from dwf.wigner import DensityState, wigner_function
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--d", type=int, default=3, choices=(2, 3, 4))
+    parser.add_argument("--d", type=int, default=3,
+                        choices=[d for d in SUPPORTED_DIMENSIONS if d <= ENUMERATION_MAX_DIM])
     parser.add_argument("--states", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--mixing", type=float, default=0.0,

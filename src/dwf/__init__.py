@@ -10,6 +10,29 @@ Clifford machinery for phase-space flows (clifford).
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+
+def _started_as_cli() -> bool:
+    """True when the `dwf` program, not a library user, imports the package:
+    `python -m dwf.cli` (argv[0] is "-m" while the module is located) or
+    the installed `dwf` console script."""
+    if sys.argv[:1] == ["-m"]:
+        return "dwf.cli" in sys.orig_argv
+    return bool(sys.argv) and os.path.splitext(os.path.basename(sys.argv[0]))[0] == "dwf"
+
+
+try:
+    from . import tolerances  # noqa: F401  (reads DWF_TOLERANCE_SCALE)
+except ValueError as exc:
+    # the CLI's own error handling runs only after this package imports,
+    # so a bad environment is reported here as the usage error it is
+    if not _started_as_cli():
+        raise
+    print(f"error: {exc}", file=sys.stderr)
+    raise SystemExit(2) from None
+
 from .galois import FieldElement, FieldSpec, field  # noqa: F401
 from .geometry import Line, PhasePoint, Striation, build_striations  # noqa: F401
 from .pauli import AbelianSet, PauliOperator, standard_sets  # noqa: F401

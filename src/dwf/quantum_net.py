@@ -115,10 +115,17 @@ class QuantumNet:
     def dim(self) -> int:
         return self.context.dim
 
-    @cached_property
+    @property
     def pencil(self) -> np.ndarray:
         """pencil[kappa, point index] = j of the line through the point."""
         return self.context.pencil[np.arange(self.dim + 1), :, self.ray_choices]
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """rows[kappa, point index] = kappa * d + pencil[kappa, point index]:
+        one flat gather index into any (d+1) x d table of per-projector data."""
+        d = self.dim
+        return self.pencil + d * np.arange(d + 1)[:, None]
 
     def projector_index(self, line: Line) -> tuple[int, int]:
         """(kappa, j) for the projector assigned to a line (0-based)."""
@@ -146,7 +153,7 @@ class QuantumNet:
         """All d^2 point operators stacked in point-index order, read-only."""
         if self._point_ops is None:
             d = self.dim
-            total = self.context.projectors[np.arange(d + 1)[:, None], self.pencil].sum(axis=0)
+            total = self.context.projectors.reshape(-1, d, d)[self.rows].sum(axis=0)
             self._point_ops = (total - np.eye(d)) / d
             self._point_ops.flags.writeable = False
         return self._point_ops

@@ -4,13 +4,25 @@ Three tiers, loosest to tightest: LOOKUP for matching operators against a
 finite catalogue (net membership, Pauli decomposition), SPECTRAL for
 quantities that pass through a diagonalization, ALGEBRAIC for identities
 that are exact in infinite precision.  The environment variable
-DWF_TOLERANCE_SCALE multiplies all three (default 1.0); it is read once at
-import time.
+DWF_TOLERANCE_SCALE multiplies all of them (default 1.0); it is read once
+at import time, and anything but a finite number > 0 raises ValueError.
 """
 
+import math
 import os
 
-SCALE = float(os.environ.get("DWF_TOLERANCE_SCALE", "1.0"))
+
+def _scale(raw: str) -> float:
+    try:
+        scale = float(raw)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"DWF_TOLERANCE_SCALE must be a finite number > 0, got {raw!r}")
+    return scale
+
+
+SCALE = _scale(os.environ.get("DWF_TOLERANCE_SCALE", "1.0"))
 
 ALGEBRAIC = 1e-12 * SCALE
 SPECTRAL = 1e-10 * SCALE

@@ -13,7 +13,7 @@ still produce a perfectly well-formed (possibly negative) Wigner table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,24 +23,32 @@ from .quantum_net import QuantumNet
 from .tolerances import SPECTRAL
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class DensityState:
-    """A d x d Hermitian, trace-one matrix; kind records its origin."""
+    """A d x d Hermitian, trace-one matrix; kind records its origin.
+
+    Immutable: rho is a read-only copy of the input, so the probability
+    table memoized per basis set can never go stale.
+    """
 
     rho: np.ndarray
     kind: str = "mixed"  # "pure" | "mixed"
+    # ProbabilityTable per MubSet (identity-keyed, MubSet is eq=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        d = self.rho.shape[0]
-        if self.rho.shape != (d, d):
-            raise ValueError(f"state matrix must be square, got {self.rho.shape}")
-        if not np.isfinite(self.rho).all():
+        rho = np.array(self.rho, dtype=complex)  # a copy: never freeze the caller's array
+        rho.flags.writeable = False
+        object.__setattr__(self, "rho", rho)
+        d = rho.shape[0]
+        if rho.shape != (d, d):
+            raise ValueError(f"state matrix must be square, got {rho.shape}")
+        if not np.isfinite(rho).all():
             raise ValueError("state matrix has non-finite entries")
-        if np.linalg.norm(self.rho - self.rho.conj().T) > SPECTRAL:
+        if np.linalg.norm(rho - rho.conj().T) > SPECTRAL:
             raise ValueError("state matrix is not Hermitian")
-        if abs(np.trace(self.rho) - 1.0) > SPECTRAL:
-            raise ValueError(f"state trace is {np.trace(self.rho):.12f}, not 1")
+        if abs(np.trace(rho) - 1.0) > SPECTRAL:
+            raise ValueError(f"state trace is {np.trace(rho):.12f}, not 1")
 
     @property
     def dim(self) -> int:
@@ -144,8 +152,11 @@ def wigner_function(rho: DensityState, net: QuantumNet) -> WignerTable:
     d = net.dim
     if rho.dim != d:
         raise ValueError(f"state dimension {rho.dim} != net dimension {d}")
-    table = probabilities(rho, net.context.mub).values
-    pencil_sum = table[np.arange(d + 1)[:, None], net.pencil].sum(axis=0)
+    mub = net.context.mub
+    table = rho._tables.get(mub)
+    if table is None:
+        table = rho._tables[mub] = probabilities(rho, mub)
+    pencil_sum = table.values.ravel()[net.rows].sum(axis=0)
     return WignerTable(((pencil_sum - 1.0) / d).reshape(d, d), net)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +238,59 @@ def test_unknown_dimension_rejected():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--d", "6"])
     assert err.value.code == 2
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*args, scale=None):
+    """A fresh interpreter with the package on its path and, unless scale
+    is None, DWF_TOLERANCE_SCALE set to it."""
+    env = {k: v for k, v in os.environ.items() if k != "DWF_TOLERANCE_SCALE"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    if scale is not None:
+        env["DWF_TOLERANCE_SCALE"] = scale
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+BAD_SCALES = ["abc", "nan", "inf", "0", "-1"]
+
+
+@pytest.fixture(params=["module", "console script"])
+def launcher(request, tmp_path):
+    """The two ways to start the program: `python -m dwf.cli`, and a file
+    named `dwf` shaped like the console script pip installs."""
+    if request.param == "module":
+        return ["-m", "dwf.cli"]
+    script = tmp_path / "dwf"
+    script.write_text("import sys\nfrom dwf.cli import main\nsys.exit(main())\n")
+    return [str(script)]
+
+
+@pytest.mark.parametrize("scale", BAD_SCALES)
+def test_bad_tolerance_scale_is_a_usage_error(launcher, scale):
+    proc = run_python(*launcher, "verify", "--d", "2", scale=scale)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "DWF_TOLERANCE_SCALE" in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("scale", BAD_SCALES)
+def test_bad_tolerance_scale_fails_the_library_import(scale):
+    code = "try:\n    import dwf\nexcept ValueError as exc:\n    print(exc)"
+    proc = run_python("-c", code, scale=scale)
+    assert proc.returncode == 0, proc.stderr
+    assert "DWF_TOLERANCE_SCALE" in proc.stdout
+
+
+@pytest.mark.parametrize("scale, factor", [(None, 1.0), ("2.0", 2.0)])
+def test_tolerance_scale_multiplies_all_four_tiers(scale, factor):
+    code = "import dwf.tolerances as t; print(t.ALGEBRAIC, t.SPECTRAL, t.LOOKUP, t.MEMBERSHIP)"
+    proc = run_python("-c", code, scale=scale)
+    assert proc.returncode == 0, proc.stderr
+    tiers = [float(x) for x in proc.stdout.split()]
+    assert tiers == [1e-12 * factor, 1e-10 * factor, 1e-8 * factor, 1e-9 * factor]

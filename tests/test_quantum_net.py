@@ -199,6 +199,17 @@ def test_net_contexts_stay_one_per_dimension():
     assert net_context.cache_info().currsize <= len(SUPPORTED_DIMENSIONS)
 
 
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_point_operators_through_rows_equal_the_per_kappa_gather(d):
+    ctx = standard_context(d)
+    rng = np.random.default_rng(d)
+    for choices in [(0,) * (d + 1), tuple(rng.integers(0, d, d + 1))]:
+        net = ctx.complete(choices)
+        assert np.array_equal(net.rows, net.pencil + d * np.arange(d + 1)[:, None])
+        total = ctx.projectors[np.arange(d + 1)[:, None], net.pencil].sum(axis=0)
+        assert np.array_equal(net.point_operator_table(), (total - np.eye(d)) / d)
+
+
 def dense_transport(ctx, kappa, line):
     """Reference for one row of sigma: conjugate every projector of basis
     kappa with the translation to the lowest-index point of the line and

@@ -39,6 +39,13 @@ def test_negativity_census_oracle_gap_is_zero():
     assert gaps == [0.0, 0.0, 0.0]
 
 
+def test_negativity_census_runs_every_net_at_d5():
+    out = run_script("negativity_census.py", "--d", "5", "--states", "1")
+    assert "d=5: 15625 nets" in out
+    gaps = [float(g) for g in re.findall(r"oracle gap (\S+)", out)]
+    assert gaps == [0.0]
+
+
 def test_bloch_rigidity_scan_flags_only_basis_states():
     out = run_script("bloch_rigidity_scan.py", "--resolution-deg", "1.0")
     m = re.search(r"max angular distance of a flagged state to a basis axis: (\S+) rad", out)

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dwf import wigner
 from dwf.galois import field
 from dwf.geometry import build_striations, line_points, origin
-from dwf.mub import standard_mub
-from dwf.quantum_net import covariant_completion, enumerate_nets, standard_context
+from dwf.mub import MubSet, standard_mub
+from dwf.quantum_net import QuantumNet, covariant_completion, enumerate_nets, standard_context
 from dwf.wigner import (
     DensityState,
     line_probability,
@@ -218,3 +221,71 @@ def test_from_vector_extreme_amplitudes_give_plus(scale):
 def test_from_vector_refuses_only_the_exact_zero_vector():
     with pytest.raises(ValueError, match="zero vector"):
         DensityState.from_vector([0.0, 0.0])
+
+
+def pencil_gather(table, net):
+    """Reference gather: the probability table indexed by (kappa, pencil)."""
+    d = net.dim
+    total = table.values[np.arange(d + 1)[:, None], net.pencil].sum(axis=0)
+    return ((total - 1.0) / d).reshape(d, d)
+
+
+@pytest.fixture
+def probability_calls(monkeypatch):
+    calls = []
+
+    def counting(rho, mub):
+        calls.append((rho, mub))
+        return probabilities(rho, mub)
+
+    monkeypatch.setattr(wigner, "probabilities", counting)
+    return calls
+
+
+def test_probabilities_computed_once_per_state_over_all_nets(probability_calls):
+    nets = list(enumerate_nets(field(4)))
+    assert len(nets) == 1024
+    rng = np.random.default_rng(5)
+    states = [DensityState.random_pure(4, rng), DensityState.random_mixed(4, rng)]
+    for rho in states:
+        for net in nets:
+            wigner_function(rho, net)
+    assert [rho for rho, _ in probability_calls] == states
+
+
+def test_memoized_tables_equal_the_direct_gather_on_every_net():
+    rho = DensityState.random_mixed(4, np.random.default_rng(6))
+    table = probabilities(rho, standard_mub(4))
+    for net in enumerate_nets(field(4)):
+        assert np.array_equal(wigner_function(rho, net).values, pencil_gather(table, net))
+
+
+def test_another_mub_object_gets_its_own_table(probability_calls):
+    ctx = standard_context(2)
+    # a corrupted copy: basis 1 with its two vectors swapped
+    bases = list(ctx.mub.bases)
+    bases[1] = dataclasses.replace(bases[1], vectors=bases[1].vectors[:, ::-1])
+    corrupted = MubSet(ctx.mub.field, tuple(bases))
+    net = ctx.complete((0, 0, 0))
+    # built by hand so the shared net-context cache never sees the copy
+    bad_net = QuantumNet(dataclasses.replace(ctx, mub=corrupted), net.ray_choices, net.indices)
+    rho = DensityState.from_vector([1.0, 1j])
+    good = wigner_function(rho, net).values
+    bad = wigner_function(rho, bad_net).values
+    assert [mub for _, mub in probability_calls] == [ctx.mub, corrupted]
+    assert np.array_equal(bad, pencil_gather(probabilities(rho, corrupted), net))
+    assert not np.array_equal(good, bad)
+    assert np.array_equal(wigner_function(rho, net).values, good)
+    assert len(probability_calls) == 2
+
+
+def test_density_state_is_immutable():
+    given_matrix = np.eye(2, dtype=complex) / 2
+    state = DensityState(given_matrix)
+    with pytest.raises(ValueError):
+        state.rho[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.rho = np.eye(2) / 2
+    assert given_matrix.flags.writeable
+    given_matrix[0, 0] = 0.9  # the caller's array stays theirs: no alias
+    assert state.rho[0, 0] == 0.5
