@@ -1,8 +1,11 @@
 """Clifford-group verification and synthesis.
 
-Membership is checked by conjugating the 2n translation generators and
-matching each image against the scaled translation catalogue; success
-yields the symplectic table over Z_p plus per-generator phase exponents.
+Membership is checked by conjugating all 2n translation generators in
+one batched product u G u~ and matching every image against the scaled
+translation catalogue in one more product with its flattened conjugate;
+success yields the symplectic table over Z_p plus per-generator phase
+exponents.  The generator stack and the catalogue are built once per
+field and are read-only, as are the cached squeezing and Fourier results.
 
 Synthesis goes the other way.  Given commuting tuples M_1..M_n and
 N_1..N_n with symplectic pairing delta_ij, the unitary sending M_i to Z_i
@@ -21,7 +24,10 @@ Primitives come from the layers below: mod-p rank and inverse from
 from_coords), the spectral projection to a phase-fixed vector from
 `mub.joint_eigenvector`, the X-type basis from `mub.standard_mub` and
 `is_flow` from `quantum_net`.  One monomial test, `_extract_permutation`,
-decides both MUB-to-MUB maps and preservation of the Z and X bases.
+decides both MUB-to-MUB maps and preservation of the Z and X bases.  It
+takes a stack of matrices, so `maps_mub_to_mub` forms one overlap product
+V2~ u V1 over the stacked bases and tests all (d+1)^2 basis-pair blocks
+at once.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ def is_symplectic_table(f: np.ndarray, p: int) -> bool:
 # membership
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SymplecticClifford:
     """Symplectic table + phase corrections certifying U T(v) U~ = phase T(Fv)."""
 
@@ -82,6 +88,7 @@ class NotClifford:
         return False
 
 
+@lru_cache(maxsize=None)
 def generator_operators(gf: FieldSpec) -> tuple[PauliOperator, ...]:
     """X_1..X_n then Z_1..Z_n as canonical translations."""
     units, zero = np.eye(gf.n, dtype=np.int64), (0,) * gf.n
@@ -91,23 +98,42 @@ def generator_operators(gf: FieldSpec) -> tuple[PauliOperator, ...]:
 
 @lru_cache(maxsize=None)
 def _translation_catalogue(gf: FieldSpec):
-    labels = list(itertools.product(range(gf.p), repeat=2 * gf.n))
-    dense = np.stack(
-        [PauliOperator(gf, l[: gf.n], l[gf.n:]).dense for l in labels]
+    """Read-only (labels, conj_flat, generators): row k of labels (d^2 x 2n)
+    labels translation k, row k of conj_flat (d^2 x d^2) is its conjugated
+    dense matrix raveled, and generators (2n x d x d) stacks the dense
+    generator_operators."""
+    n, d = gf.n, gf.order
+    labels = np.array(list(itertools.product(range(gf.p), repeat=2 * n)), dtype=np.int64)
+    dense = np.stack([PauliOperator(gf, l[:n], l[n:]).dense for l in labels])
+    catalogue = (
+        labels,
+        dense.reshape(d * d, d * d).conj(),
+        np.stack([g.dense for g in generator_operators(gf)]),
     )
-    return labels, dense
+    for table in catalogue:
+        table.flags.writeable = False
+    return catalogue
 
 
-def _match_translation(gf: FieldSpec, op: np.ndarray):
-    """(label, phase) with op = phase * T(label), or None."""
-    labels, catalogue = _translation_catalogue(gf)
+def _match_translation(gf: FieldSpec, ops: np.ndarray):
+    """(label, phase) with op = phase * T(label), or None, and the deficit
+    1 - |phase| of the best catalogue match.
+
+    On a stack of operators (..., d, d) every one is matched in a single
+    product against the catalogue, and the result is three arrays over the
+    leading axes, unfiltered: label rows, phases and deficits.
+    """
+    labels, conj_flat, _ = _translation_catalogue(gf)
     d = gf.order
-    coeffs = np.einsum("kij,ij->k", catalogue.conj(), op) / d
-    best = int(np.argmax(np.abs(coeffs)))
-    deficit = 1.0 - abs(coeffs[best])
-    if deficit > LOOKUP:
-        return None, deficit
-    return (labels[best], coeffs[best]), deficit
+    coeffs = ops.reshape(*ops.shape[:-2], d * d) @ conj_flat.T / d
+    best = np.argmax(np.abs(coeffs), axis=-1)
+    phases = np.take_along_axis(coeffs, best[..., None], axis=-1)[..., 0]
+    deficits = 1.0 - np.abs(phases)
+    if ops.ndim > 2:
+        return labels[best], phases, deficits
+    if deficits > LOOKUP:
+        return None, deficits[()]
+    return (tuple(labels[best].tolist()), phases[()]), deficits[()]
 
 
 def _phase_to_exponent(gf: FieldSpec, phase: complex) -> int:
@@ -126,20 +152,25 @@ def is_clifford(u: np.ndarray, gf: FieldSpec):
         raise ValueError(f"expected a {d} x {d} matrix, got {u.shape}")
     if np.linalg.norm(u @ u.conj().T - np.eye(d)) > SPECTRAL * 100:
         raise ValueError("input matrix is not unitary")
-    n = gf.n
-    table = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    phases = []
+    generators = _translation_catalogue(gf)[2]
+    images = u @ generators @ u.conj().T
+    labels, phases, deficits = _match_translation(gf, images)
+    exponents = []
     for col, g in enumerate(generator_operators(gf)):
-        image = u @ g.dense @ u.conj().T
-        match, deficit = _match_translation(gf, image)
-        if match is None:
-            return NotClifford(g, deficit)
-        label, phase = match
-        table[:, col] = label
-        phases.append(_phase_to_exponent(gf, phase))
+        if deficits[col] > LOOKUP:
+            return NotClifford(g, deficits[col])
+        exponents.append(_phase_to_exponent(gf, phases[col]))
+    table = labels.T.copy()
     if not is_symplectic_table(table, gf.p):
         raise AssertionError("conjugation table does not preserve the symplectic form")
-    return SymplecticClifford(gf, table, tuple(phases), dense=u)
+    return SymplecticClifford(gf, table, tuple(exponents), dense=u)
+
+
+def _shared(result: SymplecticClifford) -> SymplecticClifford:
+    """Freeze the arrays of a result that every caller receives."""
+    result.symplectic.flags.writeable = False
+    result.dense.flags.writeable = False
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +274,20 @@ def clifford_from_symplectic(f: np.ndarray, gf: FieldSpec) -> SymplecticClifford
     return result
 
 
+@lru_cache(maxsize=None)
 def squeezing_operator(gf: FieldSpec) -> SymplecticClifford:
     """The unitary with conjugation action T(q, p) -> +/- T(Mq, M~^-1 p).
 
     It fixes the vertical and horizontal striation sets and cycles the
     oblique ones.  Trivial for n = 1 (the table is scalar), hence refused.
+    Built once per field; the result and its arrays are shared, read-only.
     """
     if gf.n < 2:
         raise ValueError("squeezing needs an extension field (n >= 2)")
     m = gf.companion
     zero = np.zeros_like(m)
     f = np.block([[m, zero], [zero, inverse_mod_p(m.T, gf.p)]])
-    return clifford_from_symplectic(f, gf)
+    return _shared(clifford_from_symplectic(f, gf))
 
 
 @lru_cache(maxsize=None)
@@ -275,6 +308,7 @@ def _reflection_form_basis(gf: FieldSpec) -> tuple:
     raise AssertionError("no orthonormal basis for the labeling form")
 
 
+@lru_cache(maxsize=None)
 def fourier_operator(gf: FieldSpec) -> SymplecticClifford:
     """The finite Fourier transform compatible with the labeling: the
     matrix (-1)^(first coordinate of y'*y) / sqrt(d), which is the tensor
@@ -282,6 +316,7 @@ def fourier_operator(gf: FieldSpec) -> SymplecticClifford:
 
     Its conjugation action reflects translation labels across the main
     diagonal of phase space, up to recorded signs.  Characteristic 2 only.
+    Built once per field; the result and its arrays are shared, read-only.
     """
     if gf.p != 2:
         raise ValueError("the Fourier construction is only supported for p = 2")
@@ -289,7 +324,7 @@ def fourier_operator(gf: FieldSpec) -> SymplecticClifford:
     result = is_clifford((-1.0) ** signs / np.sqrt(gf.order), gf)
     if not result:
         raise AssertionError("Fourier matrix failed the Clifford check")
-    return result
+    return _shared(result)
 
 
 def hadamard_in_chart(gf: FieldSpec) -> np.ndarray:
@@ -321,23 +356,28 @@ class MubMapResult:
 
 def maps_mub_to_mub(u: np.ndarray, b1: MubSet, b2: MubSet) -> MubMapResult:
     """Does conjugation by u send every basis of b1 onto a basis of b2
-    (as unordered sets of rays)?  Returns the striation permutation."""
+    (as unordered sets of rays)?  Returns the striation permutation.
+
+    One overlap product V2~ u V1 over the stacked bases holds every
+    basis pair as a d x d block; the monomial test decides all blocks at
+    once, and each source basis takes its first passing target.
+    """
     if b1.dim != b2.dim:
         raise ValueError("basis sets live in different dimensions")
-    perm = []
-    for basis in b1.bases:
-        image = u @ basis.vectors
-        target = next(
-            (k2 for k2, other in enumerate(b2.bases)
-             if _extract_permutation(other.vectors.conj().T @ image)[0] is not None),
-            None,
-        )
-        if target is None:
-            return MubMapResult(False, None)
-        perm.append(target)
+    d = b1.dim
+    v1 = np.concatenate([basis.vectors for basis in b1.bases], axis=1)
+    v2 = np.concatenate([basis.vectors for basis in b2.bases], axis=1)
+    overlap = v2.conj().T @ (u @ v1)
+    # blocks[k1, k2] = V2[k2]~ u V1[k1]
+    blocks = overlap.reshape(len(b2.bases), d, len(b1.bases), d).transpose(2, 0, 1, 3)
+    _, bad, _ = _extract_permutation(blocks)
+    passes = bad < 0
+    if not passes.any(axis=1).all():
+        return MubMapResult(False, None)
+    perm = tuple(int(k2) for k2 in np.argmax(passes, axis=1))
     if len(set(perm)) != len(b1.bases):
         return MubMapResult(False, None)
-    return MubMapResult(True, tuple(perm))
+    return MubMapResult(True, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +416,34 @@ def _extract_permutation(u: np.ndarray):
     """The monomial test: is u a permutation matrix with phases?  Each
     column's leak (norm off its largest entry) must be <= LOOKUP and the
     largest entries must sit in distinct rows.  Returns ((perm, phases),
-    -1, 0.0), else (None, failing column, leak)."""
-    d = u.shape[0]
-    cols = np.arange(d)
-    perm = np.argmax(np.abs(u), axis=0)
-    rest = u.copy()
-    rest[perm, cols] = 0
-    leaks = np.linalg.norm(rest, axis=0)
-    bad = np.flatnonzero(leaks > LOOKUP)
-    if bad.size:
-        return None, int(bad[0]), float(leaks[bad[0]])
-    if len(set(perm.tolist())) != d:
-        return None, int(perm[0]), 1.0
-    return (perm, np.angle(u[perm, cols])), -1, 0.0
+    -1, 0.0), else (None, failing column, leak).
+
+    A stack (..., d, d) is tested in one pass and gives ((perms, phases),
+    bad, leaks) as arrays over the leading axes, with bad = -1 and leak =
+    0.0 exactly where a matrix passes.
+    """
+    *lead, d, _ = u.shape
+    flat = u.reshape(-1, d, d)
+    stack, cols = np.arange(len(flat))[:, None], np.arange(d)
+    weight = flat.real**2 + flat.imag**2
+    perm = np.argmax(weight, axis=1)
+    # zero each column's peak, then take the norm of the rest
+    weight[stack, perm, cols] = 0.0
+    leaks = np.sqrt(weight.sum(axis=1))
+    hit = np.zeros((len(flat), d), dtype=bool)
+    hit[stack, perm] = True
+    distinct = hit.all(axis=1)
+    leaky = leaks > LOOKUP
+    has_leak = leaky.any(axis=1)
+    first = np.argmax(leaky, axis=1)
+    bad = np.where(has_leak, first, np.where(distinct, -1, perm[:, 0]))
+    leak = np.where(has_leak, leaks[stack[:, 0], first], np.where(distinct, 0.0, 1.0))
+    phases = np.angle(flat[stack, perm, cols])
+    if lead:
+        return (perm.reshape(*lead, d), phases.reshape(*lead, d)), bad.reshape(lead), leak.reshape(lead)
+    if bad[0] >= 0:
+        return None, int(bad[0]), float(leak[0])
+    return (perm[0], phases[0]), -1, 0.0
 
 
 def affine_extraction(u: np.ndarray, gf: FieldSpec):

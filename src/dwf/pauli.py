@@ -12,8 +12,9 @@ and the root-of-unity convention that makes T^p the identity for odd p,
 
 with w = exp(2 pi i / p) and inv2 the inverse of 2 mod p.  Phases of group
 products are tracked exactly as integer exponents of the phase unit (i for
-p = 2, w for odd p); dense matrices are realized lazily and are meant for
-verification, not for group arithmetic.
+p = 2, w for odd p); dense matrices are realized lazily, frozen read-only
+so they can be shared, and are meant for verification, not for group
+arithmetic.
 
 Labeling of phase space: the position tuple of a field element is its
 polynomial-basis coordinate vector (so multiplication by omega acts as the
@@ -83,9 +84,10 @@ class PauliOperator:
 
     @property
     def dense(self) -> np.ndarray:
-        """d x d matrix; computed once, then reused."""
+        """d x d matrix; computed once, then reused, read-only."""
         if self._dense is None:
             self._dense = self._realize()
+            self._dense.flags.writeable = False
         return self._dense
 
     def _realize(self) -> np.ndarray:

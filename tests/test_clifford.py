@@ -5,6 +5,7 @@ import pytest
 
 from dwf.clifford import (
     AffineData,
+    SymplecticClifford,
     NotBasisPreserving,
     NotClifford,
     StabilizerTableau,
@@ -12,6 +13,7 @@ from dwf.clifford import (
     circuit_unitary,
     clifford_from_symplectic,
     fourier_operator,
+    generator_operators,
     hadamard_in_chart,
     is_clifford,
     is_flow,
@@ -24,11 +26,12 @@ from dwf.clifford import (
     syndrome_standard_pairs,
     tableau_apply,
 )
-from dwf.galois import field, inverse_mod_p
+from dwf.galois import SUPPORTED_DIMENSIONS, field, inverse_mod_p
 from dwf.geometry import all_points
-from dwf.mub import standard_mub
+from dwf.mub import MubSet, standard_mub
 from dwf.pauli import PauliOperator, build_labeling, standard_sets
 from dwf.quantum_net import enumerate_nets, standard_context
+from dwf.tolerances import LOOKUP
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -451,3 +454,185 @@ def test_translations_flow_on_sampled_nets_d4():
     for net in nets:
         for pt in all_points(gf):
             assert is_flow(lab.unitary_at(pt), net)
+
+
+# -- batched kernels against per-item reference loops ----------------------------
+
+def reference_monomial(m):
+    """The monomial test one column at a time: (perm, -1, 0.0), else
+    (None, first leaky column, its leak), or (None, perm[0], 1.0) when two
+    peaks share a row."""
+    d = m.shape[0]
+    perm = []
+    for col in range(d):
+        column = m[:, col]
+        row = int(np.argmax(np.abs(column)))
+        leak = np.linalg.norm(np.delete(column, row))
+        if leak > LOOKUP:
+            return None, col, leak
+        perm.append(row)
+    if len(set(perm)) != d:
+        return None, perm[0], 1.0
+    return perm, -1, 0.0
+
+
+def reference_mub_map(u, b1, b2):
+    """The striation permutation, one basis pair at a time, each source
+    basis taking its first passing target, or None."""
+    perm = []
+    for source in b1.bases:
+        image = u @ source.vectors
+        target = next(
+            (k for k, other in enumerate(b2.bases)
+             if reference_monomial(other.vectors.conj().T @ image)[0] is not None),
+            None,
+        )
+        if target is None:
+            return None
+        perm.append(target)
+    return tuple(perm) if len(set(perm)) == len(perm) else None
+
+
+def reference_is_clifford(u, gf):
+    """(table, phase exponents), or (first failing generator, deficit),
+    matching one generator image at a time against every translation."""
+    d, n = gf.order, gf.n
+    labels = list(itertools.product(range(gf.p), repeat=2 * n))
+    catalogue = [PauliOperator(gf, l[:n], l[n:]).dense for l in labels]
+    order = 4 if gf.p == 2 else gf.p
+    table = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    phases = []
+    for col in range(2 * n):
+        unit = np.eye(2 * n, dtype=np.int64)[col]
+        g = PauliOperator(gf, unit[:n], unit[n:]).dense
+        image = u @ g @ u.conj().T
+        coeffs = np.array([np.vdot(t, image) for t in catalogue]) / d
+        best = int(np.argmax(np.abs(coeffs)))
+        deficit = 1.0 - abs(coeffs[best])
+        if deficit > LOOKUP:
+            return col, deficit
+        table[:, col] = labels[best]
+        phases.append(int(round(np.angle(coeffs[best]) / (2 * np.pi / order))) % order)
+    return table, tuple(phases)
+
+
+def perturbed(u, eps, rng):
+    """exp(i eps H) u for a seeded Hermitian H = G + G~, G complex Gaussian."""
+    d = u.shape[0]
+    g = rng.standard_normal((d, d, 2)) @ np.array([1.0, 1.0j])
+    lam, v = np.linalg.eigh(g + g.conj().T)
+    return (v * np.exp(1j * eps * lam)) @ v.conj().T @ u
+
+
+def kernel_inputs(gf, rng):
+    """Named unitaries: seeded translations, squeezing (a shear table at
+    prime d, where there is no squeezing), Fourier where p = 2, Haar
+    unitaries and the squeezing perturbed at the LOOKUP scale."""
+    d = gf.order
+    lab = build_labeling(gf)
+    points = list(all_points(gf))
+    picks = points if d <= 4 else [points[i] for i in rng.choice(d * d, 6, replace=False)]
+    named = [(f"translation {pt}", lab.unitary_at(pt)) for pt in picks]
+    if gf.n >= 2:
+        base = squeezing_operator(gf).dense
+    else:
+        base = clifford_from_symplectic(np.array([[1, 0], [1, 1]]), gf).dense
+    named.append(("squeezing", base))
+    if gf.p == 2:
+        named.append(("fourier", fourier_operator(gf).dense))
+    named += [(f"haar {i}", random_unitary(d, rng)) for i in range(2)]
+    named += [(f"squeezing + {eps}", perturbed(base, eps, rng)) for eps in (1e-12, 1e-10, 3e-9, 1e-8)]
+    return named
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_batched_kernels_equal_the_per_item_loops(d):
+    gf = field(d)
+    mub = standard_mub(d)
+    doubled = MubSet(gf, mub.bases + mub.bases)  # every basis has two passing targets
+    verdicts = set()
+    for name, u in kernel_inputs(gf, np.random.default_rng([d, 7])):
+        result = is_clifford(u, gf)
+        reference = reference_is_clifford(u, gf)
+        if isinstance(reference[0], int):
+            col, deficit = reference
+            assert isinstance(result, NotClifford), name
+            assert result.witness.label == tuple(np.eye(2 * gf.n, dtype=int)[col]), name
+            assert abs(result.deficit - deficit) < 1e-12, name
+        else:
+            table, phases = reference
+            assert isinstance(result, SymplecticClifford), name
+            assert np.array_equal(result.symplectic, table), name
+            assert result.phase_exponents == phases, name
+        mapped = maps_mub_to_mub(u, mub, mub)
+        assert mapped.permutation == reference_mub_map(u, mub, mub), name
+        first = maps_mub_to_mub(u, mub, doubled).permutation
+        assert first == reference_mub_map(u, mub, doubled) == mapped.permutation, name
+        verdicts.add((bool(result), bool(mapped)))
+    # the inputs reach every verdict pair: the perturbed squeezing stays
+    # Clifford but stops mapping bases onto bases between 1e-10 and 1e-8
+    assert {(True, True), (True, False), (False, False)} <= verdicts
+
+
+def test_stacked_monomial_test_matches_single_calls_at_lookup():
+    from dwf.clifford import _extract_permutation
+
+    d = 4
+    rng = np.random.default_rng(5)
+
+    def monomial():
+        m = np.zeros((d, d), dtype=complex)
+        m[rng.permutation(d), np.arange(d)] = np.exp(2j * np.pi * rng.random(d))
+        return m
+
+    def leaking(factor, m=None, col=1):
+        m = monomial() if m is None else m
+        row = (int(np.argmax(np.abs(m[:, col]))) + 1) % d
+        m[row, col] = factor * LOOKUP * np.exp(0.3j)
+        return m
+
+    shared_row = monomial()
+    shared_row[:, 2] = shared_row[:, 0]
+    two_leaks = leaking(100.0, leaking(10.0), col=3)  # the first leak is reported
+    blocks = [monomial(), leaking(0.1), monomial(), leaking(10.0), shared_row, two_leaks]
+    stack = np.stack(blocks).reshape(2, 3, d, d)
+    (perms, phases), bad, leaks = _extract_permutation(stack)
+    assert bad.shape == leaks.shape == (2, 3) and perms.shape == (2, 3, d)
+    for index, block in zip(np.ndindex(2, 3), blocks):
+        single = _extract_permutation(block)
+        reference = reference_monomial(block)
+        assert (single[0] is None) == (bad[index] >= 0) == (reference[0] is None)
+        assert single[1] == bad[index] == reference[1]
+        assert abs(single[2] - leaks[index]) < 1e-15
+        assert abs(leaks[index] - reference[2]) < 1e-15
+        if single[0] is not None:
+            assert np.array_equal(single[0][0], perms[index])
+            assert np.array_equal(single[0][1], phases[index])
+            assert single[0][0].tolist() == reference[0]
+    assert bad.ravel().tolist() == [-1, -1, -1, 1, int(np.argmax(np.abs(blocks[4][:, 0]))), 1]
+    assert leaks[1, 0] == leaks[1, 2] == pytest.approx(10 * LOOKUP)
+
+
+# -- per-field constants are shared and read-only ------------------------------------
+
+def test_field_constants_are_built_once_and_read_only():
+    from dwf.clifford import _translation_catalogue
+
+    for d in SUPPORTED_DIMENSIONS:
+        gf = field(d)
+        shared = [generator_operators(gf)[0].dense, *_translation_catalogue(gf)]
+        assert generator_operators(gf) is generator_operators(gf)
+        for name, build in (("squeezing", squeezing_operator), ("fourier", fourier_operator)):
+            if (name == "squeezing" and gf.n < 2) or (name == "fourier" and gf.p != 2):
+                continue
+            assert build(gf) is build(gf)
+            shared += [build(gf).dense, build(gf).symplectic]
+        for array in shared:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = array[(0,) * array.ndim]
+        u = np.array(build_labeling(gf).unitary_at(list(all_points(gf))[1]))
+        result = is_clifford(u, gf)
+        assert result.dense is u and u.flags.writeable
+        u[0, 0] = u[0, 0]
+    for cached in (generator_operators, _translation_catalogue, squeezing_operator, fourier_operator):
+        assert cached.cache_info().currsize <= len(SUPPORTED_DIMENSIONS)
