@@ -5,22 +5,23 @@ Expected picture: translations flow on every net; the squeezing operator
 flows on exactly d nets of the fixed-axes family; the Fourier transform
 flows on none, in any dimension where it exists.
 
-Usage: python scripts/flow_census.py [--d 4]
+Usage: python scripts/flow_census.py [--d {2,3,4,5}]
 """
 
 import argparse
 
 from dwf.clifford import fourier_operator, squeezing_operator
-from dwf.galois import field
+from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.geometry import all_points
 from dwf.mub import standard_mub
 from dwf.pauli import build_labeling
-from dwf.quantum_net import enumerate_nets, is_flow
+from dwf.quantum_net import ENUMERATION_MAX_DIM, enumerate_nets, is_flow
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--d", type=int, default=4, choices=(2, 3, 4, 5))
+    parser.add_argument("--d", type=int, default=4,
+                        choices=[d for d in SUPPORTED_DIMENSIONS if d <= ENUMERATION_MAX_DIM])
     args = parser.parse_args()
     d = args.d
     gf = field(d)

@@ -56,12 +56,7 @@ class DecompositionResult:
         return float(self.coefficients.min())
 
     def reconstruct(self, mub: MubSet) -> np.ndarray:
-        d = mub.dim
-        out = np.zeros((d, d), dtype=complex)
-        for kappa in range(d + 1):
-            for j in range(d):
-                out += self.coefficients[kappa, j] * mub.projector(kappa, j)
-        return out
+        return np.tensordot(self.coefficients, mub.projectors, axes=2)
 
 
 @dataclass(frozen=True)
@@ -79,6 +74,14 @@ class ClassificationReport:
     witnesses: tuple[Witness, ...]
 
 
+def _table(rho: DensityState, mub: MubSet) -> ProbabilityTable:
+    """The state's memoized probability table, computed on a miss."""
+    table = rho._tables.get(mub)
+    if table is None:
+        table = rho._tables[mub] = probabilities(rho, mub)
+    return table
+
+
 def _report(table: ProbabilityTable, gf: FieldSpec) -> ClassicalityReport:
     minima = table.minima()
     total = float(minima.sum())
@@ -92,7 +95,7 @@ def _report(table: ProbabilityTable, gf: FieldSpec) -> ClassicalityReport:
 def min_wigner(rho: DensityState, mub: MubSet) -> ClassicalityReport:
     """Minimum Wigner value over all nets and points, in closed form,
     with an explicit minimizing net and point when the value is negative."""
-    return _report(probabilities(rho, mub), mub.field)
+    return _report(_table(rho, mub), mub.field)
 
 
 def _scan(table: ProbabilityTable, mub: MubSet, gf: FieldSpec) -> np.ndarray:
@@ -119,7 +122,7 @@ def _scan(table: ProbabilityTable, mub: MubSet, gf: FieldSpec) -> np.ndarray:
 def brute_force_min(rho: DensityState, mub: MubSet, gf: FieldSpec) -> float:
     """Minimum over every net and every point by exhaustive enumeration,
     never through the closed form; refused for d > 4."""
-    return float(_scan(probabilities(rho, mub), mub, gf).min())
+    return float(_scan(_table(rho, mub), mub, gf).min())
 
 
 def _decomposition(table: ProbabilityTable) -> DecompositionResult:
@@ -133,7 +136,7 @@ def _decomposition(table: ProbabilityTable) -> DecompositionResult:
 def convex_decomposition(rho: DensityState, mub: MubSet) -> DecompositionResult:
     """Expansion of the state over the basis projectors that is convex
     exactly when the state is a polytope member; exact for any input."""
-    return _decomposition(probabilities(rho, mub))
+    return _decomposition(_table(rho, mub))
 
 
 def classify(
@@ -144,7 +147,7 @@ def classify(
 
     For d <= 4 the witness list comes from the exhaustive scan; above that
     only the closed-form minimizing configuration is reported."""
-    table = probabilities(rho, mub)
+    table = _table(rho, mub)
     report = _report(table, mub.field)
     witnesses: list[Witness] = []
     if not report.classical and gf.order > BRUTE_FORCE_MAX_DIM:
@@ -171,7 +174,5 @@ def random_projector_mixture(
     count = (d + 1) * d
     weights = rng.dirichlet(np.ones(terms if terms is not None else count))
     picks = rng.choice(count, size=len(weights), replace=False)
-    rho = np.zeros((d, d), dtype=complex)
-    for w, flat in zip(weights, picks):
-        rho += w * mub.projector(int(flat) // d, int(flat) % d)
+    rho = np.tensordot(weights, mub.projectors.reshape(count, d, d)[picks], axes=1)
     return DensityState(rho, kind="mixed")

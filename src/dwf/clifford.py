@@ -22,12 +22,12 @@ generator-level circuits against dense simulation for qubit registers.
 Primitives come from the layers below: mod-p rank and inverse from
 `galois`, index <-> digit maps from the field (element(z).coords,
 from_coords), the spectral projection to a phase-fixed vector from
-`mub.joint_eigenvector`, the X-type basis from `mub.standard_mub` and
-`is_flow` from `quantum_net`.  One monomial test, `_extract_permutation`,
-decides both MUB-to-MUB maps and preservation of the Z and X bases.  It
-takes a stack of matrices, so `maps_mub_to_mub` forms one overlap product
-V2~ u V1 over the stacked bases and tests all (d+1)^2 basis-pair blocks
-at once.
+`mub.joint_eigenvector` and the X-type basis from `mub.standard_mub`.
+One monomial test, `_extract_permutation`, takes stacks only: it decides
+all (d+1)^2 basis-pair blocks of one overlap product V2~ u V1 for
+`maps_mub_to_mub`, and [u, W~ u W] in one call for `affine_extraction`,
+whose certificate U|z> = e^(i(2 pi/p c.z + delta)) |A z + b> is read
+straight off the permutation.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import numpy as np
 from .galois import FieldSpec, inverse_mod_p, rank_mod_p
 from .mub import MubSet, joint_eigenvector, standard_mub
 from .pauli import PauliOperator, AbelianSet, symplectic_product
-from .quantum_net import is_flow  # noqa: F401  (re-exported net-flow test)
 from .tolerances import LOOKUP, SPECTRAL
 
 
@@ -116,24 +115,16 @@ def _translation_catalogue(gf: FieldSpec):
 
 
 def _match_translation(gf: FieldSpec, ops: np.ndarray):
-    """(label, phase) with op = phase * T(label), or None, and the deficit
-    1 - |phase| of the best catalogue match.
-
-    On a stack of operators (..., d, d) every one is matched in a single
-    product against the catalogue, and the result is three arrays over the
-    leading axes, unfiltered: label rows, phases and deficits.
+    """Match a stack of operators (..., d, d) against the catalogue in one
+    product: label rows, phases and deficits 1 - |phase| over the leading
+    axes, unfiltered.  Where a deficit is <= LOOKUP, op = phase * T(label).
     """
     labels, conj_flat, _ = _translation_catalogue(gf)
     d = gf.order
     coeffs = ops.reshape(*ops.shape[:-2], d * d) @ conj_flat.T / d
     best = np.argmax(np.abs(coeffs), axis=-1)
     phases = np.take_along_axis(coeffs, best[..., None], axis=-1)[..., 0]
-    deficits = 1.0 - np.abs(phases)
-    if ops.ndim > 2:
-        return labels[best], phases, deficits
-    if deficits > LOOKUP:
-        return None, deficits[()]
-    return (tuple(labels[best].tolist()), phases[()]), deficits[()]
+    return labels[best], phases, 1.0 - np.abs(phases)
 
 
 def _phase_to_exponent(gf: FieldSpec, phase: complex) -> int:
@@ -150,7 +141,7 @@ def is_clifford(u: np.ndarray, gf: FieldSpec):
     d = gf.order
     if u.shape != (d, d):
         raise ValueError(f"expected a {d} x {d} matrix, got {u.shape}")
-    if np.linalg.norm(u @ u.conj().T - np.eye(d)) > SPECTRAL * 100:
+    if not np.isfinite(u).all() or np.linalg.norm(u @ u.conj().T - np.eye(d)) > SPECTRAL * 100:
         raise ValueError("input matrix is not unitary")
     generators = _translation_catalogue(gf)[2]
     images = u @ generators @ u.conj().T
@@ -187,16 +178,14 @@ def synthesize_from_pairs(
     """
     gf = ms[0].field
     d = gf.order
-    for a, b in itertools.combinations(ms, 2):
-        if symplectic_product(a, b):
-            raise ValueError("ms do not commute")
-    for a, b in itertools.combinations(ns, 2):
-        if symplectic_product(a, b):
-            raise ValueError("ns do not commute")
-    for i, nn in enumerate(ns):
-        for j, mm in enumerate(ms):
-            if symplectic_product(nn, mm) != (1 if i == j else 0):
-                raise ValueError("pairing of ns against ms is not the identity")
+    n = len(ms)
+    gram = np.array([[symplectic_product(a, b) for b in ms + ns] for a in ms + ns])
+    if gram[:n, :n].any():
+        raise ValueError("ms do not commute")
+    if gram[n:, n:].any():
+        raise ValueError("ns do not commute")
+    if not np.array_equal(gram[n:, :n], np.eye(n)):
+        raise ValueError("pairing of ns against ms is not the identity")
     psi0 = joint_eigenvector([m.dense for m in ms], (0,) * gf.n, gf.p)
     columns = np.zeros((d, d), dtype=complex)
     for z in range(d):
@@ -212,34 +201,25 @@ def synthesize_from_pairs(
 class SyndromeData:
     generators: tuple[PauliOperator, ...]
     partners: tuple[PauliOperator, ...]
-    syndromes: dict
 
 
 def syndrome_standard_pairs(s: AbelianSet, t: AbelianSet) -> SyndromeData:
     """Pick N_i in t with syndrome e_i against the generators M_i of s.
 
     The syndrome of N is the vector of symplectic products against the
-    M_i; distinct members of t get distinct syndromes whenever s and t
-    intersect trivially, so each unit vector is hit exactly once.
+    M_i.  With h_k the generators of t, the n x n syndrome matrix
+    S[k, i] = <h_k, M_i> is invertible exactly when s and t intersect
+    trivially, and row j of S^-1 holds the exponents of N_j = prod_k h_k^x.
     """
     gf = s.field
-    ms = s.generators()
-    gen_rows = [m.label for m in ms] + [x.label for x in t.generators()]
-    if rank_mod_p(gen_rows, gf.p) != 2 * gf.n:
-        raise ValueError("sets intersect nontrivially; no standardization exists")
-    syndromes: dict[tuple[int, ...], PauliOperator] = {}
-    for member in t.members:
-        key = tuple(symplectic_product(member, m) for m in ms)
-        if key in syndromes:
-            raise AssertionError(f"syndrome collision at {key}; inputs are not maximal")
-        syndromes[key] = member
-    partners = []
-    for i in range(gf.n):
-        e = tuple(1 if k == i else 0 for k in range(gf.n))
-        if e not in syndromes:
-            raise AssertionError(f"no member of t has syndrome {e}")
-        partners.append(syndromes[e])
-    return SyndromeData(ms, tuple(partners), syndromes)
+    ms, hs = s.generators(), t.generators()
+    syndrome = [[symplectic_product(h, m) for m in ms] for h in hs]
+    try:
+        exponents = inverse_mod_p(syndrome, gf.p)
+    except ValueError:
+        raise ValueError("sets intersect nontrivially; no standardization exists") from None
+    labels = exponents @ np.array([h.label for h in hs]) % gf.p
+    return SyndromeData(ms, tuple(PauliOperator(gf, l[:gf.n], l[gf.n:]) for l in labels))
 
 
 def standardize_pair(s: AbelianSet, t: AbelianSet) -> SymplecticClifford:
@@ -386,7 +366,7 @@ def maps_mub_to_mub(u: np.ndarray, b1: MubSet, b2: MubSet) -> MubMapResult:
 
 @dataclass(frozen=True)
 class AffineData:
-    """Certificate: U|z> = exp(i(2 pi/p c.z + phase)) |A^-1 z - A^-1 b>."""
+    """Certificate: U|z> = exp(i(2 pi/p c.z + phase)) |A z + b>."""
 
     a_matrix: np.ndarray
     b_shift: tuple[int, ...]
@@ -394,11 +374,10 @@ class AffineData:
     global_phase: float
 
     def predicted_column(self, gf: FieldSpec, z: int) -> tuple[int, complex]:
-        p = gf.p
-        a_inv = inverse_mod_p(self.a_matrix, p)
+        """(row, phase) of column z of U: U|z> = phase |row>."""
         zd = np.array(gf.element(z).coords, dtype=np.int64)
-        image = a_inv @ (zd - np.array(self.b_shift, dtype=np.int64))
-        angle = 2 * np.pi / p * int(np.dot(self.c_phase, zd)) + self.global_phase
+        image = self.a_matrix @ zd + np.array(self.b_shift, dtype=np.int64)
+        angle = 2 * np.pi / gf.p * int(np.dot(self.c_phase, zd)) + self.global_phase
         return gf.from_coords(image).index, np.exp(1j * angle)
 
 
@@ -413,14 +392,13 @@ class NotBasisPreserving:
 
 
 def _extract_permutation(u: np.ndarray):
-    """The monomial test: is u a permutation matrix with phases?  Each
-    column's leak (norm off its largest entry) must be <= LOOKUP and the
-    largest entries must sit in distinct rows.  Returns ((perm, phases),
-    -1, 0.0), else (None, failing column, leak).
-
-    A stack (..., d, d) is tested in one pass and gives ((perms, phases),
-    bad, leaks) as arrays over the leading axes, with bad = -1 and leak =
-    0.0 exactly where a matrix passes.
+    """The monomial test on a stack (..., d, d): is each matrix a
+    permutation matrix with phases?  Each column's leak (norm off its
+    largest entry) must be <= LOOKUP and the largest entries must sit in
+    distinct rows.  Returns ((perms, phases), bad, leaks) as arrays over
+    the leading axes: perms[..., z] is the row of column z's peak, and
+    bad = -1, leak = 0.0 exactly where a matrix passes; elsewhere bad is
+    the failing column and leak its leak.
     """
     *lead, d, _ = u.shape
     flat = u.reshape(-1, d, d)
@@ -430,46 +408,37 @@ def _extract_permutation(u: np.ndarray):
     # zero each column's peak, then take the norm of the rest
     weight[stack, perm, cols] = 0.0
     leaks = np.sqrt(weight.sum(axis=1))
-    hit = np.zeros((len(flat), d), dtype=bool)
-    hit[stack, perm] = True
-    distinct = hit.all(axis=1)
+    distinct = (np.sort(perm, axis=1) == cols).all(axis=1)
     leaky = leaks > LOOKUP
     has_leak = leaky.any(axis=1)
     first = np.argmax(leaky, axis=1)
     bad = np.where(has_leak, first, np.where(distinct, -1, perm[:, 0]))
     leak = np.where(has_leak, leaks[stack[:, 0], first], np.where(distinct, 0.0, 1.0))
     phases = np.angle(flat[stack, perm, cols])
-    if lead:
-        return (perm.reshape(*lead, d), phases.reshape(*lead, d)), bad.reshape(lead), leak.reshape(lead)
-    if bad[0] >= 0:
-        return None, int(bad[0]), float(leak[0])
-    return (perm[0], phases[0]), -1, 0.0
+    return (perm.reshape(*lead, d), phases.reshape(*lead, d)), bad.reshape(lead), leak.reshape(lead)
 
 
 def affine_extraction(u: np.ndarray, gf: FieldSpec):
     """AffineData when u preserves both the computational and the X-type
-    bases (up to phases), else NotBasisPreserving naming the failure."""
+    bases (up to phases), else NotBasisPreserving naming the failure, the
+    Z basis first.  The certificate is read straight off the permutation
+    z -> A z + b of the computational basis."""
     p, n, d = gf.p, gf.n, gf.order
-    z_result, bad, leak = _extract_permutation(u)
-    if z_result is None:
-        return NotBasisPreserving("Z", bad, leak)
     w = standard_mub(d).bases[1].vectors
-    x_result, bad, leak = _extract_permutation(w.conj().T @ u @ w)
-    if x_result is None:
-        return NotBasisPreserving("X", bad, leak)
-
-    perm, phases = z_result
-    inverse = np.zeros(d, dtype=np.int64)
-    inverse[perm] = np.arange(d)
+    (perms, phase_rows), bad, leaks = _extract_permutation(np.stack([u, w.conj().T @ u @ w]))
+    for basis, col, leak in zip("ZX", bad.tolist(), leaks.tolist()):
+        if col >= 0:
+            return NotBasisPreserving(basis, col, leak)
+    perm, phases = perms[0], phase_rows[0]
 
     # row z of coords is the digit vector of index z; index p^i is unit vector e_i
     coords = np.array([e.coords for e in gf.elements], dtype=np.int64)
     units = p ** np.arange(n)
-    b = coords[inverse[0]]
-    a = (coords[inverse[units]] - b).T % p
-    if [gf.from_coords(v).index for v in coords @ a.T + b] != inverse.tolist():
+    b = coords[perm[0]]
+    a = (coords[perm[units]] - b).T % p
+    # perm is a bijection, so agreeing with it also proves A invertible
+    if [gf.from_coords(v).index for v in coords @ a.T + b] != perm.tolist():
         raise AssertionError("basis-preserving map is not affine; internal error")
-    inverse_mod_p(a, p)  # raises if singular
 
     delta = float(phases[0])
     c = np.round((phases[units] - delta) / (2 * np.pi / p)).astype(np.int64) % p

@@ -126,7 +126,10 @@ def unitary_from_payload(payload: dict) -> np.ndarray:
     rows = _require(payload, "matrix", list)
     if len(rows) != d or any(not isinstance(row, list) or len(row) != d for row in rows):
         raise FormatError(f"field 'matrix' must be a {d}x{d} array of [re, im] pairs")
-    return np.array([[_pair_to_complex(x, "matrix") for x in row] for row in rows])
+    u = np.array([[_pair_to_complex(x, "matrix") for x in row] for row in rows])
+    if not np.isfinite(u).all():
+        raise FormatError("field 'matrix' has non-finite entries")
+    return u
 
 
 # -- bases -----------------------------------------------------------------------

@@ -13,13 +13,15 @@ amplitude real positive, which keeps serialized bases stable across runs.
 `joint_eigenvector` is the one place a spectral projector becomes a
 phase-fixed vector; the synthesized Clifford unitaries (all-zero label)
 and the qubit tableau (p = 2, projector (I + (-1)^r P) / 2) use it too.
+`MubSet.projectors` is the one stack of the d(d+1) rank-one basis
+projectors; nets, reconstructions and mixtures contract against it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,27 +42,28 @@ class Basis:
     def vector(self, j: int) -> np.ndarray:
         return self.vectors[:, j]
 
-    def projector(self, j: int) -> np.ndarray:
-        v = self.vectors[:, j]
-        return np.outer(v, v.conj())
-
 
 @dataclass(eq=False)
 class MubSet:
     field: FieldSpec
     bases: tuple[Basis, ...]
-    _projectors: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
         return self.field.order
 
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """projectors[kappa, j] = rank-one projector onto vector j of basis
+        kappa: one read-only (d+1) x d x d x d stack, built once."""
+        v = np.stack([basis.vectors.T for basis in self.bases])  # v[kappa, j] = vector j
+        stack = v[..., :, None] * v.conj()[..., None, :]  # the outer products
+        stack.flags.writeable = False
+        return stack
+
     def projector(self, kappa: int, j: int) -> np.ndarray:
-        """Rank-one projector onto vector j of basis kappa (0-based)."""
-        key = (kappa, j)
-        if key not in self._projectors:
-            self._projectors[key] = self.bases[kappa].projector(j)
-        return self._projectors[key]
+        """Read-only view of the projector onto vector j of basis kappa."""
+        return self.projectors[kappa, j]
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ class NetContext:
     labeling: Labeling
     sigma: np.ndarray  # sigma[kappa, line position, ray choice] = projector index
     pencil: np.ndarray  # pencil[kappa, point index, ray choice] = projector index
-    projectors: np.ndarray  # projectors[kappa, j] = d x d projector
     points: tuple[PhasePoint, ...]
 
     @property
@@ -89,12 +88,9 @@ def net_context(mub: MubSet, striations: tuple[Striation, ...]) -> NetContext:
         for row, basis in zip(anchor.tolist(), mub.bases)
     ])
     pencil = sigma[np.arange(len(striations))[:, None], position]
-    projectors = np.array([
-        [mub.projector(kappa, j) for j in range(d)] for kappa in range(len(striations))
-    ])
-    for shared in (sigma, pencil, projectors):
+    for shared in (sigma, pencil):
         shared.flags.writeable = False
-    return NetContext(gf, striations, mub, labeling, sigma, pencil, projectors, points)
+    return NetContext(gf, striations, mub, labeling, sigma, pencil, points)
 
 
 @lru_cache(maxsize=None)
@@ -134,13 +130,6 @@ class QuantumNet:
                 return kappa, self.indices[kappa][s.positions[line]]
         raise KeyError(f"{line} is not a line of this phase space")
 
-    def assignment(self) -> dict[Line, tuple[int, int]]:
-        return {
-            line: (kappa, self.indices[kappa][t])
-            for kappa, s in enumerate(self.context.striations)
-            for t, line in enumerate(s.lines)
-        }
-
     def pencil_indices(self, point: PhasePoint) -> tuple[tuple[int, int], ...]:
         """The d+1 (kappa, j) pairs of the lines through a point."""
         return tuple(enumerate(self.pencil[:, point.index].tolist()))
@@ -153,7 +142,7 @@ class QuantumNet:
         """All d^2 point operators stacked in point-index order, read-only."""
         if self._point_ops is None:
             d = self.dim
-            total = self.context.projectors.reshape(-1, d, d)[self.rows].sum(axis=0)
+            total = self.context.mub.projectors.reshape(-1, d, d)[self.rows].sum(axis=0)
             self._point_ops = (total - np.eye(d)) / d
             self._point_ops.flags.writeable = False
         return self._point_ops

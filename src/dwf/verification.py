@@ -128,10 +128,9 @@ def _check_mub(d, rng):
     report = unbiasedness_report(mub)
     if report.max_deviation >= SPECTRAL:
         return False, f"overlap deviation {report.max_deviation:.2e}"
-    for basis in mub.bases:
-        total = sum(basis.projector(j) for j in range(d))
-        if np.linalg.norm(total - np.eye(d)) > SPECTRAL:
-            return False, "projectors do not resolve the identity"
+    totals = mub.projectors.sum(axis=1)
+    if np.linalg.norm(totals - np.eye(d), axis=(1, 2)).max() > SPECTRAL:
+        return False, "projectors do not resolve the identity"
     return True, f"max overlap deviation {report.max_deviation:.2e}"
 
 

@@ -121,7 +121,9 @@ def probabilities(rho: DensityState, mub: MubSet) -> ProbabilityTable:
     for basis in mub.bases:
         v = basis.vectors
         rows.append(np.einsum("ij,ik,kj->j", v.conj(), rho.rho, v).real)
-    return ProbabilityTable(np.array(rows))
+    values = np.array(rows)
+    values.flags.writeable = False  # memoized per state and shared by every reader
+    return ProbabilityTable(values)
 
 
 @dataclass(eq=False)

@@ -169,3 +169,25 @@ def test_classify_damped_projector_mixture_is_classical():
     rho = DensityState(0.9 * proj.rho + 0.1 * np.eye(3) / 3)
     out = classify(rho, mub, field(3))
     assert out.report.classical
+
+
+def test_entry_points_share_one_memoized_table(monkeypatch):
+    import dwf.classicality as classicality
+
+    calls = []
+    original = classicality.probabilities
+    monkeypatch.setattr(
+        classicality, "probabilities", lambda rho, mub: calls.append(1) or original(rho, mub)
+    )
+    d = 3
+    mub = standard_mub(d)
+    rho = DensityState.random_pure(d, np.random.default_rng(4))
+    min_wigner(rho, mub)
+    brute_force_min(rho, mub, field(d))
+    convex_decomposition(rho, mub)
+    table = classify(rho, mub, field(d)).probabilities
+    wigner_function(rho, covariant_completion((0,) * (d + 1), mub, build_striations(field(d))))
+    assert len(calls) == 1
+    assert rho._tables[mub] is table
+    with pytest.raises(ValueError):
+        table.values[0, 0] = 0.0

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from dwf.cli import main
-from dwf.formats import unitary_to_payload, wigner_values_from_csv
+from dwf.clifford import is_clifford
+from dwf.formats import unitary_from_payload, unitary_to_payload, wigner_values_from_csv
+from dwf.galois import field
 
 
 def write_state(path, payload):
@@ -200,6 +202,28 @@ def test_clifford_check_rejects_eighth_turn(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "clifford: no" in out
     assert "witness" in out
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_unitary_is_a_usage_error(tmp_path, bad):
+    payload = unitary_to_payload(np.eye(2))
+    payload["matrix"][1][0] = [bad, 0.0]
+    path = write_state(tmp_path / "u.json", payload)
+    proc = run_python("-m", "dwf.cli", "clifford", "--check", path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "'matrix'" in lines[0], proc.stderr
+
+
+def test_non_finite_unitary_is_refused_by_the_library():
+    payload = unitary_to_payload(np.eye(2))
+    payload["matrix"][0][0] = [float("nan"), 0.0]
+    with pytest.raises(ValueError, match="'matrix'"):
+        unitary_from_payload(payload)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not unitary"):
+            is_clifford(np.array([[bad, 0], [0, 1]], dtype=complex), field(2))
 
 
 def test_clifford_scan_and_squeeze(capsys):

@@ -16,7 +16,6 @@ from dwf.clifford import (
     generator_operators,
     hadamard_in_chart,
     is_clifford,
-    is_flow,
     is_symplectic_table,
     maps_mub_to_mub,
     random_clifford_circuit,
@@ -29,8 +28,8 @@ from dwf.clifford import (
 from dwf.galois import SUPPORTED_DIMENSIONS, field, inverse_mod_p
 from dwf.geometry import all_points
 from dwf.mub import MubSet, standard_mub
-from dwf.pauli import PauliOperator, build_labeling, standard_sets
-from dwf.quantum_net import enumerate_nets, standard_context
+from dwf.pauli import PauliOperator, build_labeling, standard_sets, symplectic_product
+from dwf.quantum_net import enumerate_nets, is_flow, standard_context
 from dwf.tolerances import LOOKUP
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -39,9 +38,9 @@ H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 def match_label(gf, op):
     from dwf.clifford import _match_translation
 
-    match, deficit = _match_translation(gf, op)
-    assert match is not None, f"not a scaled translation (deficit {deficit})"
-    return match
+    labels, phases, deficits = _match_translation(gf, op[None])
+    assert deficits[0] <= LOOKUP, f"not a scaled translation (deficit {deficits[0]})"
+    return tuple(labels[0].tolist()), phases[0]
 
 
 # -- membership -------------------------------------------------------------
@@ -91,12 +90,16 @@ def test_translations_are_clifford(d):
 # -- standardization ---------------------------------------------------------
 
 def test_syndromes_are_distinct_and_cover():
-    for d in (2, 4, 8):
+    for d in (2, 4, 8, 9):
         gf = field(d)
-        sets = standard_sets(gf)
-        data = syndrome_standard_pairs(sets[0], sets[1])
-        assert len(data.syndromes) == d - 1  # identity syndrome not included
-        assert len(data.partners) == gf.n
+        for s, t in itertools.permutations(standard_sets(gf)[:3], 2):
+            data = syndrome_standard_pairs(s, t)
+            assert len(data.partners) == gf.n
+            # each partner lies in t and pairs with M_j as delta_ij
+            for i, partner in enumerate(data.partners):
+                assert partner in t.members
+                pairing = [symplectic_product(partner, m) for m in data.generators]
+                assert pairing == [int(i == j) for j in range(gf.n)]
 
 
 def test_standardize_z_x_pair_is_identity():
@@ -354,6 +357,35 @@ def test_affine_extraction_odd_characteristic():
     assert out.a_matrix.tolist() == [[2]]
 
 
+def test_affine_certificate_is_the_forward_map():
+    # |z> -> |2z + 1> at d = 5 is not its own inverse (that is |3z + 2>)
+    gf = field(5)
+    u = np.zeros((5, 5), dtype=complex)
+    for z in range(5):
+        u[(2 * z + 1) % 5, z] = 1.0
+    out = affine_extraction(u, gf)
+    assert isinstance(out, AffineData)
+    assert out.a_matrix.tolist() == [[2]]
+    assert out.b_shift == (1,)
+    assert out.c_phase == (0,)
+
+
+@pytest.mark.parametrize("d, kind", [(4, "squeezing"), (8, "squeezing"), (9, "translation")])
+def test_predicted_column_reproduces_every_column(d, kind):
+    gf = field(d)
+    if kind == "squeezing":
+        u = squeezing_operator(gf).dense
+    else:
+        u = build_labeling(gf).unitary_at(list(all_points(gf))[d + 2])
+    out = affine_extraction(u, gf)
+    assert isinstance(out, AffineData)
+    for z in range(d):
+        row, phase = out.predicted_column(gf, z)
+        col = np.zeros(d, dtype=complex)
+        col[row] = phase
+        assert np.linalg.norm(u[:, z] - col) < 1e-8
+
+
 def test_composed_standardizers_make_any_mub_map_affine():
     gf = field(4)
     mub = standard_mub(4)
@@ -599,16 +631,13 @@ def test_stacked_monomial_test_matches_single_calls_at_lookup():
     (perms, phases), bad, leaks = _extract_permutation(stack)
     assert bad.shape == leaks.shape == (2, 3) and perms.shape == (2, 3, d)
     for index, block in zip(np.ndindex(2, 3), blocks):
-        single = _extract_permutation(block)
         reference = reference_monomial(block)
-        assert (single[0] is None) == (bad[index] >= 0) == (reference[0] is None)
-        assert single[1] == bad[index] == reference[1]
-        assert abs(single[2] - leaks[index]) < 1e-15
+        assert (bad[index] >= 0) == (reference[0] is None)
+        assert bad[index] == reference[1]
         assert abs(leaks[index] - reference[2]) < 1e-15
-        if single[0] is not None:
-            assert np.array_equal(single[0][0], perms[index])
-            assert np.array_equal(single[0][1], phases[index])
-            assert single[0][0].tolist() == reference[0]
+        if reference[0] is not None:
+            assert perms[index].tolist() == reference[0]
+            assert np.allclose(np.exp(1j * phases[index]), block[perms[index], np.arange(d)])
     assert bad.ravel().tolist() == [-1, -1, -1, 1, int(np.argmax(np.abs(blocks[4][:, 0]))), 1]
     assert leaks[1, 0] == leaks[1, 2] == pytest.approx(10 * LOOKUP)
 

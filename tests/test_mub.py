@@ -48,10 +48,10 @@ def test_build_mub_unbiased(d):
 @pytest.mark.parametrize("d", MUB_DIMS)
 def test_bases_orthonormal_and_complete(d):
     mub = standard_mub(d)
-    for basis in mub.bases:
+    for kappa, basis in enumerate(mub.bases):
         gram = basis.vectors.conj().T @ basis.vectors
         assert np.linalg.norm(gram - np.eye(d)) < 1e-10
-        total = sum(basis.projector(j) for j in range(d))
+        total = mub.projectors[kappa].sum(axis=0)
         assert np.linalg.norm(total - np.eye(d)) < 1e-10
 
 

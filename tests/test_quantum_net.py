@@ -57,12 +57,13 @@ def test_d2_base_net_assignments_match_hand_table():
 def test_assignment_total_and_striation_bijective():
     for d in (2, 3, 4):
         net = make_net(d, (0,) * (d + 1))
-        amap = net.assignment()
-        assert len(amap) == d * (d + 1)
-        for kappa, s in enumerate(net.context.striations):
-            js = [amap[line][1] for line in s.lines]
-            assert sorted(js) == list(range(d))
-            assert all(amap[line][0] == kappa for line in s.lines)
+        striations = net.context.striations
+        assert sum(len(s.lines) for s in striations) == d * (d + 1)
+        # every line gets a projector of its own striation, each one once
+        for kappa, s in enumerate(striations):
+            assigned = [net.projector_index(line) for line in s.lines]
+            assert assigned == [(kappa, j) for j in net.indices[kappa]]
+            assert sorted(net.indices[kappa]) == list(range(d))
 
 
 def test_d2_all_eight_nets_distinct():
@@ -206,7 +207,7 @@ def test_point_operators_through_rows_equal_the_per_kappa_gather(d):
     for choices in [(0,) * (d + 1), tuple(rng.integers(0, d, d + 1))]:
         net = ctx.complete(choices)
         assert np.array_equal(net.rows, net.pencil + d * np.arange(d + 1)[:, None])
-        total = ctx.projectors[np.arange(d + 1)[:, None], net.pencil].sum(axis=0)
+        total = ctx.mub.projectors[np.arange(d + 1)[:, None], net.pencil].sum(axis=0)
         assert np.array_equal(net.point_operator_table(), (total - np.eye(d)) / d)
 
 

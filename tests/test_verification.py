@@ -66,3 +66,23 @@ def test_no_tolerance_literals_outside_tolerances_module():
         and 0 < node.value < 1e-6
     ]
     assert found == []
+
+
+def test_no_unused_imports_in_the_package():
+    # a module imports only what it uses; __init__.py re-exports the API
+    package = Path(__file__).resolve().parents[1] / "src" / "dwf"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
