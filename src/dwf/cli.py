@@ -183,13 +183,13 @@ def _cmd_nets(args: argparse.Namespace) -> int:
     d = args.d
     gf = field(d)
     total = net_count(d, args.fix_axes)
-    if args.out and not args.ray_choices:
+    if args.out and args.ray_choices is None:
         print("error: --out needs --ray-choices", file=sys.stderr)
         return 2
     if args.count_only:
         print(total)
         return 0
-    if args.ray_choices:
+    if args.ray_choices is not None:
         try:
             choices = tuple(int(x) for x in args.ray_choices.split(","))
         except ValueError:

@@ -41,7 +41,10 @@ def _pair_to_complex(entry, where: str) -> complex:
     re, im = entry
     if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
         raise FormatError(f"field '{where}' must contain numeric [re, im] pairs")
-    return complex(re, im)
+    try:
+        return complex(re, im)
+    except OverflowError:
+        raise FormatError(f"field '{where}' has a number too large for a float") from None
 
 
 def _complex_to_pair(z: complex) -> list[float]:
@@ -184,12 +187,14 @@ def wigner_values_from_csv(text: str) -> np.ndarray:
 
 def read_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except FileNotFoundError as exc:
         raise FormatError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError(f"{path} is nested too deeply to read") from None
     if not isinstance(payload, dict):
         raise FormatError(f"{path} must hold a JSON object")
     return payload

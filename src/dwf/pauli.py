@@ -23,6 +23,10 @@ multiplication by omega acts as M transpose.  Both charts send 1 to the
 unit tuple (1, 0, ..., 0).  With these choices the operators labeled by
 the nonzero points of the ray with direction (a, b) are exactly the
 members of the commuting set S_(a, b) built from (M^j a, M~^j b).
+
+The labeling is one read-only integer table, Labeling.labels[point index]
+= (position tuple | momentum tuple); PhasePoint and PauliOperator meet it
+only at the API edge (operator_at, unitary_at).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .galois import FieldElement, FieldSpec, rank_mod_p
+from .galois import FieldSpec
 from .geometry import PhasePoint
 
 
@@ -172,19 +176,10 @@ class AbelianSet:
     field: FieldSpec = dc_field(repr=False)
 
     def generators(self) -> tuple[PauliOperator, ...]:
-        """The first n members whose labels are Z_p-independent."""
-        gens: list[PauliOperator] = []
-        rows: list[list[int]] = []
-        for m in self.members:
-            candidate = rows + [list(m.label)]
-            if rank_mod_p(candidate, self.field.p) == len(candidate):
-                gens.append(m)
-                rows = candidate
-            if len(gens) == self.field.n:
-                break
-        if len(gens) != self.field.n:
-            raise AssertionError("commuting set is not maximal")
-        return tuple(gens)
+        """The first n members.  Member j labels the point omega^j (a, b),
+        and 1, omega, ..., omega^(n-1) are a Z_p basis of GF(d), so their
+        labels are Z_p-independent."""
+        return self.members[: self.field.n]
 
     def label_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(m.label for m in self.members)
@@ -209,35 +204,29 @@ def abelian_set(gf: FieldSpec, avec, bvec) -> AbelianSet:
 
 
 class Labeling:
-    """Charts sending phase-space points to translation-operator tuples.
+    """Charts sending phase-space points to translation-operator labels.
 
-    Positions use polynomial coordinates; momenta use the transposed chart
-    (columns (M^T)^i applied to the unit tuple), so that moving along a ray
-    multiplies the point by omega and the tuples by M and M^T respectively.
+    labels[point index] = (position tuple | momentum tuple), one read-only
+    d^2 x 2n integer table.  Positions use polynomial coordinates; momenta
+    use the transposed chart (columns (M^T)^i applied to the unit tuple),
+    so that moving along a ray multiplies the point by omega and the two
+    halves of its row by M and M^T respectively.
     """
 
     def __init__(self, gf: FieldSpec):
         self.field = gf
-        mt = gf.companion.T
-        cols = []
-        e0 = np.zeros(gf.n, dtype=np.int64)
-        e0[0] = 1
-        acc = e0
-        for _ in range(gf.n):
-            cols.append(acc)
-            acc = (mt @ acc) % gf.p
-        self.psi = np.column_stack(cols) % gf.p
-
-    def position_tuple(self, x: FieldElement) -> tuple[int, ...]:
-        return x.coords
-
-    def momentum_tuple(self, x: FieldElement) -> tuple[int, ...]:
-        return tuple((self.psi @ np.array(x.coords, dtype=np.int64)) % self.field.p)
+        # (M^T)^i applied to the unit tuple is row 0 of M^i
+        chart = np.stack([np.linalg.matrix_power(gf.companion, i)[0] for i in range(gf.n)])
+        coords = np.array([x.coords for x in gf.elements], dtype=np.int64)
+        momenta = (coords @ chart) % gf.p
+        d = gf.order
+        # points are numbered q-major, q * d + p
+        self.labels = np.hstack([np.repeat(coords, d, axis=0), np.tile(momenta, (d, 1))])
+        self.labels.flags.writeable = False
 
     def operator_at(self, point: PhasePoint) -> PauliOperator:
-        return PauliOperator(
-            self.field, self.position_tuple(point.q), self.momentum_tuple(point.p)
-        )
+        row = self.labels[point.index]
+        return PauliOperator(self.field, row[: self.field.n], row[self.field.n :])
 
     def unitary_at(self, point: PhasePoint) -> np.ndarray:
         return self.operator_at(point).dense
@@ -257,7 +246,8 @@ def standard_sets(gf: FieldSpec) -> tuple[AbelianSet, ...]:
     e0 = (1,) + (0,) * (gf.n - 1)
     sets = [abelian_set(gf, zero, e0), abelian_set(gf, e0, zero)]
     for k in range(gf.order - 1):
+        # the point (0, slope) has index slope.index
         slope = gf.generator_power(k)
-        sets.append(abelian_set(gf, e0, labeling.momentum_tuple(slope)))
+        sets.append(abelian_set(gf, e0, labeling.labels[slope.index, gf.n :]))
     return tuple(sets)
 

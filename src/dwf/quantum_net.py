@@ -3,21 +3,25 @@
 A net is determined by one free projector choice per striation (the
 choice for the ray); covariance under translations fixes every other
 line.  The completion is exact integer arithmetic, done once per
-dimension.  The translation T(a) shifts the eigenvalue label m of every
-vector of a basis by the symplectic products of a with the basis
-generators g_i, so with a_t the lowest-index point of line t,
+dimension.  The translation T(alpha) shifts the eigenvalue label m of
+every vector of a basis by the symplectic products of alpha's label with
+the basis generators g_i.  One mod-p product of the Labeling table with
+the stacked generator labels gives shift[kappa, alpha, i] = <T(alpha), g_i>
+at every point, and the line through alpha is the ray translated by
+alpha, so
 
-    sigma[kappa, t, r] = index of the label (m_i(r) + <T(a_t), g_i>) mod p
+    pencil[kappa, alpha, r] = index of the label (m(r) + shift[kappa, alpha]) mod p
 
-is the projector on line t of striation kappa when the ray gets choice r.
-Reading sigma through each striation's position table gives the one
-table every Wigner and classicality kernel gathers from,
+in the basis's lexicographic label order is the projector on the line
+through point alpha in striation kappa when the ray gets choice r.  Every
+Wigner and classicality kernel gathers from this one table.  Reading it
+at each line's anchor a_t, its lowest-index point, gives the per-line view
 
-    pencil[kappa, alpha, r] = sigma[kappa, position[kappa, alpha], r],
+    sigma[kappa, t, r] = pencil[kappa, a_t, r],
 
-the projector on the line through point alpha in striation kappa.  Nets
-are pure index arithmetic, which keeps exhaustive enumeration over all
-d^(d+1) of them cheap.
+the projector on line t of striation kappa.  Nets are pure index
+arithmetic, which keeps exhaustive enumeration over all d^(d+1) of them
+cheap.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ import numpy as np
 
 from .galois import FieldSpec, field
 from .geometry import Line, PhasePoint, Striation, all_points, build_striations
-from .mub import Basis, MubSet, standard_mub
-from .pauli import Labeling, build_labeling, symplectic_product
+from .mub import MubSet, standard_mub
+from .pauli import Labeling, build_labeling
 from .tolerances import LOOKUP
 
 # Largest d whose nets are enumerated exhaustively (d^(d+1) = 15,625 at
-# d = 5, 5,764,801 at d = 7); above it only sampling is offered.
+# d = 5, 5,764,801 at d = 7); above it nets are drawn one at a time.
 ENUMERATION_MAX_DIM = 5
 
 
@@ -59,38 +63,27 @@ class NetContext:
         return covariant_completion(ray_choices, self.mub, self.striations)
 
 
-def _label_shift_table(anchors: list[PhasePoint], basis: Basis, labeling: Labeling) -> np.ndarray:
-    """sigma[t][r] of one striation: the label of choice r shifted by the
-    translation to the anchor (lowest-index point) of line t."""
-    p = labeling.field.p
-    index = {label: j for j, label in enumerate(basis.labels)}
-    table = []
-    for anchor in anchors:
-        translation = labeling.operator_at(anchor)
-        shifts = [symplectic_product(translation, g) for g in basis.generators]
-        table.append([
-            index[tuple((m + s) % p for m, s in zip(label, shifts))] for label in basis.labels
-        ])
-    return np.array(table)
-
-
 @lru_cache(maxsize=None)
 def net_context(mub: MubSet, striations: tuple[Striation, ...]) -> NetContext:
     gf = mub.field
-    d = gf.order
+    d, n, p = gf.order, gf.n, gf.p
     labeling = build_labeling(gf)
-    points = all_points(gf)
+    # <T(alpha), g> = q(alpha) . p(g) - p(alpha) . q(g), so pair the point
+    # labels with the generator labels halves swapped and q(g) negated
+    gens = np.array([[g.label for g in basis.generators] for basis in mub.bases])
+    paired = np.concatenate([gens[..., n:], -gens[..., :n]], axis=-1)
+    shift = np.einsum("aj,kij->kai", labeling.labels, paired) % p  # shift[kappa, alpha, i]
+    # basis labels run lexicographically, first entry most significant
+    m = np.array([basis.labels for basis in mub.bases])  # m[kappa, r, i]
+    weights = p ** np.arange(n - 1, -1, -1)
+    pencil = ((m[:, None] + shift[:, :, None]) % p) @ weights
     position = np.stack([s.position for s in striations])
     # anchor[kappa, t] = first point index whose line in kappa is t
     anchor = np.argmax(position[:, None, :] == np.arange(d)[:, None], axis=2)
-    sigma = np.stack([
-        _label_shift_table([points[a] for a in row], basis, labeling)
-        for row, basis in zip(anchor.tolist(), mub.bases)
-    ])
-    pencil = sigma[np.arange(len(striations))[:, None], position]
+    sigma = pencil[np.arange(d + 1)[:, None], anchor]
     for shared in (sigma, pencil):
         shared.flags.writeable = False
-    return NetContext(gf, striations, mub, labeling, sigma, pencil, points)
+    return NetContext(gf, striations, mub, labeling, sigma, pencil, all_points(gf))
 
 
 @lru_cache(maxsize=None)
@@ -178,34 +171,19 @@ def net_count(d: int, fix_axes: bool = False) -> int:
     return d ** (d - 1) if fix_axes else d ** (d + 1)
 
 
-def enumerate_nets(
-    gf: FieldSpec,
-    mub: MubSet | None = None,
-    fix_axes: bool = False,
-    sample: int | None = None,
-    rng: np.random.Generator | None = None,
-):
+def enumerate_nets(gf: FieldSpec, mub: MubSet | None = None, fix_axes: bool = False):
     """Yield nets in lexicographic ray-choice order, each exactly once.
 
-    Full enumeration is only allowed for d <= ENUMERATION_MAX_DIM (8, 81,
-    1024 and 15625 nets); larger dimensions must pass `sample` to draw that
-    many nets at random instead.
+    Enumeration is only allowed for d <= ENUMERATION_MAX_DIM (8, 81, 1024
+    and 15625 nets); above it, draw single nets with NetContext.complete.
     """
     mub = mub if mub is not None else standard_mub(gf.order)
     ctx = net_context(mub, build_striations(gf))
     d = ctx.dim
-    if sample is not None:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        for _ in range(sample):
-            choices = list(rng.integers(0, d, d + 1))
-            if fix_axes:
-                choices[0], choices[1] = fixed_axes_choices(ctx)
-            yield ctx.complete(tuple(choices))
-        return
     if d > ENUMERATION_MAX_DIM:
         raise ValueError(
             f"refusing to enumerate {net_count(d, fix_axes)} nets at d={d}; "
-            "pass sample= to draw a random subset"
+            "draw single nets with NetContext.complete"
         )
     if fix_axes:
         j_vert, j_horiz = fixed_axes_choices(ctx)

@@ -26,7 +26,7 @@ from .clifford import (
     tableau_apply,
 )
 from .galois import field
-from .geometry import all_points, build_striations, line_points, origin
+from .geometry import all_points, build_striations, line_points
 from .mub import _fix_phase, standard_mub, unbiasedness_report
 from .pauli import PauliOperator, build_labeling, commutes, standard_sets
 from .quantum_net import enumerate_nets, is_flow, net_count, standard_context
@@ -111,13 +111,10 @@ def _check_pauli(d, rng):
         seen |= s.label_set()
     if len(seen) != d * d - 1:
         return False, "standard sets do not partition the labels"
-    lab = build_labeling(gf)
+    labels = build_labeling(gf).labels
     for s, aset in zip(build_striations(gf), sets):
-        ray_labels = {
-            lab.operator_at(pt).label
-            for pt in line_points(s.ray)
-            if pt != origin(gf)
-        }
+        # the ray's points, minus the origin (index 0, on every ray)
+        ray_labels = set(map(tuple, labels[s.position == 0][1:].tolist()))
         if ray_labels != aset.label_set():
             return False, f"ray of striation {s.kappa} carries the wrong set"
     return True, f"{len(picks)}^2 commutator pairs, partition and rays exact"

@@ -84,6 +84,13 @@ def test_nets_bad_ray_choices(capsys):
     assert main(["nets", "--d", "2", "--ray-choices", "a,b,c"]) == 2
 
 
+def test_nets_empty_ray_choices_is_a_usage_error(capsys):
+    assert main(["nets", "--d", "2", "--ray-choices", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field 'ray_choices' must be comma-separated integers\n"
+
+
 def test_nets_out_without_ray_choices_refused_before_enumerating(tmp_path, capsys):
     out_path = tmp_path / "net.json"
     assert main(["nets", "--d", "5", "--out", str(out_path)]) == 2
@@ -214,6 +221,30 @@ def test_non_finite_unitary_is_a_usage_error(tmp_path, bad):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "'matrix'" in lines[0], proc.stderr
+
+
+HUGE = b"1" * 401
+
+
+@pytest.mark.parametrize("subcommand, flag, document, names", [
+    ("classicality", "--state", b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    ("classicality", "--state", b'{"dim": 2, "kind": "pure", "data": "\xff"}', "not valid JSON"),
+    ("classicality", "--state", b'{"dim": 2, "kind": "pure", "data": [[' + HUGE + b', 0], [0, 0]]}',
+     "'data'"),
+    ("classicality", "--state", b'{"dim": ' + b"1" * 5001 + b', "kind": "pure", "data": []}',
+     "not valid JSON"),
+    ("clifford", "--check", b'{"dim": 2, "matrix": [[[' + HUGE + b', 0], [0, 0]], [[0, 0], [1, 0]]]}',
+     "'matrix'"),
+], ids=["deep nesting", "not utf-8", "huge amplitude", "huge dim", "huge matrix entry"])
+def test_unreadable_file_is_a_one_line_usage_error(tmp_path, subcommand, flag, document, names):
+    path = tmp_path / "input.json"
+    path.write_bytes(document)
+    proc = run_python("-m", "dwf.cli", subcommand, flag, str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and names in lines[0], proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_non_finite_unitary_is_refused_by_the_library():

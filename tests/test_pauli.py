@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from dwf.galois import field
-from dwf.geometry import PhasePoint, build_striations, line_points, origin
+from dwf.galois import SUPPORTED_DIMENSIONS, field, rank_mod_p
+from dwf.geometry import PhasePoint, all_points, build_striations, line_points, origin
 from dwf.pauli import (
     PauliOperator,
     abelian_set,
@@ -195,6 +195,35 @@ def test_set_generators_are_independent_and_span(d):
                     new.add(acc)
             spanned |= new
         assert s.label_set() <= spanned
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_first_n_members_are_independent(d):
+    gf = field(d)
+    rng = np.random.default_rng(d)
+    for _ in range(8):
+        label = rng.integers(0, gf.p, 2 * gf.n)
+        while not label.any():
+            label = rng.integers(0, gf.p, 2 * gf.n)
+        s = abelian_set(gf, label[: gf.n], label[gf.n :])
+        assert s.generators() == s.members[: gf.n]
+        assert rank_mod_p([g.label for g in s.generators()], gf.p) == gf.n
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_stepping_along_a_ray_multiplies_labels_by_m_and_m_transpose(d):
+    gf = field(d)
+    n, m = gf.n, gf.companion
+    labels = build_labeling(gf).labels
+    assert labels.shape == (d * d, 2 * n) and not labels.flags.writeable
+    points = all_points(gf)
+    for s in build_striations(gf):
+        for alpha in np.flatnonzero(s.position == 0):
+            pt = points[alpha]
+            step = PhasePoint(gf.generator * pt.q, gf.generator * pt.p).index
+            assert s.position[step] == 0
+            assert np.array_equal(labels[step, :n], (m @ labels[alpha, :n]) % gf.p)
+            assert np.array_equal(labels[step, n:], (m.T @ labels[alpha, n:]) % gf.p)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 8, 9))

@@ -88,8 +88,10 @@ def test_fixed_axes_enumeration_count_d4():
 def test_enumeration_refuses_large_dimension():
     with pytest.raises(ValueError, match="refusing"):
         next(enumerate_nets(field(8)))
-    sampled = list(enumerate_nets(field(8), sample=3, rng=np.random.default_rng(1)))
-    assert len(sampled) == 3
+    rng = np.random.default_rng(1)
+    ctx = standard_context(8)
+    drawn = [ctx.complete(tuple(rng.integers(0, 8, 9))) for _ in range(3)]
+    assert len({net.indices for net in drawn}) == 3
 
 
 def test_fixed_axes_vertical_lines_carry_coordinate_projectors():
@@ -180,7 +182,7 @@ def test_bad_ray_choices_rejected():
 def test_large_dimension_nets_smoke(d):
     # covariant completion stays exact at the top of the supported range
     rng = np.random.default_rng(d)
-    net = next(enumerate_nets(field(d), sample=1, rng=rng))
+    net = standard_context(d).complete(tuple(rng.integers(0, d, d + 1)))
     for pt in net.context.points:
         pencil = net.pencil_indices(pt)
         assert [kappa for kappa, _ in pencil] == list(range(d + 1))
@@ -193,9 +195,10 @@ def test_large_dimension_nets_smoke(d):
 def test_net_contexts_stay_one_per_dimension():
     # the context cache is keyed on MubSet identity; the standard bases are
     # the only ones the package builds, so it never holds more than one per d
+    rng = np.random.default_rng(0)
     for d in SUPPORTED_DIMENSIONS:
         make_net(d, (0,) * (d + 1))
-        next(enumerate_nets(field(d), sample=1))
+        standard_context(d).complete(tuple(rng.integers(0, d, d + 1)))
         net_from_payload({"dim": d, "ray_choices": [1] * (d + 1)})
     assert net_context.cache_info().currsize <= len(SUPPORTED_DIMENSIONS)
 
