@@ -1,7 +1,8 @@
 """Clifford-group verification and synthesis.
 
 Membership is checked by conjugating all 2n translation generators in
-one batched product u G u~ and matching every image against the scaled
+one 2-D product with u (x) conj u (`quantum_net._conjugated`, the form
+`is_flow` uses) and matching every image against the scaled
 translation catalogue in one more product with its flattened conjugate;
 success yields the symplectic table over Z_p plus per-generator phase
 exponents.  The generator stack and the catalogue are built once per
@@ -41,6 +42,7 @@ import numpy as np
 from .galois import FieldSpec, inverse_mod_p, rank_mod_p
 from .mub import MubSet, joint_eigenvector, standard_mub
 from .pauli import PauliOperator, AbelianSet, symplectic_product
+from .quantum_net import _conjugated
 from .tolerances import LOOKUP, SPECTRAL
 
 
@@ -115,13 +117,14 @@ def _translation_catalogue(gf: FieldSpec):
 
 
 def _match_translation(gf: FieldSpec, ops: np.ndarray):
-    """Match a stack of operators (..., d, d) against the catalogue in one
-    product: label rows, phases and deficits 1 - |phase| over the leading
-    axes, unfiltered.  Where a deficit is <= LOOKUP, op = phase * T(label).
+    """Match a stack of operators, (count, d, d) or raveled (count, d^2),
+    against the catalogue in one product: label rows, phases and deficits
+    1 - |phase| per operator, unfiltered.  Where a deficit is <= LOOKUP,
+    op = phase * T(label).
     """
     labels, conj_flat, _ = _translation_catalogue(gf)
     d = gf.order
-    coeffs = ops.reshape(*ops.shape[:-2], d * d) @ conj_flat.T / d
+    coeffs = ops.reshape(len(ops), d * d) @ conj_flat.T / d
     best = np.argmax(np.abs(coeffs), axis=-1)
     phases = np.take_along_axis(coeffs, best[..., None], axis=-1)[..., 0]
     return labels[best], phases, 1.0 - np.abs(phases)
@@ -147,8 +150,7 @@ def is_clifford(u: np.ndarray, gf: FieldSpec):
     if not (np.isfinite(u).all() and unitary):
         raise ValueError("input matrix is not unitary")
     generators = _translation_catalogue(gf)[2]
-    images = u @ generators @ u.conj().T
-    labels, phases, deficits = _match_translation(gf, images)
+    labels, phases, deficits = _match_translation(gf, _conjugated(u, generators))
     exponents = []
     for col, g in enumerate(generator_operators(gf)):
         if deficits[col] > LOOKUP:

@@ -22,11 +22,17 @@ at each line's anchor a_t, its lowest-index point, gives the per-line view
 the projector on line t of striation kappa.  Nets are pure index
 arithmetic, which keeps exhaustive enumeration over all d^(d+1) of them
 cheap.
+
+`is_flow` is the dense flow test: it images all d^2 point operators of a
+net in one 2-D product with U (x) conj U and matches each image to its
+nearest point operator in real arithmetic on float64 views.  `clifford`
+conjugates its translation generators through the same product.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
@@ -194,20 +200,41 @@ def enumerate_nets(gf: FieldSpec, mub: MubSet | None = None, fix_axes: bool = Fa
             yield ctx.complete(choices)
 
 
+def _conjugated(unitary: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """U A U~ for every d x d operator A of a stack, raveled row-major into
+    one (count, d^2) complex array.
+
+    Row-major vec(U A U~) = (U (x) conj U) vec(A), so the whole stack is one
+    2-D product with that d^2 x d^2 matrix instead of a stack of tiny ones.
+    A matrix that is not d x d is refused: the outer product of a wrong
+    shape can still have d^4 entries.
+    """
+    d = ops.shape[-1]
+    u = np.asarray(unitary, dtype=complex)
+    if u.shape != (d, d):
+        raise ValueError(f"expected a {d} x {d} matrix, got {u.shape}")
+    sandwich = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
+    return ops.reshape(-1, d * d) @ sandwich.T
+
+
 def is_flow(unitary: np.ndarray, net: QuantumNet) -> bool:
     """True iff conjugation by the unitary permutes the net's point
     operators among themselves: every image U A U~ lies within LOOKUP of
-    some point operator.
+    the point operator of largest real overlap with it.
 
-    Point operators and their images all have the same Hilbert-Schmidt
-    norm, so the nearest point operator is the one of largest overlap;
-    only that one distance per image is formed, never all d^2 x d^2.
+    Point operators and their images under a unitary share one
+    Hilbert-Schmidt norm, so that one is the nearest.  The d^2 images come
+    from one 2-D product (`_conjugated`); since Re<X, A> = sum Re X Re A +
+    Im X Im A, the overlaps are one real product of float64 views.  The
+    distance is taken on the difference itself, not as |X|^2 + |A|^2 -
+    2 Re<X, A>, which cancels to rounding noise near zero.  A matrix that
+    is not d x d raises ValueError; non-finite entries give False.
     """
     table = net.point_operator_table()
-    flat = table.reshape(len(table), -1)
-    images = (unitary @ table @ unitary.conj().T).reshape(len(table), -1)
-    nearest = np.argmax((images @ flat.conj().T).real, axis=1)
-    return bool(np.all(np.linalg.norm(images - flat[nearest], axis=1) < LOOKUP))
+    flat = table.reshape(len(table), -1).view(np.float64)
+    images = _conjugated(unitary, table).view(np.float64)
+    residual = images - flat.take((images @ flat.T).argmax(axis=1), axis=0)
+    return math.sqrt(np.einsum("ij,ij->i", residual, residual).max()) < LOOKUP
 
 
 def squeezing_covariant_nets(

@@ -31,3 +31,11 @@ LOOKUP = 1e-8 * SCALE
 # Membership in the classical polytope is decided with extra slack so that
 # diagonalization noise never flips the verdict for boundary states.
 MEMBERSHIP = 1e-9 * SCALE
+
+# Largest entry modulus a state matrix may have.  Float rounding in the
+# basis probabilities grows with it: on seeded Hermitian, trace-one
+# matrices at every supported d it reached about 400 ulps of the largest
+# entry in the Wigner-table sum.  At 1e12 * SPECTRAL (100 at scale 1) that
+# stays an order of magnitude under SPECTRAL, so rounding alone never
+# trips the probability or Wigner sum checks.
+STATE_ENTRY_MAX = 1e12 * SPECTRAL

@@ -6,9 +6,11 @@ lines through a point, while `wigner_from_point_operators` traces the
 state against the net's point operators.  Tests hold the two routes
 together; the functions never call each other.
 
-States are accepted whenever they are Hermitian with unit trace.
-Positivity is reported, not required: a matrix can fail positivity and
-still produce a perfectly well-formed (possibly negative) Wigner table.
+States are accepted whenever they are Hermitian with unit trace and no
+entry of modulus above STATE_ENTRY_MAX, the bound under which rounding
+cannot break the probability and Wigner sum checks.  Positivity is
+reported, not required: a matrix can fail positivity and still produce a
+perfectly well-formed (possibly negative) Wigner table.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ import numpy as np
 from .geometry import PhasePoint
 from .mub import MubSet
 from .quantum_net import QuantumNet
-from .tolerances import SPECTRAL
+from .tolerances import SPECTRAL, STATE_ENTRY_MAX
 
 
 @dataclass(eq=False, frozen=True)
 class DensityState:
-    """A d x d Hermitian, trace-one matrix; kind records its origin.
+    """A d x d Hermitian, trace-one matrix with no entry of modulus above
+    STATE_ENTRY_MAX; kind records its origin.
 
     Immutable: rho is a read-only copy of the input, so the probability
     table memoized per basis set can never go stale.
@@ -45,6 +48,12 @@ class DensityState:
             raise ValueError(f"state matrix must be square, got {rho.shape}")
         if not np.isfinite(rho).all():
             raise ValueError("state matrix has non-finite entries")
+        with np.errstate(over="ignore"):  # |re + i im| of huge finite parts is inf
+            largest = np.abs(rho).max(initial=0.0)
+        if largest > STATE_ENTRY_MAX:
+            raise ValueError(
+                f"state matrix has an entry of modulus {largest:.3g}, above {STATE_ENTRY_MAX:.3g}"
+            )
         if np.linalg.norm(rho - rho.conj().T) > SPECTRAL:
             raise ValueError("state matrix is not Hermitian")
         if abs(np.trace(rho) - 1.0) > SPECTRAL:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from dwf.clifford import squeezing_operator
+from dwf.clifford import fourier_operator, squeezing_operator
 from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.geometry import PhasePoint, build_striations, line_points
 from dwf.mub import standard_mub
 from dwf.formats import net_from_payload
 from dwf.quantum_net import (
+    ENUMERATION_MAX_DIM,
     covariant_completion,
     enumerate_nets,
     fixed_axes_choices,
@@ -262,3 +263,65 @@ def test_is_flow_is_the_distance_criterion_at_lookup(factor, flows):
     u = perturbed(factor * LOOKUP / slope)
     assert nearest_image_distance(u, net) == pytest.approx(factor * LOOKUP, rel=0.1)
     assert is_flow(u, net) is flows
+
+
+def flow_test_inputs(gf, rng):
+    """Named matrices for the flow test: seeded translations, squeezing
+    (n >= 2), Fourier (p = 2), Haar unitaries, squeezing perturbed by
+    exp(i eps H) around the LOOKUP scale, a scaled non-unitary and a matrix
+    holding NaN."""
+    d = gf.order
+    ctx = standard_context(d)
+    picks = rng.choice(np.arange(1, d * d), 2, replace=False)
+    named = [(f"translation {i}", ctx.labeling.unitary_at(ctx.points[pt]))
+             for i, pt in enumerate(picks)]
+    if gf.n >= 2:
+        us = squeezing_operator(gf).dense
+        named.append(("squeezing", us))
+        g = rng.standard_normal((d, d, 2)) @ np.array([1.0, 1.0j])
+        lam, v = np.linalg.eigh(g + g.conj().T)
+        named += [(f"squeezing + {eps}", us @ (v * np.exp(1j * eps * lam)) @ v.conj().T)
+                  for eps in (1e-12, 1e-10, 3e-9, 1e-8, 1e-7)]
+    if gf.p == 2:
+        named.append(("fourier", fourier_operator(gf).dense))
+    for i in range(2):
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        named.append((f"haar {i}", q * (np.diagonal(r) / np.abs(np.diagonal(r)))))
+    named.append(("1.5 x translation", 1.5 * named[0][1]))
+    holed = np.array(named[0][1], dtype=complex)
+    holed[d - 1, 0] = np.nan
+    named.append(("nan entry", holed))
+    return named
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_is_flow_agrees_with_the_reference_loop(d):
+    gf = field(d)
+    ctx = standard_context(d)
+    rng = np.random.default_rng([d, 10])
+    nets = [ctx.complete(tuple(rng.integers(0, d, d + 1)))]
+    if d == 4:  # a net squeezing flows on, so its perturbations cross LOOKUP
+        nets += squeezing_covariant_nets(gf, ctx.mub, squeezing_operator(gf).dense)[:1]
+    elif d <= ENUMERATION_MAX_DIM:  # the reference loop takes ~70 ms a call at d=9
+        nets.append(ctx.complete(tuple(rng.integers(0, d, d + 1))))
+    verdicts = {}
+    for name, u in flow_test_inputs(gf, rng):
+        for k, net in enumerate(nets):
+            verdict = is_flow(u, net)
+            assert verdict == (nearest_image_distance(u, net) < LOOKUP), (name, net)
+            verdicts[name, k] = verdict
+    known = {"translation 0": True, "translation 1": True, "haar 0": False, "haar 1": False,
+             "1.5 x translation": False, "nan entry": False}
+    for (name, _), verdict in verdicts.items():
+        assert known.get(name, verdict) == verdict, name
+    if d == 4:
+        crossing = [verdicts[f"squeezing + {eps}", 1] for eps in (1e-12, 1e-10, 3e-9, 1e-8, 1e-7)]
+        assert verdicts["squeezing", 1] and crossing[0] and not crossing[-1]
+
+
+def test_is_flow_refuses_a_matrix_of_the_wrong_shape():
+    net = standard_context(4).complete((0,) * 5)
+    # 2 x 8 has the 16 entries of a 4 x 4 matrix, and its outer product 256
+    for shape in [(2, 8), (8, 2), (16,), (1, 4, 4), (3, 3)]:
+        with pytest.raises(ValueError, match=r"4 x 4 matrix, got \(" + str(shape[0])):
+            is_flow(np.ones(shape, dtype=complex), net)

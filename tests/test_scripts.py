@@ -33,6 +33,12 @@ def test_flow_census_d4():
     assert "Fourier flows on 0/64 nets" in out
 
 
+def test_flow_census_d5():
+    out = run_script("flow_census.py", "--d", "5")
+    assert "d=5: scanning 625 fixed-axes nets" in out
+    assert "translations flow on 625/625 nets" in out
+
+
 def test_negativity_census_oracle_gap_is_zero():
     out = run_script("negativity_census.py", "--d", "4", "--states", "3")
     gaps = [float(g) for g in re.findall(r"oracle gap (\S+)", out)]

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dwf import wigner
-from dwf.galois import field
+from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.geometry import build_striations, line_points, origin
 from dwf.mub import MubSet, standard_mub
+from dwf.tolerances import STATE_ENTRY_MAX
 from dwf.quantum_net import QuantumNet, covariant_completion, enumerate_nets, standard_context
 from dwf.wigner import (
     DensityState,
@@ -221,6 +223,37 @@ def test_from_vector_extreme_amplitudes_give_plus(scale):
 def test_from_vector_refuses_only_the_exact_zero_vector():
     with pytest.raises(ValueError, match="zero vector"):
         DensityState.from_vector([0.0, 0.0])
+
+
+def hermitian_with_largest_entry(d, largest, rng):
+    """Seeded Hermitian, trace-one: I/d plus a traceless G + G~ scaled so
+    that its largest entry modulus is `largest`."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = g + g.conj().T
+    h -= np.trace(h).real / d * np.eye(d)
+    return h * (largest / np.abs(h).max()) + np.eye(d) / d
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_entries_up_to_the_bound_never_trip_the_sum_checks(d):
+    ctx = standard_context(d)
+    rng = np.random.default_rng([d, 12])
+    nets = [ctx.complete(tuple(rng.integers(0, d, d + 1))) for _ in range(3)]
+    for _ in range(40):
+        state = DensityState(hermitian_with_largest_entry(d, STATE_ENTRY_MAX - 1, rng))
+        for net in nets:
+            wigner_function(state, net)  # raises if a sum check trips
+
+
+def test_entries_above_the_bound_are_refused():
+    rng = np.random.default_rng(13)
+    with pytest.raises(ValueError, match="modulus"):
+        DensityState(hermitian_with_largest_entry(4, 2 * STATE_ENTRY_MAX, rng))
+    z = 1.5e308 + 1.5e308j  # finite parts, but |z| overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        with pytest.raises(ValueError, match="modulus inf"):
+            DensityState(np.array([[0.5, z], [np.conj(z), 0.5]]))
 
 
 def pencil_gather(table, net):
