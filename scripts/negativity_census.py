@@ -2,10 +2,11 @@
 and globally?
 
 For each sampled state the script prints the spread of per-net minima
-over every net, the closed-form global minimum, and checks the two agree
-at the bottom of the range.  Random pure states land outside the
-classical polytope essentially always; mixtures move inward as they
-approach the maximally mixed state.
+over every net, read from one exhaustive `wigner_scan`, the closed-form
+global minimum, and checks the two agree at the bottom of the range.
+Random pure states land outside the classical polytope essentially
+always; mixtures move inward as they approach the maximally mixed state.
+d is capped at ENUMERATION_MAX_DIM, the limit of the scan.
 
 Usage: python scripts/negativity_census.py [--d {2,3,4,5}] [--states 10] [--seed 7]
 """
@@ -14,11 +15,11 @@ import argparse
 
 import numpy as np
 
-from dwf.classicality import min_wigner
-from dwf.galois import SUPPORTED_DIMENSIONS, field
+from dwf.classicality import min_wigner, wigner_scan
+from dwf.galois import SUPPORTED_DIMENSIONS
 from dwf.mub import standard_mub
-from dwf.quantum_net import ENUMERATION_MAX_DIM, enumerate_nets
-from dwf.wigner import DensityState, wigner_function
+from dwf.quantum_net import ENUMERATION_MAX_DIM, net_count
+from dwf.wigner import DensityState
 
 
 def main() -> int:
@@ -32,11 +33,9 @@ def main() -> int:
     args = parser.parse_args()
 
     d = args.d
-    gf = field(d)
     mub = standard_mub(d)
-    nets = list(enumerate_nets(gf))
     rng = np.random.default_rng(args.seed)
-    print(f"d={d}: {len(nets)} nets, {args.states} states, mixing={args.mixing}")
+    print(f"d={d}: {net_count(d)} nets, {args.states} states, mixing={args.mixing}")
 
     classical_count = 0
     for k in range(args.states):
@@ -44,12 +43,12 @@ def main() -> int:
         rho = DensityState(
             (1 - args.mixing) * pure.rho + args.mixing * np.eye(d) / d
         )
-        per_net = [wigner_function(rho, net).min() for net in nets]
+        per_net = wigner_scan(rho, mub).min(axis=-1)
         report = min_wigner(rho, mub)
-        gap = abs(min(per_net) - report.min_wigner)
+        gap = abs(per_net.min() - report.min_wigner)
         classical_count += report.classical
         print(
-            f"state {k:2d}: per-net minima in [{min(per_net):+.6f}, {max(per_net):+.6f}], "
+            f"state {k:2d}: per-net minima in [{per_net.min():+.6f}, {per_net.max():+.6f}], "
             f"global {report.min_wigner:+.6f}, classical={report.classical}, "
             f"oracle gap {gap:.1e}"
         )

@@ -5,10 +5,10 @@ The closed form rests on one observation: among all nets and points, some
 Wigner value collects exactly the smallest probability from each basis, so
 the global minimum is (sum of per-basis minima - 1) / d and a minimizing
 configuration is explicit -- put each basis's minimizing projector on the
-ray and read the value at the origin.  `brute_force_min` enumerates every
-net and point and exists to validate that argument; it must never be
-shortcut through the closed form.  `classify` shares that exhaustive scan
-to list its most negative witnesses.
+ray and read the value at the origin.  `brute_force_min` validates that
+argument with the minimum of `wigner_scan`, every net at every point for
+d <= ENUMERATION_MAX_DIM; it must never be shortcut through the closed
+form.  `classify` lists the scan's most negative witnesses.
 
 Membership comes with a constructive certificate: the coefficients
 
@@ -28,12 +28,9 @@ import numpy as np
 from .galois import FieldSpec
 from .geometry import PhasePoint, all_points, build_striations, origin
 from .mub import MubSet
-from .quantum_net import net_context
+from .quantum_net import ENUMERATION_MAX_DIM, net_context, net_count
 from .tolerances import MEMBERSHIP
 from .wigner import DensityState, ProbabilityTable, probabilities
-
-# The exhaustive scan covers d^(d+1) nets: 1,024 at d = 4, 15,625 at d = 5.
-BRUTE_FORCE_MAX_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -98,31 +95,34 @@ def min_wigner(rho: DensityState, mub: MubSet) -> ClassicalityReport:
     return _report(_table(rho, mub), mub.field)
 
 
-def _scan(table: ProbabilityTable, mub: MubSet, gf: FieldSpec) -> np.ndarray:
+def wigner_scan(rho: DensityState, mub: MubSet) -> np.ndarray:
     """Wigner values of every net at every point by exhaustive enumeration:
     values[r_0, ..., r_d, alpha] for the net with ray choices (r_0 .. r_d).
 
-    Only the table of basis probabilities enters each value, so the scan
-    is one gather over the d^(d+1) ray-choice tuples.  Larger dimensions
-    are refused, since the net count grows as d^(d+1)."""
-    d = gf.order
-    if d > BRUTE_FORCE_MAX_DIM:
+    Striation kappa adds the probability on the line through alpha when
+    its ray gets r along axis kappa of one preallocated array, in the
+    order `wigner_function` sums them: each net's values equal its table
+    bit for bit.  Refused above ENUMERATION_MAX_DIM (d^(d+1) nets)."""
+    d = mub.dim
+    if d > ENUMERATION_MAX_DIM:
         raise ValueError(
-            f"brute force over {d ** (d + 1)} nets at d={d} is not supported; use min_wigner"
+            f"brute force over {net_count(d)} nets at d={d} is not supported; use min_wigner"
         )
-    pencil = net_context(mub, build_striations(gf)).pencil
-    kappas = np.arange(d + 1)
-    # on_line[kappa, alpha, r]: probability on the line through alpha when the ray gets r
-    on_line = table.values[kappas[:, None, None], pencil]
-    choices = np.indices((d,) * (d + 1)).reshape(d + 1, -1).T
-    pencil_sum = on_line[kappas, :, choices].sum(axis=1)
-    return ((pencil_sum - 1.0) / d).reshape((d,) * (d + 1) + (d * d,))
+    table = _table(rho, mub)
+    pencil = net_context(mub, build_striations(mub.field)).pencil
+    values = np.zeros((d,) * (d + 1) + (d * d,))
+    for kappa in range(d + 1):
+        shape = (1,) * kappa + (d,) + (1,) * (d - kappa) + (d * d,)  # r on axis kappa
+        values += table.values[kappa, pencil[kappa].T].reshape(shape)
+    values -= 1.0
+    values /= d
+    return values
 
 
 def brute_force_min(rho: DensityState, mub: MubSet, gf: FieldSpec) -> float:
-    """Minimum over every net and every point by exhaustive enumeration,
-    never through the closed form; refused for d > 4."""
-    return float(_scan(_table(rho, mub), mub, gf).min())
+    """Minimum of `wigner_scan` over every net and point, never through
+    the closed form; gf is the field of mub."""
+    return float(wigner_scan(rho, mub).min())
 
 
 def _decomposition(table: ProbabilityTable) -> DecompositionResult:
@@ -145,17 +145,15 @@ def classify(
     """Bundle probabilities, membership, decomposition and the most
     negative witnessing (net, point) pairs.
 
-    For d <= 4 the witness list comes from the exhaustive scan; above that
-    only the closed-form minimizing configuration is reported."""
+    For d <= ENUMERATION_MAX_DIM witnesses come from the exhaustive scan;
+    above it, only the closed-form minimizing configuration is reported."""
     table = _table(rho, mub)
     report = _report(table, mub.field)
     witnesses: list[Witness] = []
-    if not report.classical and gf.order > BRUTE_FORCE_MAX_DIM:
-        witnesses.append(
-            Witness(report.witness_ray_choices, report.witness_point, report.min_wigner)
-        )
+    if not report.classical and gf.order > ENUMERATION_MAX_DIM:
+        witnesses = [Witness(report.witness_ray_choices, report.witness_point, report.min_wigner)]
     elif not report.classical:
-        values = _scan(table, mub, gf)
+        values = wigner_scan(rho, mub)
         flat = values.ravel()
         hits = np.flatnonzero(flat < -MEMBERSHIP)
         points = all_points(gf)

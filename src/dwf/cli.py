@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .classicality import BRUTE_FORCE_MAX_DIM, brute_force_min, classify, convex_decomposition
+from .classicality import brute_force_min, classify, convex_decomposition
 from .clifford import fourier_operator, is_clifford, squeezing_operator
 from .formats import (
     FormatError,
@@ -236,8 +236,8 @@ def _cmd_classicality(args: argparse.Namespace) -> int:
     d = state.dim
     if d not in SUPPORTED_DIMENSIONS:
         raise FormatError(f"field 'dim': {d} is not a supported dimension")
-    if args.brute_force and d > BRUTE_FORCE_MAX_DIM:
-        print(f"error: --brute-force supports d <= {BRUTE_FORCE_MAX_DIM}, got d={d}",
+    if args.brute_force and d > ENUMERATION_MAX_DIM:
+        print(f"error: --brute-force supports d <= {ENUMERATION_MAX_DIM}, got d={d}",
               file=sys.stderr)
         return 2
     gf = field(d)

@@ -29,7 +29,7 @@ from .galois import field
 from .geometry import all_points, build_striations, line_points
 from .mub import _fix_phase, standard_mub, unbiasedness_report
 from .pauli import PauliOperator, build_labeling, commutes, standard_sets
-from .quantum_net import enumerate_nets, is_flow, net_count, standard_context
+from .quantum_net import ENUMERATION_MAX_DIM, enumerate_nets, is_flow, net_count, standard_context
 from .tolerances import ALGEBRAIC, SPECTRAL
 from .wigner import DensityState, reconstruct_state, wigner_from_point_operators, wigner_function
 
@@ -179,7 +179,7 @@ def _check_classicality(d, rng):
         if np.linalg.norm(result.reconstruct(mub) - rho.rho) > SPECTRAL:
             return False, "decomposition does not reconstruct"
     detail = "decomposition convex on 10 mixtures"
-    if d <= 3:
+    if d <= ENUMERATION_MAX_DIM:
         for _ in range(6):
             rho = DensityState.random_pure(d, rng)
             gap = abs(

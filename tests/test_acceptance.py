@@ -1,8 +1,10 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
 verdict line per criterion (see the terminal summary section)."""
 
+import importlib.util
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +35,15 @@ from dwf.quantum_net import enumerate_nets, is_flow, squeezing_covariant_nets, s
 from dwf.wigner import DensityState, line_probability, wigner_function
 
 SEED = 20250808
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    """Import one of the experiment scripts as a module, by path."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def verdict(log, number, ok, detail):
@@ -161,25 +172,7 @@ def test_criterion_06_convex_members_decompose(acceptance_log):
 def test_criterion_07_bloch_rigidity(acceptance_log):
     mub = standard_mub(2)
     # degree grid over the sphere: 181 x 360 = 65160 >= 10^4 pure states
-    thetas = np.deg2rad(np.arange(0, 181))
-    phis = np.deg2rad(np.arange(0, 360))
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
-    states = np.stack([np.cos(tt / 2), np.exp(1j * pp) * np.sin(tt / 2)])
-
-    basis_matrix = np.concatenate([b.vectors for b in mub.bases], axis=1)  # 2 x 6
-    probs = np.abs(basis_matrix.conj().T @ states) ** 2  # 6 x N
-    minima = np.minimum(probs[0::2], probs[1::2])  # per-basis minimum, 3 x N
-    min_w = (minima.sum(axis=0) - 1.0) / 2.0
-
-    bloch = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)]
-    )
-    # nearest of the six axis directions (the Bloch vectors of the MUB states)
-    nearest = np.max(np.abs(bloch), axis=0)
-    angle = np.arccos(np.clip(nearest, -1.0, 1.0))
-
-    flagged = min_w >= -1e-9
+    total, flagged, angle, _ = load_script("bloch_rigidity_scan").scan(1.0, 1e-9)
     stray = flagged & (angle > 0.02)
     mub_vectors = [b.vector(j) for b in mub.bases for j in range(2)]
     mub_values = [
@@ -189,7 +182,7 @@ def test_criterion_07_bloch_rigidity(acceptance_log):
     ok = not stray.any() and boundary_ok
     verdict(
         acceptance_log, 7, ok,
-        f"{len(tt)} grid states: {int(flagged.sum())} flagged non-negative, all within "
+        f"{total} grid states: {int(flagged.sum())} flagged non-negative, all within "
         f"0.02 rad of a basis state; the 6 basis states report |min| <= "
         f"{max(abs(v) for v in mub_values):.1e} (<= 1e-12)",
     )

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,11 +11,13 @@ from dwf.classicality import (
     convex_decomposition,
     min_wigner,
     random_projector_mixture,
+    wigner_scan,
 )
 from dwf.galois import field
 from dwf.geometry import build_striations
 from dwf.mub import standard_mub
-from dwf.quantum_net import covariant_completion
+from dwf.quantum_net import covariant_completion, standard_context
+from dwf.tolerances import ALGEBRAIC
 from dwf.wigner import DensityState, wigner_function
 
 EDGE_STATE_MIN = (1.0 - np.sqrt(2)) / 4  # approx -0.103553
@@ -53,7 +57,7 @@ def test_edge_state_value_and_witness():
     assert abs(table.value(report.witness_point) - report.min_wigner) < 1e-12
 
 
-@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("d", (2, 3, 4, 5))  # up to ENUMERATION_MAX_DIM
 def test_brute_force_agrees_with_closed_form(d):
     gf = field(d)
     mub = standard_mub(d)
@@ -78,7 +82,22 @@ def test_brute_force_d3_maximally_mixed():
 
 def test_brute_force_refuses_large_dimension():
     with pytest.raises(ValueError, match="not supported"):
-        brute_force_min(DensityState.maximally_mixed(5), standard_mub(5), field(5))
+        brute_force_min(DensityState.maximally_mixed(7), standard_mub(7), field(7))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_wigner_scan_is_every_net_table_bit_for_bit(d):
+    ctx = standard_context(d)
+    rng = np.random.default_rng(300 + d)
+    if d < 5:
+        nets = list(itertools.product(range(d), repeat=d + 1))
+    else:  # 15,625 nets: a seeded sample
+        nets = [tuple(int(r) for r in rng.integers(0, d, d + 1)) for _ in range(200)]
+    for rho in (DensityState.random_pure(d, rng), DensityState.random_mixed(d, rng)):
+        values = wigner_scan(rho, ctx.mub)
+        assert values.shape == (d,) * (d + 1) + (d * d,)
+        for r in nets:
+            assert np.array_equal(values[r], wigner_function(rho, ctx.complete(r)).values.ravel())
 
 
 def test_decomposition_uniform_d2():
@@ -161,6 +180,20 @@ def test_classify_random_pure_d4_is_nonclassical_with_witnesses():
     w = out.witnesses[0]
     net = covariant_completion(w.ray_choices, mub, build_striations(field(4)))
     assert abs(wigner_function(rho, net).value(w.point) - w.value) < 1e-12
+
+
+def test_classify_random_pure_d5_lists_the_scanned_witnesses():
+    d = 5
+    ctx = standard_context(d)
+    rho = DensityState.random_pure(d, np.random.default_rng(8))
+    out = classify(rho, ctx.mub, field(d))
+    assert not out.report.classical
+    assert 1 <= len(out.witnesses) <= 5
+    values = [w.value for w in out.witnesses]
+    assert values == sorted(values)
+    assert abs(values[0] - out.report.min_wigner) < ALGEBRAIC
+    for w in out.witnesses:
+        assert wigner_function(rho, ctx.complete(w.ray_choices)).value(w.point) == w.value
 
 
 def test_classify_damped_projector_mixture_is_classical():

@@ -187,12 +187,21 @@ def test_non_finite_state_is_a_usage_error(tmp_path, capsys, kind, data):
     assert not (tmp_path / "w.csv").exists()
 
 
-def test_classicality_brute_force_above_d4_is_a_usage_error(tmp_path, capsys):
-    amps = [[1, 0]] + [[0, 0]] * 4
+def test_classicality_brute_force_at_d5_matches_the_closed_form(tmp_path, capsys):
+    amps = [[0.6, 0], [0, 0.8]] + [[0, 0]] * 3
     state = write_state(tmp_path / "d5.json", {"dim": 5, "kind": "pure", "data": amps})
+    assert main(["classicality", "--state", state, "--brute-force"]) == 0
+    out = capsys.readouterr().out
+    assert "brute_force_min:" in out
+    assert out.count("  witness net=") == 5
+
+
+def test_classicality_brute_force_above_d5_is_a_usage_error(tmp_path, capsys):
+    amps = [[1, 0]] + [[0, 0]] * 6
+    state = write_state(tmp_path / "d7.json", {"dim": 7, "kind": "pure", "data": amps})
     assert main(["classicality", "--state", state, "--brute-force"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --brute-force supports d <= 4")
+    assert err.startswith("error: --brute-force supports d <= 5, got d=7")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -69,10 +69,11 @@ def test_no_tolerance_literals_outside_tolerances_module():
 
 
 def test_no_unused_imports_in_the_package():
-    # a module imports only what it uses; __init__.py re-exports the API
-    package = Path(__file__).resolve().parents[1] / "src" / "dwf"
+    # a module, script or test imports only what it uses; the package
+    # __init__.py re-exports the API
+    root = Path(__file__).resolve().parents[1]
     found = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(p for d in ("src/dwf", "scripts", "tests") for p in (root / d).glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -84,5 +85,5 @@ def test_no_unused_imports_in_the_package():
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in used:
-                        found.append(f"{path.name}:{node.lineno}: {name}")
+                        found.append(f"{path.relative_to(root)}:{node.lineno}: {name}")
     assert found == []
