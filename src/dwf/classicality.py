@@ -156,6 +156,9 @@ def classify(
         values = wigner_scan(rho, mub)
         flat = values.ravel()
         hits = np.flatnonzero(flat < -MEMBERSHIP)
+        if 0 < top_k < len(hits):  # the top_k smallest, ties kept, in scan order
+            kth = np.partition(flat[hits], top_k - 1)[top_k - 1]
+            hits = hits[flat[hits] <= kth]
         points = all_points(gf)
         for i in hits[np.argsort(flat[hits], kind="stable")][:top_k]:
             *choices, alpha = np.unravel_index(i, values.shape)

@@ -1,9 +1,8 @@
 """Clifford-group verification and synthesis.
 
-Membership is checked by conjugating all 2n translation generators in
-one 2-D product with u (x) conj u (`quantum_net._conjugated`, the form
-`is_flow` uses) and matching every image against the scaled
-translation catalogue in one more product with its flattened conjugate;
+Membership is checked by conjugating the stack of all 2n translation
+generators at once, u G u~, and matching every image against the scaled
+translation catalogue in one product with its flattened conjugate;
 success yields the symplectic table over Z_p plus per-generator phase
 exponents.  The generator stack and the catalogue are built once per
 field and are read-only, as are the cached squeezing and Fourier results.
@@ -42,7 +41,6 @@ import numpy as np
 from .galois import FieldSpec, inverse_mod_p, rank_mod_p
 from .mub import MubSet, joint_eigenvector, standard_mub
 from .pauli import PauliOperator, AbelianSet, symplectic_product
-from .quantum_net import _conjugated
 from .tolerances import LOOKUP, SPECTRAL
 
 
@@ -150,7 +148,7 @@ def is_clifford(u: np.ndarray, gf: FieldSpec):
     if not (np.isfinite(u).all() and unitary):
         raise ValueError("input matrix is not unitary")
     generators = _translation_catalogue(gf)[2]
-    labels, phases, deficits = _match_translation(gf, _conjugated(u, generators))
+    labels, phases, deficits = _match_translation(gf, u @ generators @ u.conj().T)
     exponents = []
     for col, g in enumerate(generator_operators(gf)):
         if deficits[col] > LOOKUP:
@@ -343,16 +341,14 @@ def maps_mub_to_mub(u: np.ndarray, b1: MubSet, b2: MubSet) -> MubMapResult:
     """Does conjugation by u send every basis of b1 onto a basis of b2
     (as unordered sets of rays)?  Returns the striation permutation.
 
-    One overlap product V2~ u V1 over the stacked bases holds every
-    basis pair as a d x d block; the monomial test decides all blocks at
+    One overlap product V2~ u V1 of the two frames (`MubSet.frame`) holds
+    every basis pair as a d x d block; the monomial test decides all blocks at
     once, and each source basis takes its first passing target.
     """
     if b1.dim != b2.dim:
         raise ValueError("basis sets live in different dimensions")
     d = b1.dim
-    v1 = np.concatenate([basis.vectors for basis in b1.bases], axis=1)
-    v2 = np.concatenate([basis.vectors for basis in b2.bases], axis=1)
-    overlap = v2.conj().T @ (u @ v1)
+    overlap = b2.frame.conj().T @ (u @ b1.frame)
     # blocks[k1, k2] = V2[k2]~ u V1[k1]
     blocks = overlap.reshape(len(b2.bases), d, len(b1.bases), d).transpose(2, 0, 1, 3)
     _, bad, _ = _extract_permutation(blocks)

@@ -13,8 +13,8 @@ amplitude real positive, which keeps serialized bases stable across runs.
 `joint_eigenvector` is the one place a spectral projector becomes a
 phase-fixed vector; the synthesized Clifford unitaries (all-zero label)
 and the qubit tableau (p = 2, projector (I + (-1)^r P) / 2) use it too.
-`MubSet.projectors` is the one stack of the d(d+1) rank-one basis
-projectors; nets, reconstructions and mixtures contract against it.
+`MubSet.frame` (all d(d+1) basis vectors as columns) and the stack of
+their rank-one projectors, `MubSet.projectors`, are what kernels contract.
 """
 
 from __future__ import annotations
@@ -53,10 +53,17 @@ class MubSet:
         return self.field.order
 
     @cached_property
+    def frame(self) -> np.ndarray:
+        """frame[:, kappa * d + j] = vector j of basis kappa, read-only."""
+        frame = np.concatenate([basis.vectors for basis in self.bases], axis=1)
+        frame.flags.writeable = False
+        return frame
+
+    @cached_property
     def projectors(self) -> np.ndarray:
         """projectors[kappa, j] = rank-one projector onto vector j of basis
         kappa: one read-only (d+1) x d x d x d stack, built once."""
-        v = np.stack([basis.vectors.T for basis in self.bases])  # v[kappa, j] = vector j
+        v = self.frame.T.reshape(len(self.bases), -1, self.dim)  # v[kappa, j] = vector j
         stack = v[..., :, None] * v.conj()[..., None, :]  # the outer products
         stack.flags.writeable = False
         return stack

@@ -23,10 +23,9 @@ the projector on line t of striation kappa.  Nets are pure index
 arithmetic, which keeps exhaustive enumeration over all d^(d+1) of them
 cheap.
 
-`is_flow` is the dense flow test: it images all d^2 point operators of a
-net in one 2-D product with U (x) conj U and matches each image to its
-nearest point operator in real arithmetic on float64 views.  `clifford`
-conjugates its translation generators through the same product.
+`is_flow` decides whether conjugation by U permutes a net's point
+operators from U's transition probabilities between basis vectors alone:
+one table per unitary, read by every net through its 0/1 incidence.
 """
 
 from __future__ import annotations
@@ -122,6 +121,15 @@ class QuantumNet:
         d = self.dim
         return self.pencil + d * np.arange(d + 1)[:, None]
 
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """`rows` as a read-only d(d+1) x d^2 matrix, 1.0 at [rows[kappa, alpha], alpha]."""
+        d = self.dim
+        incidence = np.zeros((d * (d + 1), d * d))
+        incidence[self.rows, np.arange(d * d)] = 1.0
+        incidence.flags.writeable = False
+        return incidence
+
     def projector_index(self, line: Line) -> tuple[int, int]:
         """(kappa, j) for the projector assigned to a line (0-based)."""
         for kappa, s in enumerate(self.context.striations):
@@ -200,41 +208,42 @@ def enumerate_nets(gf: FieldSpec, mub: MubSet | None = None, fix_axes: bool = Fa
             yield ctx.complete(choices)
 
 
-def _conjugated(unitary: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """U A U~ for every d x d operator A of a stack, raveled row-major into
-    one (count, d^2) complex array.
-
-    Row-major vec(U A U~) = (U (x) conj U) vec(A), so the whole stack is one
-    2-D product with that d^2 x d^2 matrix instead of a stack of tiny ones.
-    A matrix that is not d x d is refused: the outer product of a wrong
-    shape can still have d^4 entries.
-    """
-    d = ops.shape[-1]
-    u = np.asarray(unitary, dtype=complex)
-    if u.shape != (d, d):
-        raise ValueError(f"expected a {d} x {d} matrix, got {u.shape}")
-    sandwich = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
-    return ops.reshape(-1, d * d) @ sandwich.T
+@lru_cache(maxsize=8)
+def _transition_table(entries: bytes, mub: MubSet) -> np.ndarray:
+    """T~ = (T - a_mu/(d+1) - b_lam/(d+1) + |U|^2/(d+1)^2) / d, read-only, for
+    the matrix U whose C-order complex bytes are `entries`: T[lam, mu] =
+    |<phi_lam|U|phi_mu>|^2, a_mu = |U phi_mu|^2, b_lam = |U~ phi_lam|^2."""
+    d = mub.dim
+    u = np.frombuffer(entries, dtype=complex).reshape(d, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan
+        t = np.abs(mub.frame.conj().T @ (u @ mub.frame)) ** 2
+        # each basis is complete: a column sum is (d+1) a_mu, a row sum (d+1) b_lam
+        a, b = t.sum(axis=0) / (d + 1), t.sum(axis=1) / (d + 1)
+        table = (t - a / (d + 1) - b[:, None] / (d + 1) + a.sum() / (d + 1) ** 3) / d
+    table.flags.writeable = False
+    return table
 
 
 def is_flow(unitary: np.ndarray, net: QuantumNet) -> bool:
     """True iff conjugation by the unitary permutes the net's point
-    operators among themselves: every image U A U~ lies within LOOKUP of
-    the point operator of largest real overlap with it.
+    operators: each image U A U~ lies within LOOKUP of its nearest one.
 
-    Point operators and their images under a unitary share one
-    Hilbert-Schmidt norm, so that one is the nearest.  The d^2 images come
-    from one 2-D product (`_conjugated`); since Re<X, A> = sum Re X Re A +
-    Im X Im A, the overlaps are one real product of float64 views.  The
-    distance is taken on the difference itself, not as |X|^2 + |A|^2 -
-    2 Re<X, A>, which cancels to rounding noise near zero.  A matrix that
-    is not d x d raises ValueError; non-finite entries give False.
+    Point operators are orthogonal, Tr(A_alpha A_gamma) = delta / d (Gibbons,
+    Hoffman and Wootters), so U A_alpha U~ = sum_gamma X[gamma, alpha] A_gamma
+    with X[gamma, alpha] = d Tr(U A_alpha U~ A_gamma) = (E^T T~ E)[gamma, alpha]
+    for the net's incidence E and the per-unitary `_transition_table` T~.  The
+    nearest is beta = argmax X[:, alpha], at squared distance (1/d) sum_gamma
+    (X - e_beta)^2, a sum of small terms that cannot cancel.  A non-d x d
+    matrix raises ValueError; huge or non-finite entries give False.
     """
-    table = net.point_operator_table()
-    flat = table.reshape(len(table), -1).view(np.float64)
-    images = _conjugated(unitary, table).view(np.float64)
-    residual = images - flat.take((images @ flat.T).argmax(axis=1), axis=0)
-    return math.sqrt(np.einsum("ij,ij->i", residual, residual).max()) < LOOKUP
+    d = net.dim
+    u = np.ascontiguousarray(unitary, dtype=complex)
+    if u.shape != (d, d):
+        raise ValueError(f"expected a {d} x {d} matrix, got {u.shape}")
+    x = net.incidence.T @ _transition_table(u.tobytes(), net.context.mub) @ net.incidence
+    x[x.argmax(axis=0), np.arange(d * d)] -= 1.0  # x[gamma, alpha] - e_beta
+    # einsum overflows a huge x to inf silently, unlike the ufuncs
+    return math.sqrt(np.einsum("ij,ij->j", x, x).max() / d) < LOOKUP
 
 
 def squeezing_covariant_nets(

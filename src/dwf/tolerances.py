@@ -39,3 +39,9 @@ MEMBERSHIP = 1e-9 * SCALE
 # stays an order of magnitude under SPECTRAL, so rounding alone never
 # trips the probability or Wigner sum checks.
 STATE_ENTRY_MAX = 1e12 * SPECTRAL
+
+
+# A Wigner table sums to 1 + (d+1)(tr rho - 1), checked against SPECTRAL:
+# a trace slack of SPECTRAL / (2(d+1)) spends half of it, leaving the rest for rounding.
+def trace_slack(d: int) -> float:
+    return SPECTRAL / (2 * (d + 1))

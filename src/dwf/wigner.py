@@ -6,11 +6,10 @@ lines through a point, while `wigner_from_point_operators` traces the
 state against the net's point operators.  Tests hold the two routes
 together; the functions never call each other.
 
-States are accepted whenever they are Hermitian with unit trace and no
-entry of modulus above STATE_ENTRY_MAX, the bound under which rounding
-cannot break the probability and Wigner sum checks.  Positivity is
-reported, not required: a matrix can fail positivity and still produce a
-perfectly well-formed (possibly negative) Wigner table.
+States are accepted when Hermitian, within `trace_slack(d)` of trace one
+and with no entry of modulus above STATE_ENTRY_MAX: no such state breaks the
+probability and Wigner sum checks.  Positivity is reported, not required: a
+non-positive matrix still gives a well-formed (possibly negative) table.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from .geometry import PhasePoint
 from .mub import MubSet
 from .quantum_net import QuantumNet
-from .tolerances import SPECTRAL, STATE_ENTRY_MAX
+from .tolerances import SPECTRAL, STATE_ENTRY_MAX, trace_slack
 
 
 @dataclass(eq=False, frozen=True)
@@ -56,8 +55,8 @@ class DensityState:
             )
         if np.linalg.norm(rho - rho.conj().T) > SPECTRAL:
             raise ValueError("state matrix is not Hermitian")
-        if abs(np.trace(rho) - 1.0) > SPECTRAL:
-            raise ValueError(f"state trace is {np.trace(rho):.12f}, not 1")
+        if abs(np.trace(rho) - 1.0) > trace_slack(d):
+            raise ValueError(f"state trace is {np.trace(rho).real:.15f}, not 1")
 
     @property
     def dim(self) -> int:
@@ -126,11 +125,8 @@ def probabilities(rho: DensityState, mub: MubSet) -> ProbabilityTable:
     """Measurement distribution of the state over every basis."""
     if rho.dim != mub.dim:
         raise ValueError(f"state dimension {rho.dim} != basis dimension {mub.dim}")
-    rows = []
-    for basis in mub.bases:
-        v = basis.vectors
-        rows.append(np.einsum("ij,ik,kj->j", v.conj(), rho.rho, v).real)
-    values = np.array(rows)
+    f = mub.frame
+    values = np.einsum("ij,ik,kj->j", f.conj(), rho.rho, f).real.reshape(-1, mub.dim).copy()
     values.flags.writeable = False  # memoized per state and shared by every reader
     return ProbabilityTable(values)
 

@@ -17,7 +17,7 @@ from dwf.galois import field
 from dwf.geometry import build_striations
 from dwf.mub import standard_mub
 from dwf.quantum_net import covariant_completion, standard_context
-from dwf.tolerances import ALGEBRAIC
+from dwf.tolerances import ALGEBRAIC, MEMBERSHIP
 from dwf.wigner import DensityState, wigner_function
 
 EDGE_STATE_MIN = (1.0 - np.sqrt(2)) / 4  # approx -0.103553
@@ -224,3 +224,27 @@ def test_entry_points_share_one_memoized_table(monkeypatch):
     assert rho._tables[mub] is table
     with pytest.raises(ValueError):
         table.values[0, 0] = 0.0
+
+
+def test_classify_witnesses_equal_a_full_stable_sort_of_the_scan():
+    """128 seeded (state, top_k) cases at d=2..5: the partial sort keeps
+    exactly the witnesses, ties in scan order included, that a stable sort
+    of every negative scan value puts first."""
+    rng = np.random.default_rng(13)
+    for case in range(128):
+        d = 2 + case % 4
+        mub = standard_mub(d)
+        rho = (DensityState.random_pure if case % 3 else DensityState.random_mixed)(d, rng)
+        top_k = int(rng.integers(1, 12))
+        values = wigner_scan(rho, mub)
+        flat = values.ravel()
+        hits = np.flatnonzero(flat < -MEMBERSHIP)
+        expected = [
+            (tuple(int(r) for r in np.unravel_index(i, values.shape)), float(flat[i]))
+            for i in hits[np.argsort(flat[hits], kind="stable")][:top_k]
+        ]
+        got = [
+            (w.ray_choices + (w.point.index,), w.value)
+            for w in classify(rho, mub, field(d), top_k=top_k).witnesses
+        ]
+        assert got == expected, (case, d, top_k)

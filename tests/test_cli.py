@@ -13,6 +13,7 @@ from dwf.cli import main
 from dwf.clifford import is_clifford
 from dwf.formats import unitary_from_payload, unitary_to_payload, wigner_values_from_csv
 from dwf.galois import field
+from dwf.tolerances import SPECTRAL, trace_slack
 
 
 def write_state(path, payload):
@@ -116,6 +117,32 @@ def test_wigner_pipeline(tmp_path, zero_state, capsys):
     assert values.shape == (2, 2)
     assert abs(values.sum() - 1.0) < 1e-12
     assert np.allclose(values, [[0.5, 0.5], [0.0, 0.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
+def test_trace_slack_is_sized_for_the_wigner_sum_check(tmp_path, capsys, d):
+    """I/d with entry (0, 0) raised: a trace just inside trace_slack(d)
+    gives a valid table at every d; just outside, and the 9e-11 that
+    once passed the state check only to fail the table's sum check, exit
+    2 with one line naming field 'data'."""
+    net = write_state(tmp_path / "net.json", {"dim": d, "ray_choices": [1] * (d + 1)})
+    csv_path = tmp_path / "w.csv"
+    for excess, accepted in [(0.99 * trace_slack(d), True), (1.01 * trace_slack(d), False),
+                             (9e-11, False)]:
+        rho = np.eye(d) / d
+        rho[0, 0] += excess
+        data = [[[x, 0.0] for x in row] for row in rho.tolist()]
+        state = write_state(tmp_path / "s.json", {"dim": d, "kind": "density", "data": data})
+        code = main(["wigner", "--state", state, "--net", net, "--out", str(csv_path)])
+        err = capsys.readouterr().err
+        if accepted:
+            assert code == 0 and err == "", err
+            values = wigner_values_from_csv(csv_path.read_text())
+            assert abs(values.sum() - 1.0) <= SPECTRAL
+        else:
+            assert code == 2, excess
+            lines = err.splitlines()
+            assert len(lines) == 1 and "'data'" in lines[0] and "trace" in lines[0], err
 
 
 def test_wigner_dimension_mismatch(tmp_path, zero_state, capsys):

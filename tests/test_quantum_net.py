@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from dwf.clifford import fourier_operator, squeezing_operator
+from dwf.clifford import fourier_operator, random_unitary, squeezing_operator
 from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.geometry import PhasePoint, build_striations, line_points
 from dwf.mub import standard_mub
 from dwf.formats import net_from_payload
+from dwf import quantum_net
 from dwf.quantum_net import (
     ENUMERATION_MAX_DIM,
     covariant_completion,
@@ -325,3 +328,117 @@ def test_is_flow_refuses_a_matrix_of_the_wrong_shape():
     for shape in [(2, 8), (8, 2), (16,), (1, 4, 4), (3, 3)]:
         with pytest.raises(ValueError, match=r"4 x 4 matrix, got \(" + str(shape[0])):
             is_flow(np.ones(shape, dtype=complex), net)
+
+
+@pytest.mark.parametrize("d", (4, 9))
+def test_is_flow_builds_no_point_operator(d):
+    ctx = standard_context(d)
+    net = ctx.complete((1,) * (d + 1))
+    assert is_flow(ctx.labeling.unitary_at(ctx.points[5]), net)
+    assert not is_flow(random_unitary(d, np.random.default_rng(d)), net)
+    assert net._point_ops is None
+
+
+def test_is_flow_sees_an_array_rewritten_in_place():
+    d = 4
+    ctx = standard_context(d)
+    net = ctx.complete((0, 1, 2, 3, 0))
+    u = np.array(ctx.labeling.unitary_at(ctx.points[7]), dtype=complex)
+    assert is_flow(u, net)
+    u[...] = random_unitary(d, np.random.default_rng(1))
+    assert not is_flow(u, net)
+    u[...] = ctx.labeling.unitary_at(ctx.points[7])
+    assert is_flow(u, net)
+
+
+@pytest.mark.parametrize("d", (4, 8, 9))
+def test_is_flow_reads_any_memory_layout_as_its_c_complex_copy(d):
+    gf = field(d)
+    ctx = standard_context(d)
+    rng = np.random.default_rng([d, 4])
+    nets = [ctx.complete(tuple(rng.integers(0, d, d + 1))) for _ in range(2)]
+    if d == 4:
+        nets += squeezing_covariant_nets(gf, ctx.mub, squeezing_operator(gf).dense)[:1]
+    # the translation by (1, 0) as a real permutation, the real Fourier
+    # matrix, squeezing, a Haar unitary and a real non-unitary matrix
+    shift = ctx.labeling.unitary_at(ctx.points[d]).real
+    inputs = [shift, squeezing_operator(gf).dense, random_unitary(d, rng),
+              rng.standard_normal((d, d))]
+    if gf.p == 2:
+        inputs.append(np.real(fourier_operator(gf).dense))
+    verdicts = set()
+    for u in inputs:
+        wide = np.zeros((d, 2 * d), dtype=u.dtype)
+        wide[:, ::2] = u
+        for variant in (np.asfortranarray(u), wide[:, ::2], np.real_if_close(u)):
+            copy = np.array(variant, dtype=complex, order="C")
+            for net in nets:
+                verdict = is_flow(variant, net)
+                assert verdict == is_flow(copy, net)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_transition_memo_is_bounded():
+    maxsize = quantum_net._transition_table.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+    ctx = standard_context(9)
+    net = ctx.complete((0,) * 10)
+    rng = np.random.default_rng(2)
+    for _ in range(3 * maxsize):
+        is_flow(random_unitary(9, rng), net)
+    assert quantum_net._transition_table.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_is_flow_is_false_and_silent_on_huge_or_infinite_entries(d):
+    ctx = standard_context(d)
+    net = ctx.complete((0,) * (d + 1))
+    u = ctx.labeling.unitary_at(ctx.points[1])
+    holed = np.array(u, dtype=complex)
+    holed[0, d - 1] = np.inf
+    negative = np.array(u, dtype=complex)
+    negative[d - 1, 0] = complex(-np.inf, np.inf)
+    haar = random_unitary(d, np.random.default_rng(d))
+    inputs = [1e200 * u, 1e150 * u, 1e75 * u, 1e-200 * u, 1e200 * haar, holed, negative,
+              np.full((d, d), np.inf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in inputs:
+            assert is_flow(x, net) is False
+
+
+def nearest_image_distances(u, nets):
+    """The reference loop's criterion for many nets, broadcast per net."""
+    out = []
+    for net in nets:
+        table = net.point_operator_table()
+        images = u @ table @ u.conj().T
+        gaps = np.linalg.norm(images[:, None] - table[None], axis=(2, 3))
+        out.append(gaps.min(axis=1).max())
+    return np.array(out)
+
+
+def test_flow_counts_over_every_d4_net_equal_the_reference():
+    gf = field(4)
+    ctx = standard_context(4)
+    nets = list(enumerate_nets(gf))
+    assert len(nets) == 1024
+    # the broadcast reference is the loop, on a few nets
+    for net in nets[::300]:
+        u = random_unitary(4, np.random.default_rng(net.ray_choices))
+        assert nearest_image_distances(u, [net])[0] == pytest.approx(
+            nearest_image_distance(u, net), abs=1e-14)
+    unitaries = {
+        "translation": ctx.labeling.unitary_at(ctx.points[6]),
+        "squeezing": squeezing_operator(gf).dense,
+        "fourier": fourier_operator(gf).dense,
+        "haar": random_unitary(4, np.random.default_rng(7)),
+    }
+    counts = {}
+    for name, u in unitaries.items():
+        verdicts = [is_flow(u, net) for net in nets]
+        assert verdicts == (nearest_image_distances(u, nets) < LOOKUP).tolist(), name
+        counts[name] = sum(verdicts)
+    assert counts["translation"] == 1024 and counts["fourier"] == counts["haar"] == 0
+    assert counts["squeezing"] > 0
