@@ -186,6 +186,10 @@ def _cmd_nets(args: argparse.Namespace) -> int:
     if args.out and args.ray_choices is None:
         print("error: --out needs --ray-choices", file=sys.stderr)
         return 2
+    conflict = "--count-only" if args.count_only else "--fix-axes" if args.fix_axes else None
+    if args.ray_choices is not None and conflict:
+        print(f"error: --ray-choices conflicts with {conflict}", file=sys.stderr)
+        return 2
     if args.count_only:
         print(total)
         return 0

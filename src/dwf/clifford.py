@@ -7,17 +7,19 @@ success yields the symplectic table over Z_p plus per-generator phase
 exponents.  The generator stack and the catalogue are built once per
 field and are read-only, as are the cached squeezing and Fourier results.
 
-Synthesis goes the other way.  Given commuting tuples M_1..M_n and
-N_1..N_n with symplectic pairing delta_ij, the unitary sending M_i to Z_i
-and N_i to X_i is written down directly: take the joint +1 eigenvector of
-the M_i as column zero and generate the remaining columns with products of
-the N_i.  The syndrome construction reduces an arbitrary pair of maximal
-commuting sets with trivial intersection to exactly this situation, and a
-symplectic table F reduces to it through the pairs T(F(0|e_i)), T(F(e_i|0)).
+Synthesis goes the other way, along one path: `clifford_from_symplectic`
+writes down the unitary of a symplectic table F, with the joint +1
+eigenvector of the Z_i images T(F(0|e_i)) as column zero and powers of the
+X_i images T(F(e_i|0)) generating the rest, and certifies it in integers.
+Standardizing a pair of maximal commuting sets with trivial intersection
+is its inverse: the syndrome construction builds the table sending the
+Z- and X-type generators onto the pair, and the standardizer is the
+adjoint of that table's unitary.
 
-The discrete squeezing operator and the finite Fourier transform are both
-obtained this way; the stabilizer tableau at the bottom cross-validates
-generator-level circuits against dense simulation for qubit registers.
+The discrete squeezing operator is synthesized from its table; the finite
+Fourier transform is written down directly and certified by membership.
+The stabilizer tableau at the bottom cross-validates generator-level
+circuits against dense simulation for qubit registers.
 
 Primitives come from the layers below: mod-p rank and inverse from
 `galois`, index <-> digit maps from the field (element(z).coords,
@@ -72,7 +74,7 @@ class SymplecticClifford:
     field: FieldSpec
     symplectic: np.ndarray  # 2n x 2n over Z_p, columns ordered X_1..X_n, Z_1..Z_n
     phase_exponents: tuple[int, ...]  # per generator, exponent of the phase unit
-    dense: np.ndarray | None = None
+    dense: np.ndarray
 
     def __bool__(self) -> bool:
         return True
@@ -157,7 +159,7 @@ def is_clifford(u: np.ndarray, gf: FieldSpec):
     table = labels.T.copy()
     if not is_symplectic_table(table, gf.p):
         raise AssertionError("conjugation table does not preserve the symplectic form")
-    return SymplecticClifford(gf, table, tuple(exponents), dense=u)
+    return SymplecticClifford(gf, table, tuple(exponents), u)
 
 
 def _shared(result: SymplecticClifford) -> SymplecticClifford:
@@ -171,48 +173,46 @@ def _shared(result: SymplecticClifford) -> SymplecticClifford:
 # synthesis
 # ---------------------------------------------------------------------------
 
-def synthesize_from_pairs(
-    ms: tuple[PauliOperator, ...], ns: tuple[PauliOperator, ...]
-) -> np.ndarray:
-    """The unitary C with C M_i C~ = Z_i and C N_i C~ = X_i exactly.
+def clifford_from_symplectic(f: np.ndarray, gf: FieldSpec) -> SymplecticClifford:
+    """A unitary realizing a symplectic table with every generator phase
+    exponent zero: U T(v) U~ = T(Fv) exactly for v among the 2n generators.
 
-    Requires pairwise commuting ms, pairwise commuting ns and the pairing
-    symplectic(N_i, M_j) = delta_ij; all three are checked.
+    Column zero of U is the joint +1 eigenvector of the images
+    M_i = T(F(0|e_i)) of the Z_i, and column z applies the powers N_i^z_i of
+    the images N_i = T(F(e_i|0)) of the X_i to it.  A symplectic F already
+    makes the M_i commute, the N_i commute and <N_i, M_j> = delta_ij, which
+    is all the construction needs.  Certified in integers: is_clifford must
+    return F with every exponent zero.
     """
-    gf = ms[0].field
-    d = gf.order
-    n = len(ms)
-    gram = np.array([[symplectic_product(a, b) for b in ms + ns] for a in ms + ns])
-    if gram[:n, :n].any():
-        raise ValueError("ms do not commute")
-    if gram[n:, n:].any():
-        raise ValueError("ns do not commute")
-    if not np.array_equal(gram[n:, :n], np.eye(n)):
-        raise ValueError("pairing of ns against ms is not the identity")
-    psi0 = joint_eigenvector([m.dense for m in ms], (0,) * gf.n, gf.p)
-    columns = np.zeros((d, d), dtype=complex)
+    p, n, d = gf.p, gf.n, gf.order
+    f = np.array(f, dtype=np.int64) % p
+    if not is_symplectic_table(f, p):
+        raise ValueError("table does not preserve the symplectic form mod p")
+    # column i of F is the image label of X_i, column n + i that of Z_i
+    images = [PauliOperator(gf, col[:n], col[n:]).dense for col in f.T]
+    psi0 = joint_eigenvector(images[n:], (0,) * n, p)
+    u = np.zeros((d, d), dtype=complex)
     for z in range(d):
         v = psi0
-        for i, digit in enumerate(gf.element(z).coords):
+        for x_image, digit in zip(images[:n], gf.element(z).coords):
             for _ in range(digit):
-                v = ns[i].dense @ v
-        columns[:, z] = v
-    return columns.conj().T
+                v = x_image @ v
+        u[:, z] = v
+    result = is_clifford(u, gf)
+    if not result or not np.array_equal(result.symplectic, f) or any(result.phase_exponents):
+        raise AssertionError("synthesis did not reproduce the requested table")
+    return result
 
 
-@dataclass(eq=False)
-class SyndromeData:
-    generators: tuple[PauliOperator, ...]
-    partners: tuple[PauliOperator, ...]
+def standardize_pair(s: AbelianSet, t: AbelianSet) -> SymplecticClifford:
+    """The Clifford sending s onto the Z-type set and t onto the X-type set.
 
-
-def syndrome_standard_pairs(s: AbelianSet, t: AbelianSet) -> SyndromeData:
-    """Pick N_i in t with syndrome e_i against the generators M_i of s.
-
-    The syndrome of N is the vector of symplectic products against the
-    M_i.  With h_k the generators of t, the n x n syndrome matrix
-    S[k, i] = <h_k, M_i> is invertible exactly when s and t intersect
-    trivially, and row j of S^-1 holds the exponents of N_j = prod_k h_k^x.
+    It inverts the synthesized unitary whose table has columns
+    N_1..N_n, M_1..M_n: the M_i generate s, and N_i is the member of t with
+    syndrome e_i, the vector of its symplectic products against the M_i.
+    With h_k the generators of t, the syndrome matrix S[k, i] = <h_k, M_i>
+    is invertible exactly when s and t intersect trivially, and row j of
+    S^-1 holds the exponents of N_j = prod_k h_k^x.
     """
     gf = s.field
     ms, hs = s.generators(), t.generators()
@@ -221,40 +221,9 @@ def syndrome_standard_pairs(s: AbelianSet, t: AbelianSet) -> SyndromeData:
         exponents = inverse_mod_p(syndrome, gf.p)
     except ValueError:
         raise ValueError("sets intersect nontrivially; no standardization exists") from None
-    labels = exponents @ np.array([h.label for h in hs]) % gf.p
-    return SyndromeData(ms, tuple(PauliOperator(gf, l[:gf.n], l[gf.n:]) for l in labels))
-
-
-def standardize_pair(s: AbelianSet, t: AbelianSet) -> SymplecticClifford:
-    """The Clifford sending s onto the Z-type set and t onto the X-type set."""
-    gf = s.field
-    data = syndrome_standard_pairs(s, t)
-    c = synthesize_from_pairs(data.generators, data.partners)
-    # generator_operators lists X_1..X_n, then Z_1..Z_n
-    for source, target in zip(data.partners + data.generators, generator_operators(gf)):
-        if np.linalg.norm(c @ source.dense @ c.conj().T - target.dense) > LOOKUP:
-            raise AssertionError(f"standardization failed to map {source} onto {target}")
-    result = is_clifford(c, gf)
-    if not result:
-        raise AssertionError("synthesized standardizer is not Clifford")
-    return result
-
-
-def clifford_from_symplectic(f: np.ndarray, gf: FieldSpec) -> SymplecticClifford:
-    """A unitary realizing a symplectic table with all-positive generator
-    phases: U T(v) U~ = T(Fv) exactly for v among the 2n generators."""
-    p, n = gf.p, gf.n
-    f = np.array(f, dtype=np.int64) % p
-    if not is_symplectic_table(f, p):
-        raise ValueError("table does not preserve the symplectic form mod p")
-    # column n + i of F is the image label of Z_i, column i that of X_i
-    ms = tuple(PauliOperator(gf, f[:n, n + i], f[n:, n + i]) for i in range(n))
-    ns = tuple(PauliOperator(gf, f[:n, i], f[n:, i]) for i in range(n))
-    u = synthesize_from_pairs(ms, ns).conj().T
-    result = is_clifford(u, gf)
-    if not result or not np.array_equal(result.symplectic, f):
-        raise AssertionError("synthesis did not reproduce the requested table")
-    return result
+    ns = exponents @ np.array([h.label for h in hs]) % gf.p
+    f = np.vstack([ns, [m.label for m in ms]]).T
+    return is_clifford(clifford_from_symplectic(f, gf).dense.conj().T, gf)
 
 
 @lru_cache(maxsize=None)
@@ -330,11 +299,10 @@ def hadamard_in_chart(gf: FieldSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MubMapResult:
-    is_map: bool
     permutation: tuple[int, ...] | None
 
     def __bool__(self) -> bool:
-        return self.is_map
+        return self.permutation is not None
 
 
 def maps_mub_to_mub(u: np.ndarray, b1: MubSet, b2: MubSet) -> MubMapResult:
@@ -354,11 +322,11 @@ def maps_mub_to_mub(u: np.ndarray, b1: MubSet, b2: MubSet) -> MubMapResult:
     _, bad, _ = _extract_permutation(blocks)
     passes = bad < 0
     if not passes.any(axis=1).all():
-        return MubMapResult(False, None)
+        return MubMapResult(None)
     perm = tuple(int(k2) for k2 in np.argmax(passes, axis=1))
     if len(set(perm)) != len(b1.bases):
-        return MubMapResult(False, None)
-    return MubMapResult(True, perm)
+        return MubMapResult(None)
+    return MubMapResult(perm)
 
 
 # ---------------------------------------------------------------------------

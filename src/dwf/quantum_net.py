@@ -208,7 +208,9 @@ def enumerate_nets(gf: FieldSpec, mub: MubSet | None = None, fix_axes: bool = Fa
             yield ctx.complete(choices)
 
 
-@lru_cache(maxsize=8)
+# 16 holds every table of one `flows` benchmark round, which tests 11
+# distinct unitaries; a bound of 8 evicts each before its unitary comes back
+@lru_cache(maxsize=16)
 def _transition_table(entries: bytes, mub: MubSet) -> np.ndarray:
     """T~ = (T - a_mu/(d+1) - b_lam/(d+1) + |U|^2/(d+1)^2) / d, read-only, for
     the matrix U whose C-order complex bytes are `entries`: T[lam, mu] =

@@ -103,6 +103,23 @@ def test_nets_out_without_ray_choices_refused_before_enumerating(tmp_path, capsy
     assert not out_path.exists()
 
 
+def test_nets_ray_choices_conflict_with_count_only(tmp_path, capsys):
+    out_path = tmp_path / "net.json"
+    argv = ["nets", "--d", "4", "--count-only", "--ray-choices", "9,9", "--out", str(out_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --ray-choices conflicts with --count-only\n"
+    assert not out_path.exists()
+
+
+def test_nets_ray_choices_conflict_with_fix_axes(capsys):
+    assert main(["nets", "--d", "2", "--fix-axes", "--ray-choices", "1,1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --ray-choices conflicts with --fix-axes\n"
+
+
 def test_nets_large_dimension_refused(capsys):
     assert main(["nets", "--d", "8"]) == 2
     assert "refused" in capsys.readouterr().err

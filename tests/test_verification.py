@@ -87,3 +87,34 @@ def test_no_unused_imports_in_the_package():
                     if name not in used:
                         found.append(f"{path.relative_to(root)}:{node.lineno}: {name}")
     assert found == []
+
+
+def test_no_dead_private_helpers_in_the_package():
+    # every private module-level function, class or constant, and every
+    # private method, is read somewhere in the package
+    package = Path(__file__).resolve().parents[1] / "src" / "dwf"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node] + [m for m in body if isinstance(m, ast.FunctionDef)]:
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((name, item.lineno, item.name))
+                elif isinstance(item, ast.Assign):
+                    defined += [(name, item.lineno, t.id) for t in item.targets
+                                if isinstance(t, ast.Name)]
+    found = [f"{name}:{line}: {ident}" for name, line, ident in defined
+             if private(ident) and ident not in read]
+    assert found == []
