@@ -8,7 +8,9 @@ configuration is explicit -- put each basis's minimizing projector on the
 ray and read the value at the origin.  `brute_force_min` validates that
 argument with the minimum of `wigner_scan`, every net at every point for
 d <= ENUMERATION_MAX_DIM; it must never be shortcut through the closed
-form.  `classify` lists the scan's most negative witnesses.
+form.  `classify` lists the scan's most negative witnesses.  The scan is
+built in `wigner` and memoized on the state, so these two and every
+`wigner_function` call on one state read one scan.
 
 Membership comes with a constructive certificate: the coefficients
 
@@ -26,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galois import FieldSpec
-from .geometry import PhasePoint, all_points, build_striations, origin
+from .geometry import PhasePoint, all_points, origin
 from .mub import MubSet
-from .quantum_net import ENUMERATION_MAX_DIM, net_context, net_count
+from .quantum_net import ENUMERATION_MAX_DIM
 from .tolerances import MEMBERSHIP
-from .wigner import DensityState, ProbabilityTable, probabilities
+from .wigner import DensityState, ProbabilityTable, probabilities, wigner_scan
 
 
 @dataclass(frozen=True)
@@ -95,33 +97,17 @@ def min_wigner(rho: DensityState, mub: MubSet) -> ClassicalityReport:
     return _report(_table(rho, mub), mub.field)
 
 
-def wigner_scan(rho: DensityState, mub: MubSet) -> np.ndarray:
-    """Wigner values of every net at every point by exhaustive enumeration:
-    values[r_0, ..., r_d, alpha] for the net with ray choices (r_0 .. r_d).
-
-    Striation kappa adds the probability on the line through alpha when
-    its ray gets r along axis kappa of one preallocated array, in the
-    order `wigner_function` sums them: each net's values equal its table
-    bit for bit.  Refused above ENUMERATION_MAX_DIM (d^(d+1) nets)."""
-    d = mub.dim
-    if d > ENUMERATION_MAX_DIM:
+def _check_field(mub: MubSet, gf: FieldSpec) -> None:
+    if gf is not mub.field:
         raise ValueError(
-            f"brute force over {net_count(d)} nets at d={d} is not supported; use min_wigner"
+            f"field of order {gf.order} is not the field of the basis set (order {mub.dim})"
         )
-    table = _table(rho, mub)
-    pencil = net_context(mub, build_striations(mub.field)).pencil
-    values = np.zeros((d,) * (d + 1) + (d * d,))
-    for kappa in range(d + 1):
-        shape = (1,) * kappa + (d,) + (1,) * (d - kappa) + (d * d,)  # r on axis kappa
-        values += table.values[kappa, pencil[kappa].T].reshape(shape)
-    values -= 1.0
-    values /= d
-    return values
 
 
 def brute_force_min(rho: DensityState, mub: MubSet, gf: FieldSpec) -> float:
     """Minimum of `wigner_scan` over every net and point, never through
-    the closed form; gf is the field of mub."""
+    the closed form; gf must be the field of mub."""
+    _check_field(mub, gf)
     return float(wigner_scan(rho, mub).min())
 
 
@@ -146,7 +132,11 @@ def classify(
     negative witnessing (net, point) pairs.
 
     For d <= ENUMERATION_MAX_DIM witnesses come from the exhaustive scan;
-    above it, only the closed-form minimizing configuration is reported."""
+    above it, only the closed-form minimizing configuration is reported.
+    gf must be the field of mub, and top_k non-negative."""
+    _check_field(mub, gf)
+    if top_k < 0:
+        raise ValueError(f"top_k must be non-negative, got {top_k}")
     table = _table(rho, mub)
     report = _report(table, mub.field)
     witnesses: list[Witness] = []

@@ -6,6 +6,13 @@ lines through a point, while `wigner_from_point_operators` traces the
 state against the net's point operators.  Tests hold the two routes
 together; the functions never call each other.
 
+Every net's table is a sum of the same (d+1) x d probabilities (Gibbons,
+Hoffman and Wootters), so a state memoizes its probability table per
+basis set and, at d <= ENUMERATION_MAX_DIM, its `wigner_scan` per net
+context: the Wigner values of all d^(d+1) nets at once.  There
+`wigner_function` returns the net's row of the scan; above it, one gather
+per net.  Tables are read-only at every d.
+
 States are accepted when Hermitian, within `trace_slack(d)` of trace one
 and with no entry of modulus above STATE_ENTRY_MAX: no such state breaks the
 probability and Wigner sum checks.  Positivity is reported, not required: a
@@ -18,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PhasePoint
+from .geometry import PhasePoint, build_striations
 from .mub import MubSet
-from .quantum_net import QuantumNet
+from .quantum_net import ENUMERATION_MAX_DIM, NetContext, QuantumNet, net_context, net_count
 from .tolerances import SPECTRAL, STATE_ENTRY_MAX, trace_slack
 
 
@@ -30,13 +37,16 @@ class DensityState:
     STATE_ENTRY_MAX; kind records its origin.
 
     Immutable: rho is a read-only copy of the input, so the probability
-    table memoized per basis set can never go stale.
+    table memoized per basis set and the scan memoized per net context
+    can never go stale.
     """
 
     rho: np.ndarray
     kind: str = "mixed"  # "pure" | "mixed"
     # ProbabilityTable per MubSet (identity-keyed, MubSet is eq=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False)
+    # read-only scan per NetContext (identity-keyed), d <= ENUMERATION_MAX_DIM only
+    _scans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         rho = np.array(self.rho, dtype=complex)  # a copy: never freeze the caller's array
@@ -153,18 +163,69 @@ class WignerTable:
         return float(self.values.min())
 
 
-def wigner_function(rho: DensityState, net: QuantumNet) -> WignerTable:
-    """Wigner values from basis probabilities: at each point, the pencil sum
-    of assigned-line probabilities minus one, over d."""
-    d = net.dim
-    if rho.dim != d:
-        raise ValueError(f"state dimension {rho.dim} != net dimension {d}")
-    mub = net.context.mub
+def _table(rho: DensityState, mub: MubSet) -> ProbabilityTable:
+    """The state's memoized probability table, computed on a miss."""
     table = rho._tables.get(mub)
     if table is None:
         table = rho._tables[mub] = probabilities(rho, mub)
-    pencil_sum = table.values.ravel()[net.rows].sum(axis=0)
-    return WignerTable(((pencil_sum - 1.0) / d).reshape(d, d), net)
+    return table
+
+
+def _pencil_scan(probs: np.ndarray, pencil: np.ndarray) -> np.ndarray:
+    """Wigner values of every net at every point, values[r_0, ..., r_d, q, p],
+    read-only, from a (d+1) x d probability table and a context's pencil.
+
+    Striation kappa adds the probability on the line through alpha when
+    its ray gets r along axis kappa of one preallocated array, in the
+    striation order in which a per-net gather sums them: each net's
+    values equal that gather bit for bit."""
+    d = probs.shape[1]
+    values = np.zeros((d,) * (d + 1) + (d * d,))
+    for kappa in range(d + 1):
+        shape = (1,) * kappa + (d,) + (1,) * (d - kappa) + (d * d,)  # r on axis kappa
+        values += probs[kappa, pencil[kappa].T].reshape(shape)
+    values -= 1.0
+    values /= d
+    values = values.reshape((d,) * (d + 1) + (d, d))
+    values.flags.writeable = False  # memoized per state and shared by every reader
+    return values
+
+
+def _scan(rho: DensityState, ctx: NetContext) -> np.ndarray:
+    """The state's memoized scan over the nets of ctx, built on a miss."""
+    scan = rho._scans.get(ctx)
+    if scan is None:
+        scan = rho._scans[ctx] = _pencil_scan(_table(rho, ctx.mub).values, ctx.pencil)
+    return scan
+
+
+def wigner_scan(rho: DensityState, mub: MubSet) -> np.ndarray:
+    """Wigner values of every net at every point by exhaustive enumeration:
+    values[r_0, ..., r_d, alpha] for the net with ray choices (r_0 .. r_d),
+    a read-only view of the state's memoized scan.  Refused above
+    ENUMERATION_MAX_DIM (d^(d+1) nets)."""
+    d = mub.dim
+    if d > ENUMERATION_MAX_DIM:
+        raise ValueError(
+            f"brute force over {net_count(d)} nets at d={d} is not supported; use min_wigner"
+        )
+    scan = _scan(rho, net_context(mub, build_striations(mub.field)))
+    return scan.reshape((d,) * (d + 1) + (d * d,))
+
+
+def wigner_function(rho: DensityState, net: QuantumNet) -> WignerTable:
+    """Wigner values from basis probabilities: at each point, the pencil sum
+    of assigned-line probabilities minus one, over d.  Read-only: the net's
+    row of the state's scan at d <= ENUMERATION_MAX_DIM, one gather above."""
+    d = net.dim
+    if rho.dim != d:
+        raise ValueError(f"state dimension {rho.dim} != net dimension {d}")
+    if d <= ENUMERATION_MAX_DIM:
+        return WignerTable(_scan(rho, net.context)[net.ray_choices], net)
+    pencil_sum = _table(rho, net.context.mub).values.ravel()[net.rows].sum(axis=0)
+    values = ((pencil_sum - 1.0) / d).reshape(d, d)
+    values.flags.writeable = False
+    return WignerTable(values, net)
 
 
 def wigner_from_point_operators(rho: DensityState, net: QuantumNet) -> np.ndarray:

@@ -248,3 +248,22 @@ def test_classify_witnesses_equal_a_full_stable_sort_of_the_scan():
             for w in classify(rho, mub, field(d), top_k=top_k).witnesses
         ]
         assert got == expected, (case, d, top_k)
+
+
+def test_classify_refuses_a_negative_top_k():
+    rho = DensityState.random_pure(3, np.random.default_rng(1))
+    mub = standard_mub(3)
+    assert len(classify(rho, mub, field(3), top_k=300).witnesses) == 216
+    for top_k in (-1, -3):
+        with pytest.raises(ValueError, match="top_k"):
+            classify(rho, mub, field(3), top_k=top_k)
+    assert classify(rho, mub, field(3), top_k=0).witnesses == ()
+
+
+def test_a_field_other_than_the_basis_field_is_refused():
+    rho = DensityState.random_pure(3, np.random.default_rng(1))
+    mub = standard_mub(3)
+    with pytest.raises(ValueError, match="order 2 .*order 3"):
+        classify(rho, mub, field(2))
+    with pytest.raises(ValueError, match="order 9 .*order 3"):
+        brute_force_min(rho, mub, field(9))

@@ -89,6 +89,22 @@ def test_no_unused_imports_in_the_package():
     assert found == []
 
 
+def test_no_imports_inside_functions_in_the_package():
+    # every import sits at module level, so the import graph is the layer
+    # order and a cycle between layers fails at import time
+    package = Path(__file__).resolve().parents[1] / "src" / "dwf"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno}: import in {func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []
+
+
 def test_no_dead_private_helpers_in_the_package():
     # every private module-level function, class or constant, and every
     # private method, is read somewhere in the package

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dwf import wigner
+from dwf.classicality import brute_force_min, classify
 from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.geometry import build_striations, line_points, origin
 from dwf.mub import MubSet, standard_mub
@@ -322,3 +323,48 @@ def test_density_state_is_immutable():
     assert given_matrix.flags.writeable
     given_matrix[0, 0] = 0.9  # the caller's array stays theirs: no alias
     assert state.rho[0, 0] == 0.5
+
+
+def test_one_scan_and_one_table_per_state_across_every_reader(probability_calls, monkeypatch):
+    scans = []
+    original = wigner._pencil_scan
+    monkeypatch.setattr(
+        wigner, "_pencil_scan", lambda probs, pencil: scans.append(1) or original(probs, pencil)
+    )
+    d = 4
+    ctx = standard_context(d)
+    rho = DensityState.random_pure(d, np.random.default_rng(8))
+    for net in enumerate_nets(field(d)):
+        wigner_function(rho, net)
+    rng = np.random.default_rng(9)
+    for _ in range(8):
+        wigner_function(rho, ctx.complete(tuple(rng.integers(0, d, d + 1))))
+    brute_force_min(rho, ctx.mub, field(d))
+    assert classify(rho, ctx.mub, field(d)).witnesses  # the scan route ran
+    assert len(scans) == 1
+    assert [state for state, _ in probability_calls] == [rho]
+    assert list(rho._scans) == [ctx]
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 7, 8, 9))
+def test_every_table_equals_the_direct_gather_bit_for_bit(d):
+    # d=4 is every net of test_memoized_tables_equal_the_direct_gather_on_every_net
+    ctx = standard_context(d)
+    rng = np.random.default_rng([d, 14])
+    if d < 4:
+        nets = list(enumerate_nets(field(d)))
+    else:  # 15,625 nets at d=5, none enumerable above: a seeded sample
+        nets = [ctx.complete(tuple(rng.integers(0, d, d + 1))) for _ in range(200 if d == 5 else 12)]
+    for rho in (DensityState.random_pure(d, rng), DensityState.random_mixed(d, rng)):
+        table = probabilities(rho, ctx.mub)
+        for net in nets:
+            assert np.array_equal(wigner_function(rho, net).values, pencil_gather(table, net))
+
+
+@pytest.mark.parametrize("d", (4, 8))
+def test_wigner_tables_are_read_only(d):
+    rho = DensityState.maximally_mixed(d)
+    table = wigner_function(rho, base_net(d))
+    with pytest.raises(ValueError, match="read-only"):
+        table.values[0, 0] = 0.0
+    assert np.allclose(table.values, 1.0 / d**2, atol=1e-12)
