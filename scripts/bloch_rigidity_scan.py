@@ -7,6 +7,9 @@ so every flagged grid point sits within a tiny angular cap around one of
 the six axis directions.
 
 Usage: python scripts/bloch_rigidity_scan.py [--resolution-deg 1.0] [--slack 1e-9]
+--resolution-deg must lie in [0.25, 180] (the finest grid holds about a
+million states) and --slack must be a finite number >= 0; anything else
+exits 2 with one line naming the flag.
 """
 
 import argparse
@@ -14,6 +17,8 @@ import argparse
 import numpy as np
 
 from dwf.mub import standard_mub
+
+FINEST_RESOLUTION_DEG = 0.25  # 721 x 1440 grid states
 
 
 def scan(resolution_deg: float, slack: float):
@@ -42,6 +47,13 @@ def main() -> int:
     parser.add_argument("--slack", type=float, default=1e-9,
                         help="tolerance below zero still counted as non-negative")
     args = parser.parse_args()
+    if not FINEST_RESOLUTION_DEG <= args.resolution_deg <= 180.0:  # also refuses nan
+        parser.error(
+            f"argument --resolution-deg: must be a number in [{FINEST_RESOLUTION_DEG:g}, 180], "
+            f"got {args.resolution_deg}"
+        )
+    if not 0.0 <= args.slack < np.inf:
+        parser.error(f"argument --slack: must be a finite number >= 0, got {args.slack}")
 
     total, flagged, angle, min_w = scan(args.resolution_deg, args.slack)
     print(f"grid states: {total} at {args.resolution_deg} deg resolution")

@@ -2,20 +2,23 @@
 and globally?
 
 For each sampled state the script prints the spread of per-net minima
-over every net, read from one exhaustive `wigner_scan`, the closed-form
+over every net, read from one exhaustive scan's `net_minima`, the closed-form
 global minimum, and checks the two agree at the bottom of the range.
 Random pure states land outside the classical polytope essentially
 always; mixtures move inward as they approach the maximally mixed state.
 d is capped at ENUMERATION_MAX_DIM, the limit of the scan.
 
 Usage: python scripts/negativity_census.py [--d {2,3,4,5}] [--states 10] [--seed 7]
+                                          [--mixing 0.0]
+--states and --seed must be non-negative and --mixing a number in [0, 1];
+anything else exits 2 with one line naming the flag.
 """
 
 import argparse
 
 import numpy as np
 
-from dwf.classicality import min_wigner, wigner_scan
+from dwf.classicality import min_wigner, net_minima
 from dwf.galois import SUPPORTED_DIMENSIONS
 from dwf.mub import standard_mub
 from dwf.quantum_net import ENUMERATION_MAX_DIM, net_count
@@ -31,6 +34,12 @@ def main() -> int:
     parser.add_argument("--mixing", type=float, default=0.0,
                         help="mix each pure state with this much of the flat state")
     args = parser.parse_args()
+    if args.states < 0:
+        parser.error(f"argument --states: must be non-negative, got {args.states}")
+    if args.seed < 0:
+        parser.error(f"argument --seed: must be non-negative, got {args.seed}")
+    if not 0.0 <= args.mixing <= 1.0:  # also refuses nan
+        parser.error(f"argument --mixing: must be a number in [0, 1], got {args.mixing}")
 
     d = args.d
     mub = standard_mub(d)
@@ -43,7 +52,7 @@ def main() -> int:
         rho = DensityState(
             (1 - args.mixing) * pure.rho + args.mixing * np.eye(d) / d
         )
-        per_net = wigner_scan(rho, mub).min(axis=-1)
+        per_net = net_minima(rho, mub)
         report = min_wigner(rho, mub)
         gap = abs(per_net.min() - report.min_wigner)
         classical_count += report.classical

@@ -50,6 +50,7 @@ from .classicality import (  # noqa: F401
     classify,
     convex_decomposition,
     min_wigner,
+    net_minima,
     wigner_scan,
 )
 from .clifford import (  # noqa: F401

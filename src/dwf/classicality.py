@@ -6,10 +6,11 @@ Wigner value collects exactly the smallest probability from each basis, so
 the global minimum is (sum of per-basis minima - 1) / d and a minimizing
 configuration is explicit -- put each basis's minimizing projector on the
 ray and read the value at the origin.  `brute_force_min` validates that
-argument with the minimum of `wigner_scan`, every net at every point for
-d <= ENUMERATION_MAX_DIM; it must never be shortcut through the closed
-form.  `classify` lists the scan's most negative witnesses.  The scan is
-built in `wigner` and memoized on the state, so these two and every
+argument with the minimum of `net_minima`, the per-net minima of
+`wigner_scan` over every net at every point for d <= ENUMERATION_MAX_DIM;
+it must never be shortcut through the closed form.  `classify` lists the
+scan's most negative witnesses.  The scan and its minima are built in
+`wigner` and memoized on the state, so these two and every
 `wigner_function` call on one state read one scan.
 
 Membership comes with a constructive certificate: the coefficients
@@ -32,7 +33,7 @@ from .geometry import PhasePoint, all_points, origin
 from .mub import MubSet
 from .quantum_net import ENUMERATION_MAX_DIM
 from .tolerances import MEMBERSHIP
-from .wigner import DensityState, ProbabilityTable, probabilities, wigner_scan
+from .wigner import DensityState, ProbabilityTable, net_minima, probabilities, wigner_scan
 
 
 @dataclass(frozen=True)
@@ -105,10 +106,10 @@ def _check_field(mub: MubSet, gf: FieldSpec) -> None:
 
 
 def brute_force_min(rho: DensityState, mub: MubSet, gf: FieldSpec) -> float:
-    """Minimum of `wigner_scan` over every net and point, never through
-    the closed form; gf must be the field of mub."""
+    """Minimum of `wigner_scan` over every net and point, read from
+    `net_minima`, never through the closed form; gf must be the field of mub."""
     _check_field(mub, gf)
-    return float(wigner_scan(rho, mub).min())
+    return float(net_minima(rho, mub).min())
 
 
 def _decomposition(table: ProbabilityTable) -> DecompositionResult:

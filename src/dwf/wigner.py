@@ -13,6 +13,13 @@ context: the Wigner values of all d^(d+1) nets at once.  There
 `wigner_function` returns the net's row of the scan; above it, one gather
 per net.  Tables are read-only at every d.
 
+The producer of a table checks that it sums to one and computes its
+minimum, so a `WignerTable` does no reduction of its own.  When a scan
+is built, every net's sum is checked at once and every net's minimum is
+memoized next to the scan (`net_minima`); reading a table from it then
+reduces nothing.  The gather above ENUMERATION_MAX_DIM checks and
+minimizes its one table.
+
 States are accepted when Hermitian, within `trace_slack(d)` of trace one
 and with no entry of modulus above STATE_ENTRY_MAX: no such state breaks the
 probability and Wigner sum checks.  Positivity is reported, not required: a
@@ -45,7 +52,8 @@ class DensityState:
     kind: str = "mixed"  # "pure" | "mixed"
     # ProbabilityTable per MubSet (identity-keyed, MubSet is eq=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False)
-    # read-only scan per NetContext (identity-keyed), d <= ENUMERATION_MAX_DIM only
+    # read-only (scan, per-net minima) per NetContext (identity-keyed),
+    # d <= ENUMERATION_MAX_DIM only
     _scans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -143,14 +151,15 @@ def probabilities(rho: DensityState, mub: MubSet) -> ProbabilityTable:
 
 @dataclass(eq=False)
 class WignerTable:
-    """values[q_index, p_index]; normalized to one, real by construction."""
+    """values[q_index, p_index]; normalized to one, real by construction.
+
+    Built only by `wigner_function`, which has checked the sum and
+    computed the minimum: from the state's scan at d <= ENUMERATION_MAX_DIM,
+    from the net's own gather above it."""
 
     values: np.ndarray
     net: QuantumNet
-
-    def __post_init__(self):
-        if abs(self.values.sum() - 1.0) > SPECTRAL:
-            raise ValueError(f"Wigner table sums to {self.values.sum():.12f}")
+    minimum: float  # values.min(), from the producer
 
     @property
     def dim(self) -> int:
@@ -160,7 +169,7 @@ class WignerTable:
         return float(self.values[point.q.index, point.p.index])
 
     def min(self) -> float:
-        return float(self.values.min())
+        return float(self.minimum)
 
 
 def _table(rho: DensityState, mub: MubSet) -> ProbabilityTable:
@@ -172,31 +181,63 @@ def _table(rho: DensityState, mub: MubSet) -> ProbabilityTable:
 
 
 def _pencil_scan(probs: np.ndarray, pencil: np.ndarray) -> np.ndarray:
-    """Wigner values of every net at every point, values[r_0, ..., r_d, q, p],
-    read-only, from a (d+1) x d probability table and a context's pencil.
+    """Wigner values of every net at every point, values[r_0, ..., r_d, alpha],
+    from a (d+1) x d probability table and a context's pencil.
 
-    Striation kappa adds the probability on the line through alpha when
-    its ray gets r along axis kappa of one preallocated array, in the
-    striation order in which a per-net gather sums them: each net's
-    values equal that gather bit for bit."""
+    The sums grow one striation at a time: striation kappa opens axis
+    r_kappa and adds the probability of the line through alpha that ray
+    r_kappa assigns.  That is the striation order in which a per-net
+    gather sums them, so each net's values equal that gather bit for bit."""
     d = probs.shape[1]
-    values = np.zeros((d,) * (d + 1) + (d * d,))
-    for kappa in range(d + 1):
-        shape = (1,) * kappa + (d,) + (1,) * (d - kappa) + (d * d,)  # r on axis kappa
-        values += probs[kappa, pencil[kappa].T].reshape(shape)
+    values = probs[0, pencil[0].T]  # [r_0, alpha]
+    for kappa in range(1, d + 1):
+        grown = np.empty((len(values), d, d * d))
+        np.add(values[:, None, :], probs[kappa, pencil[kappa].T], out=grown)
+        values = grown.reshape(-1, d * d)  # [(r_0, ..., r_kappa), alpha]
     values -= 1.0
     values /= d
-    values = values.reshape((d,) * (d + 1) + (d, d))
-    values.flags.writeable = False  # memoized per state and shared by every reader
-    return values
+    return values.reshape((d,) * (d + 1) + (d * d,))
 
 
-def _scan(rho: DensityState, ctx: NetContext) -> np.ndarray:
-    """The state's memoized scan over the nets of ctx, built on a miss."""
-    scan = rho._scans.get(ctx)
-    if scan is None:
-        scan = rho._scans[ctx] = _pencil_scan(_table(rho, ctx.mub).values, ctx.pencil)
-    return scan
+def _check_sums(sums) -> None:
+    """Raise on the table whose sum strays furthest from one."""
+    error = np.abs(sums - 1.0)
+    worst = error.argmax()
+    if error.flat[worst] > SPECTRAL:
+        raise ValueError(f"Wigner table sums to {sums.flat[worst]:.12f}")
+
+
+def _scan(rho: DensityState, ctx: NetContext) -> tuple[np.ndarray, np.ndarray]:
+    """The state's memoized scan over the nets of ctx, values[r_0, ..., r_d, q, p],
+    and each net's minimum, minima[r_0, ..., r_d]: read-only, built,
+    sum-checked and reduced on a miss."""
+    memo = rho._scans.get(ctx)
+    if memo is None:
+        d = ctx.mub.dim
+        values = _pencil_scan(_table(rho, ctx.mub).values, ctx.pencil)
+        tables = values.reshape(-1, d * d)  # one net per row
+        # a product and a loop over the d^2 columns: both far faster than
+        # numpy's reductions over a short last axis
+        _check_sums(tables @ np.ones(d * d))
+        minima = tables[:, 0].copy()
+        for column in tables.T[1:]:
+            np.minimum(minima, column, out=minima)
+        values = values.reshape((d,) * (d + 1) + (d, d))
+        minima = minima.reshape((d,) * (d + 1))
+        values.flags.writeable = False  # memoized per state and shared by every reader
+        minima.flags.writeable = False
+        memo = rho._scans[ctx] = (values, minima)
+    return memo
+
+
+def _enumerable_scan(rho: DensityState, mub: MubSet) -> tuple[np.ndarray, np.ndarray]:
+    """`_scan` over the standard nets of mub, refused above ENUMERATION_MAX_DIM."""
+    d = mub.dim
+    if d > ENUMERATION_MAX_DIM:
+        raise ValueError(
+            f"brute force over {net_count(d)} nets at d={d} is not supported; use min_wigner"
+        )
+    return _scan(rho, net_context(mub, build_striations(mub.field)))
 
 
 def wigner_scan(rho: DensityState, mub: MubSet) -> np.ndarray:
@@ -205,12 +246,14 @@ def wigner_scan(rho: DensityState, mub: MubSet) -> np.ndarray:
     a read-only view of the state's memoized scan.  Refused above
     ENUMERATION_MAX_DIM (d^(d+1) nets)."""
     d = mub.dim
-    if d > ENUMERATION_MAX_DIM:
-        raise ValueError(
-            f"brute force over {net_count(d)} nets at d={d} is not supported; use min_wigner"
-        )
-    scan = _scan(rho, net_context(mub, build_striations(mub.field)))
-    return scan.reshape((d,) * (d + 1) + (d * d,))
+    return _enumerable_scan(rho, mub)[0].reshape((d,) * (d + 1) + (d * d,))
+
+
+def net_minima(rho: DensityState, mub: MubSet) -> np.ndarray:
+    """Each net's smallest Wigner value, minima[r_0, ..., r_d]: the state's
+    memoized minima of `wigner_scan` over its last axis, read-only.
+    Refused above ENUMERATION_MAX_DIM."""
+    return _enumerable_scan(rho, mub)[1]
 
 
 def wigner_function(rho: DensityState, net: QuantumNet) -> WignerTable:
@@ -221,11 +264,14 @@ def wigner_function(rho: DensityState, net: QuantumNet) -> WignerTable:
     if rho.dim != d:
         raise ValueError(f"state dimension {rho.dim} != net dimension {d}")
     if d <= ENUMERATION_MAX_DIM:
-        return WignerTable(_scan(rho, net.context)[net.ray_choices], net)
+        scan, minima = _scan(rho, net.context)
+        r = net.ray_choices
+        return WignerTable(scan[r], net, minima[r])
     pencil_sum = _table(rho, net.context.mub).values.ravel()[net.rows].sum(axis=0)
     values = ((pencil_sum - 1.0) / d).reshape(d, d)
+    _check_sums(values.sum())
     values.flags.writeable = False
-    return WignerTable(values, net)
+    return WignerTable(values, net, values.min())
 
 
 def wigner_from_point_operators(rho: DensityState, net: QuantumNet) -> np.ndarray:

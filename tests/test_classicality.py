@@ -86,6 +86,14 @@ def test_brute_force_refuses_large_dimension():
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_brute_force_min_is_the_minimum_of_the_whole_scan(d):
+    mub = standard_mub(d)
+    rng = np.random.default_rng(1500 + d)
+    for rho in (DensityState.random_pure(d, rng), DensityState.random_mixed(d, rng)):
+        assert brute_force_min(rho, mub, field(d)) == float(wigner_scan(rho, mub).min())
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
 def test_wigner_scan_is_every_net_table_bit_for_bit(d):
     ctx = standard_context(d)
     rng = np.random.default_rng(300 + d)

@@ -10,18 +10,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def spawn_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def run_script(name, *args):
+    proc = spawn_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -56,3 +62,23 @@ def test_bloch_rigidity_scan_flags_only_basis_states():
     out = run_script("bloch_rigidity_scan.py", "--resolution-deg", "1.0")
     m = re.search(r"max angular distance of a flagged state to a basis axis: (\S+) rad", out)
     assert m is not None and float(m.group(1)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "name, flag, value",
+    [
+        ("negativity_census.py", "--mixing", "nan"),
+        ("negativity_census.py", "--states", "-2"),
+        ("negativity_census.py", "--seed", "-1"),
+        ("bloch_rigidity_scan.py", "--resolution-deg", "0"),
+        ("bloch_rigidity_scan.py", "--resolution-deg", "-5"),
+        ("bloch_rigidity_scan.py", "--slack", "nan"),
+    ],
+)
+def test_bad_argument_exits_2_naming_the_flag(name, flag, value):
+    proc = spawn_script(name, flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    usage, error = proc.stderr.split(f"{name}: error: ")  # argparse's usage, then one line
+    assert usage.startswith("usage: ")
+    assert error.startswith(f"argument {flag}: ") and error.count("\n") == 1

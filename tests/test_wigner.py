@@ -16,10 +16,12 @@ from dwf.quantum_net import QuantumNet, covariant_completion, enumerate_nets, st
 from dwf.wigner import (
     DensityState,
     line_probability,
+    net_minima,
     probabilities,
     reconstruct_state,
     wigner_from_point_operators,
     wigner_function,
+    wigner_scan,
 )
 
 
@@ -288,10 +290,13 @@ def test_probabilities_computed_once_per_state_over_all_nets(probability_calls):
 
 
 def test_memoized_tables_equal_the_direct_gather_on_every_net():
-    rho = DensityState.random_mixed(4, np.random.default_rng(6))
-    table = probabilities(rho, standard_mub(4))
-    for net in enumerate_nets(field(4)):
-        assert np.array_equal(wigner_function(rho, net).values, pencil_gather(table, net))
+    rng = np.random.default_rng(6)
+    for rho in (DensityState.random_mixed(4, rng), DensityState.random_pure(4, rng)):
+        probs = probabilities(rho, standard_mub(4))
+        for net in enumerate_nets(field(4)):
+            table = wigner_function(rho, net)
+            assert np.array_equal(table.values, pencil_gather(probs, net))
+            assert table.min() == float(table.values.min())
 
 
 def test_another_mub_object_gets_its_own_table(probability_calls):
@@ -356,9 +361,54 @@ def test_every_table_equals_the_direct_gather_bit_for_bit(d):
     else:  # 15,625 nets at d=5, none enumerable above: a seeded sample
         nets = [ctx.complete(tuple(rng.integers(0, d, d + 1))) for _ in range(200 if d == 5 else 12)]
     for rho in (DensityState.random_pure(d, rng), DensityState.random_mixed(d, rng)):
-        table = probabilities(rho, ctx.mub)
+        probs = probabilities(rho, ctx.mub)
         for net in nets:
-            assert np.array_equal(wigner_function(rho, net).values, pencil_gather(table, net))
+            table = wigner_function(rho, net)
+            assert np.array_equal(table.values, pencil_gather(probs, net))
+            assert table.min() == float(table.values.min())
+
+
+def test_net_minima_are_read_only_and_refused_above_enumeration():
+    d = 3
+    mub = standard_mub(d)
+    rho = DensityState.random_pure(d, np.random.default_rng(16))
+    minima = net_minima(rho, mub)
+    assert minima.shape == (d,) * (d + 1)
+    assert np.array_equal(minima, wigner_scan(rho, mub).min(axis=-1))
+    with pytest.raises(ValueError, match="read-only"):
+        minima[(0,) * (d + 1)] = 0.0
+    with pytest.raises(ValueError, match="not supported"):
+        net_minima(DensityState.maximally_mixed(7), standard_mub(7))
+
+
+def test_a_scan_with_one_unnormalized_net_is_refused_at_every_net(monkeypatch):
+    d = 4
+    original = wigner._pencil_scan
+
+    def skewed(probs, pencil):
+        values = original(probs, pencil)
+        values[(1,) * (d + 1) + (0,)] += 1e-6  # net (1, ..., 1) now sums to 1 + 1e-6
+        return values
+
+    monkeypatch.setattr(wigner, "_pencil_scan", skewed)
+    rho = DensityState.random_pure(d, np.random.default_rng(17))
+    with pytest.raises(ValueError, match="sums to 1.000001"):
+        wigner_function(rho, standard_context(d).complete((0,) * (d + 1)))
+    assert not rho._scans  # nothing is memoized from a refused scan
+
+
+def test_the_gather_refuses_a_table_that_does_not_sum_to_one(monkeypatch):
+    def skewed(rho, mub):
+        table = probabilities(rho, mub)
+        values = table.values.copy()
+        values[0, 0] += 1e-6  # after the row check: every net's table sums to 1 + 1e-6
+        table.values = values
+        return table
+
+    monkeypatch.setattr(wigner, "probabilities", skewed)
+    rho = DensityState.random_mixed(8, np.random.default_rng(18))
+    with pytest.raises(ValueError, match="sums to 1.000001"):
+        wigner_function(rho, base_net(8))
 
 
 @pytest.mark.parametrize("d", (4, 8))
