@@ -21,16 +21,20 @@ from dwf.mub import standard_mub
 FINEST_RESOLUTION_DEG = 0.25  # 721 x 1440 grid states
 
 
+def polar_angles_deg(resolution_deg: float) -> np.ndarray:
+    """Polar angles from 0 to exactly 180 degrees, in equal steps of at most resolution_deg."""
+    return np.linspace(0.0, 180.0, int(np.ceil(180.0 / resolution_deg)) + 1)
+
+
 def scan(resolution_deg: float, slack: float):
     mub = standard_mub(2)
-    thetas = np.deg2rad(np.arange(0.0, 180.0 + resolution_deg, resolution_deg))
+    thetas = np.deg2rad(polar_angles_deg(resolution_deg))
     phis = np.deg2rad(np.arange(0.0, 360.0, resolution_deg))
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     tt, pp = tt.ravel(), pp.ravel()
     states = np.stack([np.cos(tt / 2), np.exp(1j * pp) * np.sin(tt / 2)])
 
-    basis_matrix = np.concatenate([b.vectors for b in mub.bases], axis=1)
-    probs = np.abs(basis_matrix.conj().T @ states) ** 2
+    probs = np.abs(mub.frame.conj().T @ states) ** 2
     minima = np.minimum(probs[0::2], probs[1::2])
     min_w = (minima.sum(axis=0) - 1.0) / 2.0
 

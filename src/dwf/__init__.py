@@ -37,7 +37,7 @@ from .galois import FieldElement, FieldSpec, field  # noqa: F401
 from .geometry import Line, PhasePoint, Striation, build_striations  # noqa: F401
 from .pauli import AbelianSet, PauliOperator, standard_sets  # noqa: F401
 from .mub import MubSet, standard_mub, unbiasedness_report  # noqa: F401
-from .quantum_net import QuantumNet, covariant_completion, enumerate_nets, is_flow  # noqa: F401
+from .quantum_net import QuantumNet, covariant_completion, enumerate_nets, flow_census, is_flow  # noqa: F401
 from .wigner import (  # noqa: F401
     DensityState,
     WignerTable,

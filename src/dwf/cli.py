@@ -29,7 +29,7 @@ from .galois import SUPPORTED_DIMENSIONS, field
 from .geometry import build_striations, line_points
 from .mub import standard_mub, unbiasedness_report
 from .pauli import standard_sets
-from .quantum_net import ENUMERATION_MAX_DIM, enumerate_nets, is_flow, net_count, standard_context
+from .quantum_net import ENUMERATION_MAX_DIM, enumerate_nets, flow_census, net_count, standard_context
 from .tolerances import ALGEBRAIC
 from .verification import DEFAULT_SEED, run_verification
 from .wigner import wigner_function
@@ -314,12 +314,9 @@ def _cmd_clifford(args: argparse.Namespace) -> int:
             print(f"error: the Fourier scan enumerates nets only for d <= "
                   f"{ENUMERATION_MAX_DIM}, got d={d}", file=sys.stderr)
             return 2
-        fop = fourier_operator(gf).dense
-        fix_axes = d > 2
-        nets = list(enumerate_nets(gf, fix_axes=fix_axes))
-        flows = sum(1 for net in nets if is_flow(fop, net))
-        family = "fixed-axes" if fix_axes else "all"
-        print(f"Fourier flow scan at d={d}: {flows} flows among {len(nets)} {family} nets")
+        census = flow_census(fourier_operator(gf).dense, gf)
+        print(f"Fourier flow scan at d={d}: {len(census.flows)} flows "
+              f"among {census.size} {census.family} nets")
         return 0
     try:
         us = squeezing_operator(gf)

@@ -76,9 +76,6 @@ class SymplecticClifford:
     phase_exponents: tuple[int, ...]  # per generator, exponent of the phase unit
     dense: np.ndarray
 
-    def __bool__(self) -> bool:
-        return True
-
 
 @dataclass(eq=False)
 class NotClifford:
@@ -431,11 +428,11 @@ _PAULI_1Q = {
 }
 
 
-def _row_dense(xbits, zbits, r_bit: int) -> np.ndarray:
-    """(-1)^r times the Hermitian Pauli string with the given bits, qubit 0
-    on the least significant index digit."""
+def _row_dense(xbits, zbits) -> np.ndarray:
+    """The Hermitian Pauli string with the given bits, qubit 0 on the least
+    significant index digit."""
     factors = [_PAULI_1Q[(int(xb), int(zb))] for xb, zb in zip(xbits, zbits)]
-    return (-1.0) ** r_bit * reduce(np.kron, list(reversed(factors)))
+    return reduce(np.kron, list(reversed(factors)))
 
 
 @dataclass(eq=False)
@@ -521,7 +518,7 @@ class StabilizerTableau:
     def state_vector(self) -> np.ndarray:
         """The stabilized state: the joint eigenvector of the unsigned rows
         with eigenvalue (-1)^r[i], phase-fixed like the MUB vectors."""
-        rows = [_row_dense(xbits, zbits, 0) for xbits, zbits in zip(self.x, self.z)]
+        rows = [_row_dense(xbits, zbits) for xbits, zbits in zip(self.x, self.z)]
         return joint_eigenvector(rows, self.r.astype(int), 2)
 
 

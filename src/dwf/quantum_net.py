@@ -26,6 +26,8 @@ cheap.
 `is_flow` decides whether conjugation by U permutes a net's point
 operators from U's transition probabilities between basis vectors alone:
 one table per unitary, read by every net through its 0/1 incidence.
+`flow_census` is the one scan of a family of nets: it runs `is_flow` on
+every net at d <= 3 and on the fixed-axes nets (ray choices (0, 0)) above.
 """
 
 from __future__ import annotations
@@ -171,41 +173,28 @@ def covariant_completion(
     return QuantumNet(ctx, choices, indices)
 
 
-def fixed_axes_choices(ctx: NetContext) -> tuple[int, int]:
-    """Ray choices for the vertical and horizontal striations under the
-    coordinate convention: computational 0 for the vertical ray, the
-    uniform superposition for the horizontal ray."""
-    # overlaps with |0> are row 0 of a basis, with the uniform state its column sums
-    j_vert = int(np.argmax(np.abs(ctx.mub.bases[0].vectors[0])))
-    j_horiz = int(np.argmax(np.abs(ctx.mub.bases[1].vectors.sum(axis=0))))
-    return j_vert, j_horiz
-
-
 def net_count(d: int, fix_axes: bool = False) -> int:
     return d ** (d - 1) if fix_axes else d ** (d + 1)
 
 
-def enumerate_nets(gf: FieldSpec, mub: MubSet | None = None, fix_axes: bool = False):
-    """Yield nets in lexicographic ray-choice order, each exactly once.
+def enumerate_nets(gf: FieldSpec, fix_axes: bool = False):
+    """Yield nets in lexicographic ray-choice order, each exactly once; with
+    fix_axes, the d^(d-1) whose vertical and horizontal rays take vector 0,
+    label (0, ..., 0), of their bases: |0> and the uniform superposition.
 
     Enumeration is only allowed for d <= ENUMERATION_MAX_DIM (8, 81, 1024
     and 15625 nets); above it, draw single nets with NetContext.complete.
     """
-    mub = mub if mub is not None else standard_mub(gf.order)
-    ctx = net_context(mub, build_striations(gf))
+    ctx = standard_context(gf.order)
     d = ctx.dim
     if d > ENUMERATION_MAX_DIM:
         raise ValueError(
             f"refusing to enumerate {net_count(d, fix_axes)} nets at d={d}; "
             "draw single nets with NetContext.complete"
         )
-    if fix_axes:
-        j_vert, j_horiz = fixed_axes_choices(ctx)
-        for oblique in itertools.product(range(d), repeat=d - 1):
-            yield ctx.complete((j_vert, j_horiz) + oblique)
-    else:
-        for choices in itertools.product(range(d), repeat=d + 1):
-            yield ctx.complete(choices)
+    axes = (0, 0) if fix_axes else ()
+    for free in itertools.product(range(d), repeat=d + 1 - len(axes)):
+        yield ctx.complete(axes + free)
 
 
 # 16 holds every table of one `flows` benchmark round, which tests 11
@@ -248,9 +237,20 @@ def is_flow(unitary: np.ndarray, net: QuantumNet) -> bool:
     return math.sqrt(np.einsum("ij,ij->j", x, x).max() / d) < LOOKUP
 
 
-def squeezing_covariant_nets(
-    gf: FieldSpec, mub: MubSet, u_s: np.ndarray
-) -> list[QuantumNet]:
-    """The nets in the fixed-axes family whose point operators the
-    squeezing unitary permutes; there are exactly d of them."""
-    return [net for net in enumerate_nets(gf, mub, fix_axes=True) if is_flow(u_s, net)]
+@dataclass(frozen=True)
+class FlowCensus:
+    """The nets of the census family that one unitary flows on."""
+
+    flows: tuple[QuantumNet, ...]  # in enumeration order
+    size: int  # nets in the family
+    family: str  # "all" or "fixed-axes"
+
+
+def flow_census(unitary: np.ndarray, gf: FieldSpec) -> FlowCensus:
+    """Test the unitary with `is_flow` on every net of the census family:
+    all nets at d <= 3, the d^(d-1) fixed-axes nets above (64 at d = 4, 625
+    at d = 5).  Above ENUMERATION_MAX_DIM it raises like `enumerate_nets`."""
+    fix_axes = gf.order > 3
+    nets = list(enumerate_nets(gf, fix_axes))
+    flows = tuple(net for net in nets if is_flow(unitary, net))
+    return FlowCensus(flows, len(nets), "fixed-axes" if fix_axes else "all")

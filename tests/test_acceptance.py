@@ -31,7 +31,7 @@ from dwf.galois import field
 from dwf.geometry import all_points, build_striations, line_points, lines_through
 from dwf.mub import standard_mub, unbiasedness_report
 from dwf.pauli import build_labeling, standard_sets
-from dwf.quantum_net import enumerate_nets, is_flow, squeezing_covariant_nets, standard_context
+from dwf.quantum_net import enumerate_nets, flow_census, is_flow, standard_context
 from dwf.wigner import DensityState, line_probability, wigner_function
 
 SEED = 20250808
@@ -246,34 +246,30 @@ def test_criterion_09_classical_unitaries_spot_suite(acceptance_log):
 
 def test_criterion_10_squeezing_covariant_nets(acceptance_log):
     gf = field(4)
-    mub = standard_mub(4)
     us = squeezing_operator(gf).dense
-    covariant = squeezing_covariant_nets(gf, mub, us)
-    keys = {net.ray_choices for net in covariant}
+    census = flow_census(us, gf)
+    keys = {net.ray_choices for net in census.flows}
     exact = all(
         is_flow(us, net) == (net.ray_choices in keys)
         for net in enumerate_nets(gf, fix_axes=True)
     )
-    ok = len(covariant) == 4 and exact
+    ok = len(keys) == 4 and census.size == 64 and exact
     verdict(
         acceptance_log, 10, ok,
-        f"{len(covariant)} squeezing-covariant nets at d=4 (= d); "
-        "flow test true exactly on them across all 64 fixed-axes nets",
+        f"{len(keys)} squeezing-covariant nets at d=4 (= d); "
+        f"flow test true exactly on them across all {census.size} {census.family} nets",
     )
 
 
 def test_criterion_11_fourier_never_flows(acceptance_log):
     start = time.perf_counter()
-    f2 = fourier_operator(field(2)).dense
-    flows2 = sum(1 for net in enumerate_nets(field(2)) if is_flow(f2, net))
-    f4 = fourier_operator(field(4)).dense
-    flows4 = sum(1 for net in enumerate_nets(field(4), fix_axes=True) if is_flow(f4, net))
+    c2, c4 = (flow_census(fourier_operator(field(d)).dense, field(d)) for d in (2, 4))
     elapsed = time.perf_counter() - start
-    ok = flows2 == 0 and flows4 == 0 and elapsed < 60.0
+    ok = not c2.flows and not c4.flows and (c2.size, c4.size) == (8, 64) and elapsed < 60.0
     verdict(
         acceptance_log, 11, ok,
-        f"Fourier flows: {flows2}/8 nets at d=2, {flows4}/64 fixed-axes nets at d=4, "
-        f"{elapsed:.2f}s (< 1 min)",
+        f"Fourier flows: {len(c2.flows)}/{c2.size} nets at d=2, "
+        f"{len(c4.flows)}/{c4.size} {c4.family} nets at d=4, {elapsed:.2f}s (< 1 min)",
     )
 
 

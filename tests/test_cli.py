@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -303,11 +302,12 @@ def test_unreadable_file_is_a_one_line_usage_error(tmp_path, subcommand, flag, d
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
-def test_states_with_large_entries_end_cleanly(tmp_path, d):
+def test_states_with_large_entries_end_cleanly(tmp_path, capsys, d):
     """Seeded Hermitian, trace-one matrices scaled to largest entries 1e1,
     1e4 and 1e12: each command prints finite numbers and exits 0, or exits
     2 with one line naming field 'data'.  Rounding once broke the table
-    sum checks here and ended in a traceback."""
+    sum checks here and ended in a traceback; in process, an uncaught
+    exception fails the test."""
     rng = np.random.default_rng([d, 11])
     net = write_state(tmp_path / "net.json", {"dim": d, "ray_choices": [0] * (d + 1)})
     runs = []
@@ -320,20 +320,20 @@ def test_states_with_large_entries_end_cleanly(tmp_path, d):
         state = write_state(tmp_path / f"{largest:g}.json", {"dim": d, "kind": "density", "data": data})
         runs.append(["wigner", "--state", state, "--net", net, "--out", str(tmp_path / "w.csv")])
         runs.append(["classicality", "--state", state])
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        procs = list(pool.map(lambda argv: run_python("-m", "dwf.cli", *argv), runs))
-    for argv, proc in zip(runs, procs):
+    codes = []
+    for argv in runs:
         where = (argv[0], argv[2])
-        assert "Traceback" not in proc.stderr, where
-        if proc.returncode == 0:
-            assert proc.stderr == "", where
-            assert not re.search(r"\b(nan|inf)\b", proc.stdout, re.IGNORECASE), where
+        codes.append(main(argv))
+        out, err = capsys.readouterr()
+        if codes[-1] == 0:
+            assert err == "", where
+            assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), where
         else:
-            assert proc.returncode == 2, (where, proc.stderr)
-            lines = proc.stderr.splitlines()
-            assert len(lines) == 1 and "'data'" in lines[0], (where, proc.stderr)
+            assert codes[-1] == 2, (where, err)
+            lines = err.splitlines()
+            assert len(lines) == 1 and "'data'" in lines[0], (where, err)
     # the smallest scale is accepted by both commands
-    assert procs[0].returncode == procs[1].returncode == 0
+    assert codes[0] == codes[1] == 0
 
 
 def test_non_finite_unitary_is_refused_by_the_library():

@@ -200,9 +200,9 @@ def test_exactly_four_squeezing_covariant_nets_d4():
     gf = field(4)
     mub = standard_mub(4)
     us = squeezing_operator(gf).dense
-    from dwf.quantum_net import squeezing_covariant_nets
+    from dwf.quantum_net import flow_census
 
-    covariant = squeezing_covariant_nets(gf, mub, us)
+    covariant = flow_census(us, gf).flows
     assert len(covariant) == 4
     covariant_keys = {net.ray_choices for net in covariant}
     for net in enumerate_nets(gf, fix_axes=True):

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -13,11 +14,10 @@ from dwf.quantum_net import (
     ENUMERATION_MAX_DIM,
     covariant_completion,
     enumerate_nets,
-    fixed_axes_choices,
+    flow_census,
     is_flow,
     net_context,
     net_count,
-    squeezing_covariant_nets,
     standard_context,
 )
 from dwf.tolerances import LOOKUP
@@ -101,8 +101,7 @@ def test_enumeration_refuses_large_dimension():
 def test_fixed_axes_vertical_lines_carry_coordinate_projectors():
     for d in (2, 3, 4):
         ctx = standard_context(d)
-        j_vert, j_horiz = fixed_axes_choices(ctx)
-        net = ctx.complete((j_vert, j_horiz) + (0,) * (d - 1))
+        net = next(enumerate_nets(field(d), fix_axes=True))
         for t, line in enumerate(ctx.striations[0].lines):
             _, j = net.projector_index(line)
             proj = ctx.mub.projector(0, j)
@@ -110,6 +109,42 @@ def test_fixed_axes_vertical_lines_carry_coordinate_projectors():
             expected = np.zeros((d, d))
             expected[t, t] = 1.0
             assert np.linalg.norm(proj - expected) < 1e-10
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_fixed_axes_are_vector_zero_of_the_z_and_x_bases(d):
+    # the fixed-axes rays take ray choice 0 in both bases, by construction
+    z_basis, x_basis = standard_mub(d).bases[:2]
+    assert z_basis.labels[0] == x_basis.labels[0] == (0,) * field(d).n
+    assert np.array_equal(z_basis.vector(0), np.eye(d)[0])
+    assert np.allclose(x_basis.vector(0), np.full(d, d**-0.5), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_fixed_axes_enumeration_is_the_nets_starting_0_0(d):
+    fixed = [net.ray_choices for net in enumerate_nets(field(d), fix_axes=True)]
+    assert fixed == [c for c in itertools.product(range(d), repeat=d + 1) if c[:2] == (0, 0)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_flow_census_is_the_per_net_loop(d):
+    gf = field(d)
+    fix_axes = d > 3
+    family = list(enumerate_nets(gf, fix_axes))
+    known = {"translation 0": len(family), "translation 1": len(family), "squeezing": d,
+             "fourier": 0, "haar 0": 0, "haar 1": 0}
+    for name, u in flow_test_inputs(gf, np.random.default_rng([d, 16])):
+        census = flow_census(u, gf)
+        assert census.size == len(family) == net_count(d, fix_axes), name
+        assert census.family == ("fixed-axes" if fix_axes else "all"), name
+        expected = [net.ray_choices for net in family if is_flow(u, net)]
+        assert [net.ray_choices for net in census.flows] == expected, name
+        assert len(expected) == known.get(name, len(expected)), name
+
+
+def test_flow_census_refuses_what_cannot_be_enumerated():
+    with pytest.raises(ValueError, match="refusing to enumerate 2097152 nets at d=8"):
+        flow_census(np.eye(8), field(8))
 
 
 def test_pencil_has_one_projector_per_basis():
@@ -255,7 +290,7 @@ def nearest_image_distance(u, net):
 def test_is_flow_is_the_distance_criterion_at_lookup(factor, flows):
     gf = field(4)
     us = squeezing_operator(gf).dense
-    net = squeezing_covariant_nets(gf, standard_mub(4), us)[0]
+    net = flow_census(us, gf).flows[0]
     g = np.random.default_rng(3).standard_normal((4, 4, 2)) @ np.array([1.0, 1.0j])
     lam, v = np.linalg.eigh(g + g.conj().T)
 
@@ -304,7 +339,7 @@ def test_is_flow_agrees_with_the_reference_loop(d):
     rng = np.random.default_rng([d, 10])
     nets = [ctx.complete(tuple(rng.integers(0, d, d + 1)))]
     if d == 4:  # a net squeezing flows on, so its perturbations cross LOOKUP
-        nets += squeezing_covariant_nets(gf, ctx.mub, squeezing_operator(gf).dense)[:1]
+        nets += flow_census(squeezing_operator(gf).dense, gf).flows[:1]
     elif d <= ENUMERATION_MAX_DIM:  # the reference loop takes ~70 ms a call at d=9
         nets.append(ctx.complete(tuple(rng.integers(0, d, d + 1))))
     verdicts = {}
@@ -358,7 +393,7 @@ def test_is_flow_reads_any_memory_layout_as_its_c_complex_copy(d):
     rng = np.random.default_rng([d, 4])
     nets = [ctx.complete(tuple(rng.integers(0, d, d + 1))) for _ in range(2)]
     if d == 4:
-        nets += squeezing_covariant_nets(gf, ctx.mub, squeezing_operator(gf).dense)[:1]
+        nets += flow_census(squeezing_operator(gf).dense, gf).flows[:1]
     # the translation by (1, 0) as a real permutation, the real Fourier
     # matrix, squeezing, a Haar unitary and a real non-unitary matrix
     shift = ctx.labeling.unitary_at(ctx.points[d]).real

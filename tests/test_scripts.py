@@ -4,12 +4,14 @@ Each script runs in a fresh interpreter, as a user would run it, and its
 printed summary is held to the expectation stated in its docstring.
 """
 
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,6 +64,21 @@ def test_bloch_rigidity_scan_flags_only_basis_states():
     out = run_script("bloch_rigidity_scan.py", "--resolution-deg", "1.0")
     m = re.search(r"max angular distance of a flagged state to a basis axis: (\S+) rad", out)
     assert m is not None and float(m.group(1)) == 0.0
+
+
+@pytest.mark.parametrize("resolution", [7.0, 0.7])
+def test_bloch_grid_ends_exactly_at_the_south_pole(resolution):
+    spec = importlib.util.spec_from_file_location("bloch", ROOT / "scripts" / "bloch_rigidity_scan.py")
+    bloch = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bloch)
+    assert np.array_equal(bloch.polar_angles_deg(1.0), np.arange(181.0))
+    thetas = bloch.polar_angles_deg(resolution)
+    assert thetas[0] == 0.0 and thetas[-1] == 180.0
+    assert 0.0 < np.diff(thetas).min() and np.diff(thetas).max() <= resolution
+    # every azimuth of both polar rows is a basis state, so non-negative
+    _, flagged, _, _ = bloch.scan(resolution, 1e-9)
+    rows = flagged.reshape(len(thetas), -1)
+    assert rows[0].all() and rows[-1].all()
 
 
 @pytest.mark.parametrize(

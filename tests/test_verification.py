@@ -134,3 +134,10 @@ def test_no_dead_private_helpers_in_the_package():
     found = [f"{name}:{line}: {ident}" for name, line, ident in defined
              if private(ident) and ident not in read]
     assert found == []
+
+
+def test_package_stays_within_its_line_budget():
+    # the budget of ROADMAP item 10: new work pays for itself in removed lines
+    package = Path(__file__).resolve().parents[1] / "src" / "dwf"
+    lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
+    assert lines <= 3150, f"src/dwf/*.py holds {lines} lines, over the budget of 3150"
