@@ -26,10 +26,11 @@ Primitives come from the layers below: mod-p rank and inverse from
 from_coords), the spectral projection to a phase-fixed vector from
 `mub.joint_eigenvector` and the X-type basis from `mub.standard_mub`.
 One monomial test, `_extract_permutation`, takes stacks only: it decides
-all (d+1)^2 basis-pair blocks of one overlap product V2~ u V1 for
-`maps_mub_to_mub`, and [u, W~ u W] in one call for `affine_extraction`,
+all (d+1)^2 basis-pair blocks of one overlap product V2~ u V1 in the
+per-unitary `_basis_images` memo that `maps_mub_to_mub` and
+`quantum_net.is_flow` share, and [u, W~ u W] for `affine_extraction`,
 whose certificate U|z> = e^(i(2 pi/p c.z + delta)) |A z + b> is read
-straight off the permutation.
+straight off the permutation.  Both refuse a non-unitary u.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from .galois import FieldSpec, inverse_mod_p, rank_mod_p
 from .mub import MubSet, joint_eigenvector, standard_mub
 from .pauli import PauliOperator, AbelianSet, symplectic_product
-from .tolerances import LOOKUP, SPECTRAL
+from .tolerances import LOOKUP, SPECTRAL, flow_gate
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +136,9 @@ def _phase_to_exponent(gf: FieldSpec, phase: complex) -> int:
     return k
 
 
-def is_clifford(u: np.ndarray, gf: FieldSpec):
-    """SymplecticClifford if conjugation maps every generator to a scaled
-    translation, else NotClifford carrying the first failing generator."""
-    d = gf.order
+def _require_unitary(u: np.ndarray, d: int) -> np.ndarray:
+    """u itself if it is a finite d x d unitary; ValueError otherwise."""
+    u = np.asarray(u)
     if u.shape != (d, d):
         raise ValueError(f"expected a {d} x {d} matrix, got {u.shape}")
     # huge finite entries make u u~ overflow to NaN, which only a <= test rejects
@@ -146,6 +146,13 @@ def is_clifford(u: np.ndarray, gf: FieldSpec):
         unitary = np.linalg.norm(u @ u.conj().T - np.eye(d)) <= SPECTRAL * 100
     if not (np.isfinite(u).all() and unitary):
         raise ValueError("input matrix is not unitary")
+    return u
+
+
+def is_clifford(u: np.ndarray, gf: FieldSpec):
+    """SymplecticClifford if conjugation maps every generator to a scaled
+    translation, else NotClifford carrying the first failing generator."""
+    u = _require_unitary(u, gf.order)
     generators = _translation_catalogue(gf)[2]
     labels, phases, deficits = _match_translation(gf, u @ generators @ u.conj().T)
     exponents = []
@@ -302,28 +309,50 @@ class MubMapResult:
         return self.permutation is not None
 
 
+@lru_cache(maxsize=16)  # like quantum_net's transition memo
+def _basis_images(entries: bytes, source: MubSet, target: MubSet):
+    """(passes, action, order) for the matrix U with C-order complex bytes
+    `entries`.  passes[k1, k2] is the monomial test (`_extract_permutation`)
+    of block V2[k2]~ U V1[k1] of one overlap product.  When source is target
+    and the blocks whose projector errors are all within flow_gate(d) form
+    a permutation sigma of the bases, action[k d + j] = sigma(k) d + pi_k(j)
+    and order = sigma^-1 (read-only integers); else both are None."""
+    d = source.dim
+    u = np.frombuffer(entries, dtype=complex).reshape(d, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite entries
+        overlap = target.frame.conj().T @ (u @ source.frame)
+        blocks = overlap.reshape(len(target.bases), d, len(source.bases), d).transpose(2, 0, 1, 3)
+        _, peak, leak = peaks = _column_peaks(blocks.reshape(-1, d, d))
+        (perms, _), bad, _ = _extract_permutation(blocks, peaks)
+        error = np.abs(peak - 1.0) + 2.0 * np.sqrt(peak) * leak + leak**2  # >= |U P U~ - Q|
+    passes = bad < 0
+    passes.flags.writeable = False
+    within = passes & (error.max(axis=1) <= flow_gate(d)).reshape(passes.shape)
+    one_to_one = (within.sum(axis=0) == 1).all() and (within.sum(axis=1) == 1).all()
+    if source is not target or not one_to_one:
+        return passes, None, None
+    sigma = np.argmax(within, axis=1)
+    action = (sigma[:, None] * d + perms[np.arange(len(sigma)), sigma]).ravel()
+    order = np.argsort(sigma)
+    action.flags.writeable = order.flags.writeable = False
+    return passes, action, order
+
+
 def maps_mub_to_mub(u: np.ndarray, b1: MubSet, b2: MubSet) -> MubMapResult:
     """Does conjugation by u send every basis of b1 onto a basis of b2
     (as unordered sets of rays)?  Returns the striation permutation.
 
-    One overlap product V2~ u V1 of the two frames (`MubSet.frame`) holds
-    every basis pair as a d x d block; the monomial test decides all blocks at
-    once, and each source basis takes its first passing target.
+    Reads the blocks' monomial verdicts from the `_basis_images` memo that
+    `quantum_net.is_flow` shares; each source basis takes its first passing
+    target.  Anything but a finite d x d unitary raises ValueError.
     """
     if b1.dim != b2.dim:
         raise ValueError("basis sets live in different dimensions")
-    d = b1.dim
-    overlap = b2.frame.conj().T @ (u @ b1.frame)
-    # blocks[k1, k2] = V2[k2]~ u V1[k1]
-    blocks = overlap.reshape(len(b2.bases), d, len(b1.bases), d).transpose(2, 0, 1, 3)
-    _, bad, _ = _extract_permutation(blocks)
-    passes = bad < 0
-    if not passes.any(axis=1).all():
-        return MubMapResult(None)
+    u = _require_unitary(u, b1.dim)
+    passes, _, _ = _basis_images(np.ascontiguousarray(u, dtype=complex).tobytes(), b1, b2)
     perm = tuple(int(k2) for k2 in np.argmax(passes, axis=1))
-    if len(set(perm)) != len(b1.bases):
-        return MubMapResult(None)
-    return MubMapResult(perm)
+    maps = passes.any(axis=1).all() and len(set(perm)) == len(perm)
+    return MubMapResult(perm if maps else None)
 
 
 # ---------------------------------------------------------------------------
@@ -357,23 +386,30 @@ class NotBasisPreserving:
         return False
 
 
-def _extract_permutation(u: np.ndarray):
+def _column_peaks(flat: np.ndarray):
+    """(perm, peak, leak) of each column of a stack (count, d, d): its peak's
+    row and squared modulus, and the norm of the rest with the peak zeroed."""
+    stack, cols = np.arange(len(flat))[:, None], np.arange(flat.shape[-1])
+    weight = flat.real**2 + flat.imag**2
+    perm = np.argmax(weight, axis=1)
+    peak = weight[stack, perm, cols]
+    weight[stack, perm, cols] = 0.0
+    return perm, peak, np.sqrt(weight.sum(axis=1))
+
+
+def _extract_permutation(u: np.ndarray, peaks=None):
     """The monomial test on a stack (..., d, d): is each matrix a
     permutation matrix with phases?  Each column's leak (norm off its
     largest entry) must be <= LOOKUP and the largest entries must sit in
     distinct rows.  Returns ((perms, phases), bad, leaks) as arrays over
     the leading axes: perms[..., z] is the row of column z's peak, and
     bad = -1, leak = 0.0 exactly where a matrix passes; elsewhere bad is
-    the failing column and leak its leak.
+    the failing column and leak its leak.  `peaks` reuses `_column_peaks`.
     """
     *lead, d, _ = u.shape
     flat = u.reshape(-1, d, d)
     stack, cols = np.arange(len(flat))[:, None], np.arange(d)
-    weight = flat.real**2 + flat.imag**2
-    perm = np.argmax(weight, axis=1)
-    # zero each column's peak, then take the norm of the rest
-    weight[stack, perm, cols] = 0.0
-    leaks = np.sqrt(weight.sum(axis=1))
+    perm, _, leaks = _column_peaks(flat) if peaks is None else peaks
     distinct = (np.sort(perm, axis=1) == cols).all(axis=1)
     leaky = leaks > LOOKUP
     has_leak = leaky.any(axis=1)
@@ -388,8 +424,10 @@ def affine_extraction(u: np.ndarray, gf: FieldSpec):
     """AffineData when u preserves both the computational and the X-type
     bases (up to phases), else NotBasisPreserving naming the failure, the
     Z basis first.  The certificate is read straight off the permutation
-    z -> A z + b of the computational basis."""
+    z -> A z + b of the computational basis.  Anything but a finite d x d
+    unitary raises ValueError."""
     p, n, d = gf.p, gf.n, gf.order
+    u = _require_unitary(u, d)
     w = standard_mub(d).bases[1].vectors
     (perms, phase_rows), bad, leaks = _extract_permutation(np.stack([u, w.conj().T @ u @ w]))
     for basis, col, leak in zip("ZX", bad.tolist(), leaks.tolist()):

@@ -24,10 +24,12 @@ arithmetic, which keeps exhaustive enumeration over all d^(d+1) of them
 cheap.
 
 `is_flow` decides whether conjugation by U permutes a net's point
-operators from U's transition probabilities between basis vectors alone:
-one table per unitary, read by every net through its 0/1 incidence.
-`flow_census` is the one scan of a family of nets: it runs `is_flow` on
-every net at d <= 3 and on the fixed-axes nets (ray choices (0, 0)) above.
+operators: in integers from U's projector action (`clifford._basis_images`,
+shared with `maps_mub_to_mub`) when U sends basis projectors within
+`tolerances.flow_gate` of basis projectors, else from one transition table
+per unitary read through each net's 0/1 incidence.  `flow_census` scans one
+family per field, completed once: every net at d <= 3, the fixed-axes nets
+(ray choices (0, 0)) above.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .clifford import _basis_images
 from .galois import FieldSpec, field
 from .geometry import Line, PhasePoint, Striation, all_points, build_striations
 from .mub import MubSet, standard_mub
@@ -121,7 +124,7 @@ class QuantumNet:
         """rows[kappa, point index] = kappa * d + pencil[kappa, point index]:
         one flat gather index into any (d+1) x d table of per-projector data."""
         d = self.dim
-        return self.pencil + d * np.arange(d + 1)[:, None]
+        return (self.pencil + d * np.arange(d + 1)[:, None]).astype(np.intp, copy=False)
 
     @cached_property
     def incidence(self) -> np.ndarray:
@@ -131,6 +134,14 @@ class QuantumNet:
         incidence[self.rows, np.arange(d * d)] = 1.0
         incidence.flags.writeable = False
         return incidence
+
+    @cached_property
+    def meet(self) -> np.ndarray:
+        """meet[j0, j1] = the point where the lines of projectors j0 and j1 cross."""
+        d = self.dim  # invert each point's key j0 d + j1, its lines in bases 0 and 1
+        meet = np.argsort(self.rows[0] * d + self.rows[1] - d).reshape(d, d)
+        meet.flags.writeable = False
+        return meet
 
     def projector_index(self, line: Line) -> tuple[int, int]:
         """(kappa, j) for the projector assigned to a line (0-based)."""
@@ -219,19 +230,38 @@ def is_flow(unitary: np.ndarray, net: QuantumNet) -> bool:
     """True iff conjugation by the unitary permutes the net's point
     operators: each image U A U~ lies within LOOKUP of its nearest one.
 
-    Point operators are orthogonal, Tr(A_alpha A_gamma) = delta / d (Gibbons,
-    Hoffman and Wootters), so U A_alpha U~ = sum_gamma X[gamma, alpha] A_gamma
-    with X[gamma, alpha] = d Tr(U A_alpha U~ A_gamma) = (E^T T~ E)[gamma, alpha]
-    for the net's incidence E and the per-unitary `_transition_table` T~.  The
-    nearest is beta = argmax X[:, alpha], at squared distance (1/d) sum_gamma
-    (X - e_beta)^2, a sum of small terms that cannot cancel.  A non-d x d
-    matrix raises ValueError; huge or non-finite entries give False.
+    Integer route, when the `clifford._basis_images` memo holds an action
+    (U sends each basis projector within flow_gate(d) of one): an image of
+    A_alpha lies within LOOKUP/2 of the point operator of its image pencil
+    if that is a pencil of the net, else beyond LOOKUP of all of them
+    (`tolerances.flow_gate`).  Only beta, where the image lines of bases 0
+    and 1 meet, can carry it: the net flows iff rows[:, beta] is the image
+    of rows.  Dense route, otherwise: point operators are orthogonal,
+    Tr(A_alpha A_gamma) = delta / d (Gibbons, Hoffman and Wootters), so
+    U A_alpha U~ = sum_gamma X[gamma, alpha] A_gamma with X = E^T T~ E for
+    the net's incidence E and the `_transition_table` T~.  The nearest is
+    beta = argmax X[:, alpha], at squared distance (1/d) sum_gamma
+    (X - e_beta)^2, a sum of small terms; the origin's column, a lower
+    bound, is tested first through `rows` alone.  A non-d x d matrix
+    raises ValueError; huge or non-finite entries give False.
     """
     d = net.dim
     u = np.ascontiguousarray(unitary, dtype=complex)
     if u.shape != (d, d):
         raise ValueError(f"expected a {d} x {d} matrix, got {u.shape}")
-    x = net.incidence.T @ _transition_table(u.tobytes(), net.context.mub) @ net.incidence
+    entries, mub = u.tobytes(), net.context.mub
+    _, action, order = _basis_images(entries, mub, mub)
+    if action is not None:
+        image = action.take(net.rows.take(order, axis=0))  # image[kappa] lies in basis kappa
+        beta = net.meet[image[0], image[1] - d]
+        return net.rows.take(beta, axis=1).tobytes() == image.tobytes()  # both intp
+    table = _transition_table(entries, mub)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan
+        origin = table[:, net.rows[:, 0]].sum(axis=1)[net.rows].sum(axis=0)  # E^T T~ E[:, 0]
+        origin[origin.argmax()] -= 1.0
+        if not math.sqrt(origin @ origin / d) < LOOKUP:
+            return False
+    x = net.incidence.T @ table @ net.incidence
     x[x.argmax(axis=0), np.arange(d * d)] -= 1.0  # x[gamma, alpha] - e_beta
     # einsum overflows a huge x to inf silently, unlike the ufuncs
     return math.sqrt(np.einsum("ij,ij->j", x, x).max() / d) < LOOKUP
@@ -246,11 +276,16 @@ class FlowCensus:
     family: str  # "all" or "fixed-axes"
 
 
+@lru_cache(maxsize=None)
+def _census_family(gf: FieldSpec) -> tuple[tuple[QuantumNet, ...], str]:
+    """(nets, kind) of the census family, completed once per field and shared."""
+    fix_axes = gf.order > 3
+    return tuple(enumerate_nets(gf, fix_axes)), "fixed-axes" if fix_axes else "all"
+
+
 def flow_census(unitary: np.ndarray, gf: FieldSpec) -> FlowCensus:
     """Test the unitary with `is_flow` on every net of the census family:
     all nets at d <= 3, the d^(d-1) fixed-axes nets above (64 at d = 4, 625
     at d = 5).  Above ENUMERATION_MAX_DIM it raises like `enumerate_nets`."""
-    fix_axes = gf.order > 3
-    nets = list(enumerate_nets(gf, fix_axes))
-    flows = tuple(net for net in nets if is_flow(unitary, net))
-    return FlowCensus(flows, len(nets), "fixed-axes" if fix_axes else "all")
+    nets, family = _census_family(gf)
+    return FlowCensus(tuple(net for net in nets if is_flow(unitary, net)), len(nets), family)

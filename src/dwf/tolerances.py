@@ -45,3 +45,14 @@ STATE_ENTRY_MAX = 1e12 * SPECTRAL
 # a trace slack of SPECTRAL / (2(d+1)) spends half of it, leaving the rest for rounding.
 def trace_slack(d: int) -> float:
     return SPECTRAL / (2 * (d + 1))
+
+
+# is_flow's integer route needs each projector error |U P U~ - Q|_F <= g =
+# flow_gate(d).  For U phi = c psi + r, w = |c|^2 and leak l = |r|, the error
+# (w - 1) psi psi~ + c psi r~ + c~ r psi~ + r r~ is <= |w - 1| + 2 sqrt(w) l + l^2.
+# U U~ - I sums basis 0's d errors, so a matched pencil has |U A U~ - A_beta|
+# <= (2d + 1) g / d = c(d) g <= LOOKUP/2.  Pencils differing in s bases are
+# sqrt(2 s)/d apart (cross terms cancel: different bases overlap by 1/d), so an
+# unmatched one is >= sqrt(2)/d - c(d) g > LOOKUP away; g < 0 once LOOKUP >= sqrt(2)/d.
+def flow_gate(d: int) -> float:
+    return min(LOOKUP, math.sqrt(2) / d - LOOKUP) / (2 * (2 * d + 1) / d)

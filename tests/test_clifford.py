@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,34 @@ def test_phase_gate_fails_mub_map_despite_unbiased_image():
     mub = standard_mub(2)
     t = np.diag([1.0, np.exp(1j * np.pi / 4)])
     assert not maps_mub_to_mub(t, mub, mub)
+
+
+@pytest.mark.parametrize("d", (2, 4, 9))
+def test_basis_maps_refuse_what_is_not_a_unitary(d):
+    # before, 1.5 I mapped the bases onto themselves and was affine, and
+    # huge or infinite entries warned from inside the products
+    gf = field(d)
+    mub = standard_mub(d)
+    shift = build_labeling(gf).unitary_at(list(all_points(gf))[1])
+    holed, nan = np.array(shift, dtype=complex), np.array(shift, dtype=complex)
+    holed[0, d - 1], nan[d - 1, 0] = np.inf, np.nan
+    refused = [1.5 * np.eye(d), 1.5 * shift, 1e200 * shift, holed, nan, np.full((d, d), np.inf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in refused:
+            with pytest.raises(ValueError, match="^input matrix is not unitary$"):
+                maps_mub_to_mub(u, mub, mub)
+            with pytest.raises(ValueError, match="^input matrix is not unitary$"):
+                affine_extraction(u, gf)
+        for shape in [(3, 3), (d, d + 1), (d * d,)]:
+            message = rf"^expected a {d} x {d} matrix, got \({shape[0]},"
+            with pytest.raises(ValueError, match=message):
+                maps_mub_to_mub(np.ones(shape), mub, mub)
+            with pytest.raises(ValueError, match=message):
+                affine_extraction(np.ones(shape), gf)
+        # the unitary itself still passes both
+        assert maps_mub_to_mub(shift, mub, mub).permutation == tuple(range(d + 1))
+        assert affine_extraction(shift, gf)
 
 
 # -- affine certificates --------------------------------------------------------

@@ -9,7 +9,7 @@ from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.geometry import PhasePoint, build_striations, line_points
 from dwf.mub import standard_mub
 from dwf.formats import net_from_payload
-from dwf import quantum_net
+from dwf import clifford, quantum_net
 from dwf.quantum_net import (
     ENUMERATION_MAX_DIM,
     covariant_completion,
@@ -20,7 +20,7 @@ from dwf.quantum_net import (
     net_count,
     standard_context,
 )
-from dwf.tolerances import LOOKUP
+from dwf.tolerances import LOOKUP, flow_gate
 
 
 def make_net(d, choices):
@@ -477,3 +477,131 @@ def test_flow_counts_over_every_d4_net_equal_the_reference():
         counts[name] = sum(verdicts)
     assert counts["translation"] == 1024 and counts["fourier"] == counts["haar"] == 0
     assert counts["squeezing"] > 0
+
+
+# -- the two flow routes ---------------------------------------------------------
+
+def dense_verdict(u, net):
+    """The dense criterion on X = E^T T~ E for every point, with no
+    integer route and no early exit at the origin."""
+    d = net.dim
+    entries = np.ascontiguousarray(u, dtype=complex).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = net.incidence.T @ quantum_net._transition_table(entries, net.context.mub) @ net.incidence
+        x[x.argmax(axis=0), np.arange(d * d)] -= 1.0
+        return bool(np.sqrt(np.einsum("ij,ij->j", x, x).max() / d) < LOOKUP)
+
+
+def projector_error(u, mub):
+    """The largest bound |w - 1| + 2 sqrt(w) l + l^2 on |U P U~ - Q|_F over
+    the basis projectors P, each basis against its best target basis."""
+    d = mub.dim
+    worst = 0.0
+    for source in mub.bases:
+        best = np.inf
+        for target in mub.bases:
+            weight = np.abs(target.vectors.conj().T @ u @ source.vectors) ** 2
+            peak = weight.max(axis=0)
+            weight[weight.argmax(axis=0), np.arange(d)] = 0.0
+            leak = np.sqrt(weight.sum(axis=0))
+            best = min(best, float((np.abs(peak - 1) + 2 * np.sqrt(peak) * leak + leak**2).max()))
+        worst = max(worst, best)
+    return worst
+
+
+def route_family(d, rng):
+    """Every net at d <= 3, the fixed-axes nets at d = 4, 5, 40 seeded nets above."""
+    if d <= ENUMERATION_MAX_DIM:
+        return list(enumerate_nets(field(d), fix_axes=d > 3))
+    ctx = standard_context(d)
+    return [ctx.complete(tuple(rng.integers(0, d, d + 1))) for _ in range(40)]
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_both_flow_routes_give_the_dense_verdict(d):
+    gf = field(d)
+    rng = np.random.default_rng([d, 17])
+    nets = route_family(d, rng)
+    exact = set()
+    for name, u in flow_test_inputs(gf, rng):
+        verdicts = [is_flow(u, net) for net in nets]
+        assert verdicts == [dense_verdict(u, net) for net in nets], name
+        mub = standard_context(d).mub
+        if clifford._basis_images(np.ascontiguousarray(u, dtype=complex).tobytes(), mub, mub)[1] is not None:
+            exact.add(name)
+    assert {"translation 0", "translation 1"} <= exact and "haar 0" not in exact
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_flow_routes_meet_at_the_gate(d):
+    # a translation perturbed by exp(i eps H) with its projector error just
+    # under and just over flow_gate(d): the first takes the integer route,
+    # the second the dense one, and both still flow on every net
+    ctx = standard_context(d)
+    rng = np.random.default_rng([d, 18])
+    shift = ctx.labeling.unitary_at(ctx.points[1])
+    g = rng.standard_normal((d, d, 2)) @ np.array([1.0, 1.0j])
+    lam, v = np.linalg.eigh(g + g.conj().T)
+
+    def perturbed(eps):
+        return shift @ (v * np.exp(1j * eps * lam)) @ v.conj().T
+
+    slope = projector_error(perturbed(1e-6), ctx.mub) / 1e-6
+    nets = [ctx.complete(tuple(rng.integers(0, d, d + 1))) for _ in range(3)]
+    for factor, exact in ((0.9, True), (1.1, False)):
+        u = perturbed(factor * flow_gate(d) / slope)
+        assert (projector_error(u, ctx.mub) < flow_gate(d)) is exact
+        entries = np.ascontiguousarray(u, dtype=complex).tobytes()
+        assert (clifford._basis_images(entries, ctx.mub, ctx.mub)[1] is not None) is exact
+        for net in nets:
+            assert is_flow(u, net) is dense_verdict(u, net) is True
+            if d <= 4:  # the bound the gate rests on, against the reference loop
+                assert nearest_image_distance(u, net) <= (2 * d + 1) / d * projector_error(u, ctx.mub)
+
+
+@pytest.mark.parametrize("d", (4, 8, 9))
+def test_clifford_flows_take_the_integer_route(d, monkeypatch):
+    gf = field(d)
+    ctx = standard_context(d)
+    rng = np.random.default_rng([d, 19])
+    named = dict(flow_test_inputs(gf, rng))
+    built = []
+    dense = quantum_net._transition_table
+    monkeypatch.setattr(quantum_net, "_transition_table", lambda *key: built.append(key) or dense(*key))
+    exact = ["translation 0", "translation 1", "squeezing"] + ["fourier"] * (gf.p == 2)
+    for name in exact + ["haar 0", "1.5 x translation", "nan entry", "squeezing + 1e-07"]:
+        net = ctx.complete(tuple(rng.integers(0, d, d + 1)))
+        built.clear()
+        is_flow(named[name], net)
+        assert (not built and "incidence" not in vars(net)) is (name in exact), name
+
+
+def test_basis_pair_memo_is_bounded():
+    maxsize = clifford._basis_images.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+    ctx = standard_context(9)
+    net = ctx.complete((0,) * 10)
+    rng = np.random.default_rng(3)
+    for _ in range(3 * maxsize):
+        u = random_unitary(9, rng)
+        is_flow(u, net)
+        clifford.maps_mub_to_mub(u, ctx.mub, ctx.mub)
+    assert clifford._basis_images.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize("d", (2, 4))
+def test_censuses_share_their_family_nets(d):
+    gf = field(d)
+    ctx = standard_context(d)
+    first = flow_census(ctx.labeling.unitary_at(ctx.points[1]), gf)
+    second = flow_census(ctx.labeling.unitary_at(ctx.points[2]), gf)
+    assert len(first.flows) == len(second.flows) == first.size
+    assert all(a is b for a, b in zip(first.flows, second.flows))
+    assert all("meet" in vars(net) for net in first.flows)
+
+
+def test_flow_gate_leaves_both_verdicts_their_margin():
+    for d in SUPPORTED_DIMENSIONS:
+        c = (2 * d + 1) / d
+        assert 0 < c * flow_gate(d) <= LOOKUP / 2
+        assert np.sqrt(2) / d - c * flow_gate(d) > LOOKUP
