@@ -27,10 +27,10 @@ from_coords), the spectral projection to a phase-fixed vector from
 `mub.joint_eigenvector` and the X-type basis from `mub.standard_mub`.
 One monomial test, `_extract_permutation`, takes stacks only: it decides
 all (d+1)^2 basis-pair blocks of one overlap product V2~ u V1 in the
-per-unitary `_basis_images` memo that `maps_mub_to_mub` and
-`quantum_net.is_flow` share, and [u, W~ u W] for `affine_extraction`,
-whose certificate U|z> = e^(i(2 pi/p c.z + delta)) |A z + b> is read
-straight off the permutation.  Both refuse a non-unitary u.
+per-unitary record `_basis_images` that `quantum_net.is_flow`,
+`maps_mub_to_mub` and `affine_extraction` read, with its one unitarity
+check; the certificate U|z> = e^(i(2 pi/p c.z + delta)) |A z + b> comes
+off its Z block in computational order.  The last two refuse non-unitaries.
 """
 
 from __future__ import annotations
@@ -51,10 +51,12 @@ from .tolerances import LOOKUP, SPECTRAL, flow_gate
 # small mod-p linear algebra
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)  # read-only, built once per n
 def _symplectic_form(n: int) -> np.ndarray:
     j = np.zeros((2 * n, 2 * n), dtype=np.int64)
     j[:n, n:] = np.eye(n, dtype=np.int64)
     j[n:, :n] = -np.eye(n, dtype=np.int64)
+    j.flags.writeable = False
     return j
 
 
@@ -124,46 +126,44 @@ def _match_translation(gf: FieldSpec, ops: np.ndarray):
     d = gf.order
     coeffs = ops.reshape(len(ops), d * d) @ conj_flat.T / d
     best = np.argmax(np.abs(coeffs), axis=-1)
-    phases = np.take_along_axis(coeffs, best[..., None], axis=-1)[..., 0]
+    phases = coeffs[np.arange(len(coeffs)), best]
     return labels[best], phases, 1.0 - np.abs(phases)
 
 
-def _phase_to_exponent(gf: FieldSpec, phase: complex) -> int:
-    order = 4 if gf.p == 2 else gf.p
-    k = int(round(np.angle(phase) / (2 * np.pi / order))) % order
-    if abs(phase - np.exp(2j * np.pi * k / order)) > LOOKUP * 100:
-        raise AssertionError(f"phase {phase} is not a unit root of order {order}")
-    return k
-
-
-def _require_unitary(u: np.ndarray, d: int) -> np.ndarray:
-    """u itself if it is a finite d x d unitary; ValueError otherwise."""
+def _require_shape(u: np.ndarray, d: int) -> np.ndarray:
     u = np.asarray(u)
     if u.shape != (d, d):
         raise ValueError(f"expected a {d} x {d} matrix, got {u.shape}")
+    return u
+
+
+def _is_unitary(u: np.ndarray) -> bool:
+    """Finite, with |u u~ - I|_F <= 100 SPECTRAL."""
     # huge finite entries make u u~ overflow to NaN, which only a <= test rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        unitary = np.linalg.norm(u @ u.conj().T - np.eye(d)) <= SPECTRAL * 100
-    if not (np.isfinite(u).all() and unitary):
-        raise ValueError("input matrix is not unitary")
-    return u
+        return bool(np.isfinite(u).all() and np.linalg.norm(u @ u.conj().T - np.eye(len(u))) <= SPECTRAL * 100)
 
 
 def is_clifford(u: np.ndarray, gf: FieldSpec):
     """SymplecticClifford if conjugation maps every generator to a scaled
     translation, else NotClifford carrying the first failing generator."""
-    u = _require_unitary(u, gf.order)
+    u = _require_shape(u, gf.order)
+    if not _is_unitary(u):
+        raise ValueError("input matrix is not unitary")
     generators = _translation_catalogue(gf)[2]
     labels, phases, deficits = _match_translation(gf, u @ generators @ u.conj().T)
-    exponents = []
-    for col, g in enumerate(generator_operators(gf)):
-        if deficits[col] > LOOKUP:
-            return NotClifford(g, deficits[col])
-        exponents.append(_phase_to_exponent(gf, phases[col]))
+    failing = np.flatnonzero(deficits > LOOKUP)
+    if failing.size:
+        return NotClifford(generator_operators(gf)[failing[0]], deficits[failing[0]])
+    order = 4 if gf.p == 2 else gf.p
+    exponents = np.rint(np.angle(phases) / (2 * np.pi / order)).astype(np.int64) % order
+    off = np.abs(phases - np.exp(2j * np.pi * exponents / order)) > LOOKUP * 100
+    if off.any():
+        raise AssertionError(f"phase {phases[off.argmax()]} is not a unit root of order {order}")
     table = labels.T.copy()
     if not is_symplectic_table(table, gf.p):
         raise AssertionError("conjugation table does not preserve the symplectic form")
-    return SymplecticClifford(gf, table, tuple(exponents), u)
+    return SymplecticClifford(gf, table, tuple(exponents.tolist()), u)
 
 
 def _shared(result: SymplecticClifford) -> SymplecticClifford:
@@ -309,47 +309,76 @@ class MubMapResult:
         return self.permutation is not None
 
 
-@lru_cache(maxsize=16)  # like quantum_net's transition memo
-def _basis_images(entries: bytes, source: MubSet, target: MubSet):
-    """(passes, action, order) for the matrix U with C-order complex bytes
-    `entries`.  passes[k1, k2] is the monomial test (`_extract_permutation`)
-    of block V2[k2]~ U V1[k1] of one overlap product.  When source is target
-    and the blocks whose projector errors are all within flow_gate(d) form
-    a permutation sigma of the bases, action[k d + j] = sigma(k) d + pi_k(j)
-    and order = sigma^-1 (read-only integers); else both are None."""
-    d = source.dim
+@dataclass(frozen=True, eq=False)
+class BasisImages:
+    """What one overlap product says about U: read-only arrays indexed by block
+    [k1, k2] = V2[k2]~ U V1[k1], then column j.  When source is target, the
+    action if the blocks within flow_gate(d) permute the bases, else T~."""
+
+    unitary: bool  # the predicate `is_clifford` applies too
+    passes: np.ndarray  # the block's monomial test (`_extract_permutation`)
+    perms: np.ndarray  # the row of column j's peak
+    phases: np.ndarray  # the peak's angle
+    leaks: np.ndarray  # the column's norm off its peak
+    action: np.ndarray | None = None  # action[k d + j] = sigma(k) d + pi_k(j)
+    order: np.ndarray | None = None  # sigma^-1
+    transition: np.ndarray | None = None  # T~ of `quantum_net.is_flow`
+
+
+@lru_cache(maxsize=16)  # holds every record of one `flows` benchmark round: 11 unitaries
+@np.errstate(over="ignore", invalid="ignore")  # huge or non-finite entries
+def _basis_images(entries: bytes, source: MubSet, target: MubSet) -> BasisImages:
+    """The record of the matrix U whose C-order complex bytes are `entries`."""
+    d, k1, k2 = source.dim, len(source.bases), len(target.bases)
     u = np.frombuffer(entries, dtype=complex).reshape(d, d)
-    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite entries
-        overlap = target.frame.conj().T @ (u @ source.frame)
-        blocks = overlap.reshape(len(target.bases), d, len(source.bases), d).transpose(2, 0, 1, 3)
-        _, peak, leak = peaks = _column_peaks(blocks.reshape(-1, d, d))
-        (perms, _), bad, _ = _extract_permutation(blocks, peaks)
-        error = np.abs(peak - 1.0) + 2.0 * np.sqrt(peak) * leak + leak**2  # >= |U P U~ - Q|
-    passes = bad < 0
-    passes.flags.writeable = False
+    overlap = target.frame.conj().T @ (u @ source.frame)
+    t = np.abs(overlap) ** 2  # T[lam, mu]
+    # each overlap column's peak within each target basis, put in block order
+    peaks = _column_peaks(t.reshape(k2, d, k1 * d).copy())
+    _, peak, leaks = peaks = [a.reshape(k2, k1, d).transpose(1, 0, 2).reshape(-1, d) for a in peaks]
+    (perms, phases), bad, _ = _extract_permutation(np.moveaxis(overlap.reshape(k2, d, k1, d), 2, 0), peaks)
+    error = np.abs(peak - 1.0) + 2.0 * np.sqrt(peak) * leaks + leaks**2  # >= |U P U~ - Q|
+    passes, leaks = bad < 0, leaks.reshape(perms.shape)
+    for array in (passes, perms, phases, leaks):
+        array.flags.writeable = False
+    record = (_is_unitary(u), passes, perms, phases, leaks)
     within = passes & (error.max(axis=1) <= flow_gate(d)).reshape(passes.shape)
-    one_to_one = (within.sum(axis=0) == 1).all() and (within.sum(axis=1) == 1).all()
-    if source is not target or not one_to_one:
-        return passes, None, None
+    if source is not target:
+        return BasisImages(*record)
+    if not ((within.sum(axis=0) == 1).all() and (within.sum(axis=1) == 1).all()):
+        # each basis is complete: a column sum is (d+1) a_mu, a row sum (d+1) b_lam
+        a, b = t.sum(axis=0) / (d + 1), t.sum(axis=1) / (d + 1)
+        table = (t - a / (d + 1) - b[:, None] / (d + 1) + a.sum() / (d + 1) ** 3) / d
+        table.flags.writeable = False
+        return BasisImages(*record, transition=table)
     sigma = np.argmax(within, axis=1)
     action = (sigma[:, None] * d + perms[np.arange(len(sigma)), sigma]).ravel()
     order = np.argsort(sigma)
     action.flags.writeable = order.flags.writeable = False
-    return passes, action, order
+    return BasisImages(*record, action=action, order=order)
+
+
+def _images(u: np.ndarray, source: MubSet, target: MubSet, strict: bool) -> BasisImages:
+    """The `_basis_images` record of u.  A wrong shape raises ValueError, and
+    so, when strict, does anything but a finite unitary."""
+    entries = _require_shape(u, source.dim).astype(complex, copy=False).tobytes()  # C order
+    images = _basis_images(entries, source, target)
+    if strict and not images.unitary:
+        raise ValueError("input matrix is not unitary")
+    return images
 
 
 def maps_mub_to_mub(u: np.ndarray, b1: MubSet, b2: MubSet) -> MubMapResult:
     """Does conjugation by u send every basis of b1 onto a basis of b2
     (as unordered sets of rays)?  Returns the striation permutation.
 
-    Reads the blocks' monomial verdicts from the `_basis_images` memo that
-    `quantum_net.is_flow` shares; each source basis takes its first passing
-    target.  Anything but a finite d x d unitary raises ValueError.
+    Reads the blocks' monomial verdicts from the `_basis_images` record;
+    each source basis takes its first passing target.  Anything but a
+    finite d x d unitary raises ValueError.
     """
     if b1.dim != b2.dim:
         raise ValueError("basis sets live in different dimensions")
-    u = _require_unitary(u, b1.dim)
-    passes, _, _ = _basis_images(np.ascontiguousarray(u, dtype=complex).tobytes(), b1, b2)
+    passes = _images(u, b1, b2, strict=True).passes
     perm = tuple(int(k2) for k2 in np.argmax(passes, axis=1))
     maps = passes.any(axis=1).all() and len(set(perm)) == len(perm)
     return MubMapResult(perm if maps else None)
@@ -386,11 +415,11 @@ class NotBasisPreserving:
         return False
 
 
-def _column_peaks(flat: np.ndarray):
-    """(perm, peak, leak) of each column of a stack (count, d, d): its peak's
-    row and squared modulus, and the norm of the rest with the peak zeroed."""
-    stack, cols = np.arange(len(flat))[:, None], np.arange(flat.shape[-1])
-    weight = flat.real**2 + flat.imag**2
+def _column_peaks(weight: np.ndarray):
+    """(perm, peak, leak) of each column of a stack (count, rows, cols) of squared
+    moduli: its peak's row and value, and the norm of the rest once the peak is
+    zeroed, in place."""
+    stack, cols = np.arange(len(weight))[:, None], np.arange(weight.shape[-1])
     perm = np.argmax(weight, axis=1)
     peak = weight[stack, perm, cols]
     weight[stack, perm, cols] = 0.0
@@ -409,7 +438,7 @@ def _extract_permutation(u: np.ndarray, peaks=None):
     *lead, d, _ = u.shape
     flat = u.reshape(-1, d, d)
     stack, cols = np.arange(len(flat))[:, None], np.arange(d)
-    perm, _, leaks = _column_peaks(flat) if peaks is None else peaks
+    perm, _, leaks = _column_peaks(flat.real**2 + flat.imag**2) if peaks is None else peaks
     distinct = (np.sort(perm, axis=1) == cols).all(axis=1)
     leaky = leaks > LOOKUP
     has_leak = leaky.any(axis=1)
@@ -421,27 +450,31 @@ def _extract_permutation(u: np.ndarray, peaks=None):
 
 
 def affine_extraction(u: np.ndarray, gf: FieldSpec):
-    """AffineData when u preserves both the computational and the X-type
-    bases (up to phases), else NotBasisPreserving naming the failure, the
-    Z basis first.  The certificate is read straight off the permutation
-    z -> A z + b of the computational basis.  Anything but a finite d x d
-    unitary raises ValueError."""
+    """AffineData when u preserves both the computational and the X-type bases
+    (up to phases), else NotBasisPreserving naming the failure, the Z basis
+    first: the Z and X blocks of the `_basis_images` record on `standard_mub(d)`,
+    the certificate read off the Z block's permutation z -> A z + b in
+    computational order.  Anything but a finite d x d unitary raises ValueError."""
     p, n, d = gf.p, gf.n, gf.order
-    u = _require_unitary(u, d)
-    w = standard_mub(d).bases[1].vectors
-    (perms, phase_rows), bad, leaks = _extract_permutation(np.stack([u, w.conj().T @ u @ w]))
-    for basis, col, leak in zip("ZX", bad.tolist(), leaks.tolist()):
-        if col >= 0:
-            return NotBasisPreserving(basis, col, leak)
-    perm, phases = perms[0], phase_rows[0]
+    mub = standard_mub(d)
+    images = _images(u, mub, mub, strict=True)
+    # vector j of the Z basis is |z[j]>, so column z[j] of u peaks at row z[perm[j]]
+    z = np.argmax(np.abs(mub.bases[0].vectors), axis=0)
+    label = np.argsort(z)
+    perm, phases = z[images.perms[0, 0]][label], images.phases[0, 0][label]
+    # a unitary's columns are orthogonal, so where none leaks their peaks are distinct
+    for basis, leaks in (("Z", images.leaks[0, 0][label]), ("X", images.leaks[1, 1])):
+        if (leaks > LOOKUP).any():
+            col = int(np.argmax(leaks > LOOKUP))
+            return NotBasisPreserving(basis, col, float(leaks[col]))
 
-    # row z of coords is the digit vector of index z; index p^i is unit vector e_i
+    # row z of coords is the digit vector of index z, so z = coords[z] @ units
     coords = np.array([e.coords for e in gf.elements], dtype=np.int64)
     units = p ** np.arange(n)
     b = coords[perm[0]]
     a = (coords[perm[units]] - b).T % p
     # perm is a bijection, so agreeing with it also proves A invertible
-    if [gf.from_coords(v).index for v in coords @ a.T + b] != perm.tolist():
+    if not np.array_equal((coords @ a.T + b) % p @ units, perm):
         raise AssertionError("basis-preserving map is not affine; internal error")
 
     delta = float(phases[0])
@@ -544,14 +577,8 @@ class StabilizerTableau:
             z[:, a] ^= z[:, b]
 
     def rows(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-        return tuple(
-            (
-                tuple(int(b) for b in self.x[i]),
-                tuple(int(b) for b in self.z[i]),
-                -1 if self.r[i] else 1,
-            )
-            for i in range(self.n)
-        )
+        x, z = self.x.tolist(), self.z.tolist()
+        return tuple((tuple(x[i]), tuple(z[i]), -1 if self.r[i] else 1) for i in range(self.n))
 
     def state_vector(self) -> np.ndarray:
         """The stabilized state: the joint eigenvector of the unsigned rows
@@ -571,11 +598,7 @@ def tableau_apply(circuit, n: int, initial=None) -> StabilizerTableau:
         if not isinstance(gate, (tuple, list)) or not gate:
             raise ValueError(f"circuit step {step} is not a (name, qubits...) tuple")
         ops.append((str(gate[0]).upper(), tuple(int(q) for q in gate[1:])))
-    tab = (
-        StabilizerTableau.zero_state(n)
-        if initial is None
-        else StabilizerTableau.from_rows(n, initial)
-    )
+    tab = StabilizerTableau.zero_state(n) if initial is None else StabilizerTableau.from_rows(n, initial)
     for name, qubits in ops:
         tab.apply_gate(name, *qubits)
     return tab
@@ -586,10 +609,7 @@ _S = np.diag([1.0, 1j])
 
 
 def _embed(gate: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    return reduce(
-        np.kron,
-        [np.eye(2 ** (n - 1 - qubit)), gate, np.eye(2**qubit)],
-    )
+    return np.kron(np.kron(np.eye(2 ** (n - 1 - qubit)), gate), np.eye(2**qubit))
 
 
 def circuit_unitary(circuit, n: int) -> np.ndarray:

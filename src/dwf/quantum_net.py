@@ -24,11 +24,11 @@ arithmetic, which keeps exhaustive enumeration over all d^(d+1) of them
 cheap.
 
 `is_flow` decides whether conjugation by U permutes a net's point
-operators: in integers from U's projector action (`clifford._basis_images`,
-shared with `maps_mub_to_mub`) when U sends basis projectors within
-`tolerances.flow_gate` of basis projectors, else from one transition table
-per unitary read through each net's 0/1 incidence.  `flow_census` scans one
-family per field, completed once: every net at d <= 3, the fixed-axes nets
+operators from U's record `clifford._basis_images`, which `maps_mub_to_mub`
+and `affine_extraction` read too: in integers from its projector action
+when U sends basis projectors within `tolerances.flow_gate` of basis
+projectors, else from its transition table read through each net's 0/1
+incidence.  `flow_census` scans one family per field, completed once: every net at d <= 3, the fixed-axes nets
 (ray choices (0, 0)) above.
 """
 
@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .clifford import _basis_images
+from .clifford import _images
 from .galois import FieldSpec, field
 from .geometry import Line, PhasePoint, Striation, all_points, build_striations
 from .mub import MubSet, standard_mub
@@ -208,54 +208,34 @@ def enumerate_nets(gf: FieldSpec, fix_axes: bool = False):
         yield ctx.complete(axes + free)
 
 
-# 16 holds every table of one `flows` benchmark round, which tests 11
-# distinct unitaries; a bound of 8 evicts each before its unitary comes back
-@lru_cache(maxsize=16)
-def _transition_table(entries: bytes, mub: MubSet) -> np.ndarray:
-    """T~ = (T - a_mu/(d+1) - b_lam/(d+1) + |U|^2/(d+1)^2) / d, read-only, for
-    the matrix U whose C-order complex bytes are `entries`: T[lam, mu] =
-    |<phi_lam|U|phi_mu>|^2, a_mu = |U phi_mu|^2, b_lam = |U~ phi_lam|^2."""
-    d = mub.dim
-    u = np.frombuffer(entries, dtype=complex).reshape(d, d)
-    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan
-        t = np.abs(mub.frame.conj().T @ (u @ mub.frame)) ** 2
-        # each basis is complete: a column sum is (d+1) a_mu, a row sum (d+1) b_lam
-        a, b = t.sum(axis=0) / (d + 1), t.sum(axis=1) / (d + 1)
-        table = (t - a / (d + 1) - b[:, None] / (d + 1) + a.sum() / (d + 1) ** 3) / d
-    table.flags.writeable = False
-    return table
-
-
 def is_flow(unitary: np.ndarray, net: QuantumNet) -> bool:
     """True iff conjugation by the unitary permutes the net's point
     operators: each image U A U~ lies within LOOKUP of its nearest one.
 
-    Integer route, when the `clifford._basis_images` memo holds an action
-    (U sends each basis projector within flow_gate(d) of one): an image of
-    A_alpha lies within LOOKUP/2 of the point operator of its image pencil
-    if that is a pencil of the net, else beyond LOOKUP of all of them
-    (`tolerances.flow_gate`).  Only beta, where the image lines of bases 0
-    and 1 meet, can carry it: the net flows iff rows[:, beta] is the image
-    of rows.  Dense route, otherwise: point operators are orthogonal,
-    Tr(A_alpha A_gamma) = delta / d (Gibbons, Hoffman and Wootters), so
-    U A_alpha U~ = sum_gamma X[gamma, alpha] A_gamma with X = E^T T~ E for
-    the net's incidence E and the `_transition_table` T~.  The nearest is
-    beta = argmax X[:, alpha], at squared distance (1/d) sum_gamma
-    (X - e_beta)^2, a sum of small terms; the origin's column, a lower
-    bound, is tested first through `rows` alone.  A non-d x d matrix
+    Integer route, when U's record `clifford._basis_images` holds an
+    action (U sends each basis projector within flow_gate(d) of one): an
+    image of A_alpha lies within LOOKUP/2 of the point operator of its
+    image pencil if that is a pencil of the net, else beyond LOOKUP of all
+    of them (`tolerances.flow_gate`).  Only beta, where the image lines of
+    bases 0 and 1 meet, can carry it: the net flows iff rows[:, beta] is
+    the image of rows.  Dense route, otherwise: point operators are
+    orthogonal, Tr(A_alpha A_gamma) = delta / d (Gibbons, Hoffman and
+    Wootters), so U A_alpha U~ = sum_gamma X[gamma, alpha] A_gamma with
+    X = E^T T~ E for the net's incidence E and the record's table T~ =
+    (T - a_mu/(d+1) - b_lam/(d+1) + |U|^2/(d+1)^2) / d, where T[lam, mu] =
+    |<phi_lam|U|phi_mu>|^2, a_mu = |U phi_mu|^2, b_lam = |U~ phi_lam|^2.
+    The nearest is beta = argmax X[:, alpha], at squared distance (1/d)
+    sum_gamma (X - e_beta)^2, a sum of small terms; the origin's column, a
+    lower bound, is tested first through `rows` alone.  A non-d x d matrix
     raises ValueError; huge or non-finite entries give False.
     """
     d = net.dim
-    u = np.ascontiguousarray(unitary, dtype=complex)
-    if u.shape != (d, d):
-        raise ValueError(f"expected a {d} x {d} matrix, got {u.shape}")
-    entries, mub = u.tobytes(), net.context.mub
-    _, action, order = _basis_images(entries, mub, mub)
-    if action is not None:
-        image = action.take(net.rows.take(order, axis=0))  # image[kappa] lies in basis kappa
+    images = _images(unitary, net.context.mub, net.context.mub, strict=False)
+    if images.action is not None:
+        image = images.action.take(net.rows.take(images.order, axis=0))  # image[kappa] in basis kappa
         beta = net.meet[image[0], image[1] - d]
         return net.rows.take(beta, axis=1).tobytes() == image.tobytes()  # both intp
-    table = _transition_table(entries, mub)
+    table = images.transition
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan
         origin = table[:, net.rows[:, 0]].sum(axis=1)[net.rows].sum(axis=0)  # E^T T~ E[:, 0]
         origin[origin.argmax()] -= 1.0

@@ -30,7 +30,7 @@ from dwf.geometry import all_points
 from dwf.mub import MubSet, standard_mub
 from dwf.pauli import PauliOperator, build_labeling, standard_sets
 from dwf.quantum_net import enumerate_nets, is_flow, standard_context
-from dwf.tolerances import LOOKUP
+from dwf.tolerances import ALGEBRAIC, LOOKUP
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -57,6 +57,25 @@ def test_eighth_turn_phase_gate_is_not_clifford_with_witness_x():
     assert isinstance(result, NotClifford)
     assert result.witness.qvec == (1,) and result.witness.pvec == (0,)
     assert result.deficit > 1e-8
+
+
+def test_a_phase_off_the_unit_roots_is_an_internal_error(monkeypatch):
+    # a generator image matched with deficit 0 but a phase that is no
+    # power of the unit root cannot come from a unitary
+    from dwf import clifford
+
+    match = clifford._match_translation
+
+    def skewed(gf, ops):
+        labels, phases, deficits = match(gf, ops)
+        phases[-1] *= np.exp(0.3j)
+        return labels, phases, deficits
+
+    monkeypatch.setattr(clifford, "_match_translation", skewed)
+    with pytest.raises(AssertionError, match="is not a unit root of order 4"):
+        is_clifford(H2, field(2))
+    with pytest.raises(AssertionError, match="is not a unit root of order 3"):
+        is_clifford(np.eye(3), field(3))
 
 
 def test_cnot_symplectic_table():
@@ -424,6 +443,70 @@ def test_composed_standardizers_make_any_mub_map_affine():
         assert isinstance(out, AffineData)
 
 
+def direct_affine(u, gf):
+    """The certificate from u and W~ u W directly, with no record: the
+    monomial test on both, then the affine arithmetic on u's permutation."""
+    from dwf.clifford import _extract_permutation
+
+    p, n, d = gf.p, gf.n, gf.order
+    w = standard_mub(d).bases[1].vectors
+    (perms, phase_rows), bad, leaks = _extract_permutation(np.stack([u, w.conj().T @ u @ w]))
+    for basis, col, leak in zip("ZX", bad.tolist(), leaks.tolist()):
+        if col >= 0:
+            return NotBasisPreserving(basis, col, leak)
+    perm, phases = perms[0], phase_rows[0]
+    coords = np.array([e.coords for e in gf.elements], dtype=np.int64)
+    units = p ** np.arange(n)
+    b = coords[perm[0]]
+    a = (coords[perm[units]] - b).T % p
+    delta = float(phases[0])
+    c = np.round((phases[units] - delta) / (2 * np.pi / p)).astype(np.int64) % p
+    return AffineData(a, tuple(int(x) for x in b), tuple(int(x) for x in c), delta)
+
+
+def affine_oracle_inputs(gf, rng):
+    """Named unitaries: seeded translations, squeezing or a shear, Fourier
+    (p = 2), the composed standardizer products of criterion 9, Haar
+    unitaries, random diagonal phases (Z kept, X broken), a Haar rotation
+    of computational columns 1 and 2 alone (its first failing Z column in
+    label order is 2 at d = 4 and 8), and H and S at d = 2."""
+    d = gf.order
+    mub, sets = standard_mub(d), standard_sets(gf)
+    named = [(name, u) for name, u in kernel_inputs(gf, rng) if "+" not in name]
+    c1 = standardize_pair(sets[0], sets[1]).dense
+    for name, u in list(named):
+        cert = maps_mub_to_mub(u, mub, mub)
+        if cert:
+            c2 = standardize_pair(sets[cert.permutation[0]], sets[cert.permutation[1]]).dense
+            named.append((f"standardized {name}", c2 @ u @ c1.conj().T))
+    named.append(("diagonal phases", np.diag(np.exp(2j * np.pi * rng.random(d)))))
+    if d > 2:
+        rotation = np.eye(d, dtype=complex)
+        rotation[1:3, 1:3] = random_unitary(2, rng)
+        named.append(("rotation of columns 1, 2", rotation))
+    if d == 2:
+        named += [("H", H2), ("S", np.diag([1.0, 1j]))]
+    return named
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_affine_extraction_equals_the_direct_route(d):
+    gf = field(d)
+    kinds = set()
+    for name, u in affine_oracle_inputs(gf, np.random.default_rng([d, 21])):
+        out, reference = affine_extraction(u, gf), direct_affine(u, gf)
+        assert type(out) is type(reference), name
+        if isinstance(reference, AffineData):
+            assert np.array_equal(out.a_matrix, reference.a_matrix), name
+            assert (out.b_shift, out.c_phase) == (reference.b_shift, reference.c_phase), name
+            assert out.global_phase == reference.global_phase, name
+        else:
+            assert (out.basis, out.state_index) == (reference.basis, reference.state_index), name
+            assert abs(out.leak - reference.leak) <= ALGEBRAIC, name
+        kinds.add(out.basis if isinstance(out, NotBasisPreserving) else "affine")
+    assert kinds == {"affine", "Z", "X"}
+
+
 # -- tableau --------------------------------------------------------------------
 
 def test_tableau_empty_circuit_keeps_z_stabilizers():
@@ -665,7 +748,7 @@ def test_stacked_monomial_test_matches_single_calls_at_lookup():
 # -- per-field constants are shared and read-only ------------------------------------
 
 def test_field_constants_are_built_once_and_read_only():
-    from dwf.clifford import _translation_catalogue
+    from dwf.clifford import _symplectic_form, _translation_catalogue
 
     for d in SUPPORTED_DIMENSIONS:
         gf = field(d)
@@ -683,5 +766,8 @@ def test_field_constants_are_built_once_and_read_only():
         result = is_clifford(u, gf)
         assert result.dense is u and u.flags.writeable
         u[0, 0] = u[0, 0]
+    for n in (1, 2, 3):
+        form = _symplectic_form(n)
+        assert form is _symplectic_form(n) and not form.flags.writeable
     for cached in (generator_operators, _translation_catalogue, squeezing_operator, fourier_operator):
         assert cached.cache_info().currsize <= len(SUPPORTED_DIMENSIONS)

@@ -9,7 +9,7 @@ from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.geometry import PhasePoint, build_striations, line_points
 from dwf.mub import standard_mub
 from dwf.formats import net_from_payload
-from dwf import clifford, quantum_net
+from dwf import clifford
 from dwf.quantum_net import (
     ENUMERATION_MAX_DIM,
     covariant_completion,
@@ -414,17 +414,6 @@ def test_is_flow_reads_any_memory_layout_as_its_c_complex_copy(d):
     assert verdicts == {True, False}
 
 
-def test_transition_memo_is_bounded():
-    maxsize = quantum_net._transition_table.cache_info().maxsize
-    assert maxsize is not None and maxsize <= 16
-    ctx = standard_context(9)
-    net = ctx.complete((0,) * 10)
-    rng = np.random.default_rng(2)
-    for _ in range(3 * maxsize):
-        is_flow(random_unitary(9, rng), net)
-    assert quantum_net._transition_table.cache_info().currsize <= maxsize
-
-
 @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
 def test_is_flow_is_false_and_silent_on_huge_or_infinite_entries(d):
     ctx = standard_context(d)
@@ -483,13 +472,23 @@ def test_flow_counts_over_every_d4_net_equal_the_reference():
 
 def dense_verdict(u, net):
     """The dense criterion on X = E^T T~ E for every point, with no
-    integer route and no early exit at the origin."""
-    d = net.dim
-    entries = np.ascontiguousarray(u, dtype=complex).tobytes()
+    integer route and no early exit at the origin, and T~ built here from
+    the transition probabilities T between the basis vectors (the frame)."""
+    d, frame = net.dim, net.context.mub.frame
     with np.errstate(over="ignore", invalid="ignore"):
-        x = net.incidence.T @ quantum_net._transition_table(entries, net.context.mub) @ net.incidence
+        t = np.abs(frame.conj().T @ np.asarray(u, dtype=complex) @ frame) ** 2
+        # T~ = (T - a_mu/(d+1) - b_lam/(d+1) + |U|^2/(d+1)^2) / d, a_mu = |U phi_mu|^2
+        # and b_lam = |U~ phi_lam|^2 from the column and row sums of T
+        a, b = t.sum(axis=0) / (d + 1), t.sum(axis=1) / (d + 1)
+        table = (t - a / (d + 1) - b[:, None] / (d + 1) + a.sum() / (d + 1) ** 3) / d
+        x = net.incidence.T @ table @ net.incidence
         x[x.argmax(axis=0), np.arange(d * d)] -= 1.0
         return bool(np.sqrt(np.einsum("ij,ij->j", x, x).max() / d) < LOOKUP)
+
+
+def record(u, mub):
+    """The `clifford._basis_images` record of u on one set of bases."""
+    return clifford._basis_images(np.ascontiguousarray(u, dtype=complex).tobytes(), mub, mub)
 
 
 def projector_error(u, mub):
@@ -526,8 +525,7 @@ def test_both_flow_routes_give_the_dense_verdict(d):
     for name, u in flow_test_inputs(gf, rng):
         verdicts = [is_flow(u, net) for net in nets]
         assert verdicts == [dense_verdict(u, net) for net in nets], name
-        mub = standard_context(d).mub
-        if clifford._basis_images(np.ascontiguousarray(u, dtype=complex).tobytes(), mub, mub)[1] is not None:
+        if record(u, standard_context(d).mub).action is not None:
             exact.add(name)
     assert {"translation 0", "translation 1"} <= exact and "haar 0" not in exact
 
@@ -551,8 +549,7 @@ def test_flow_routes_meet_at_the_gate(d):
     for factor, exact in ((0.9, True), (1.1, False)):
         u = perturbed(factor * flow_gate(d) / slope)
         assert (projector_error(u, ctx.mub) < flow_gate(d)) is exact
-        entries = np.ascontiguousarray(u, dtype=complex).tobytes()
-        assert (clifford._basis_images(entries, ctx.mub, ctx.mub)[1] is not None) is exact
+        assert (record(u, ctx.mub).action is not None) is exact
         for net in nets:
             assert is_flow(u, net) is dense_verdict(u, net) is True
             if d <= 4:  # the bound the gate rests on, against the reference loop
@@ -560,20 +557,19 @@ def test_flow_routes_meet_at_the_gate(d):
 
 
 @pytest.mark.parametrize("d", (4, 8, 9))
-def test_clifford_flows_take_the_integer_route(d, monkeypatch):
+def test_clifford_flows_take_the_integer_route(d):
     gf = field(d)
     ctx = standard_context(d)
     rng = np.random.default_rng([d, 19])
     named = dict(flow_test_inputs(gf, rng))
-    built = []
-    dense = quantum_net._transition_table
-    monkeypatch.setattr(quantum_net, "_transition_table", lambda *key: built.append(key) or dense(*key))
     exact = ["translation 0", "translation 1", "squeezing"] + ["fourier"] * (gf.p == 2)
     for name in exact + ["haar 0", "1.5 x translation", "nan entry", "squeezing + 1e-07"]:
         net = ctx.complete(tuple(rng.integers(0, d, d + 1)))
-        built.clear()
         is_flow(named[name], net)
-        assert (not built and "incidence" not in vars(net)) is (name in exact), name
+        images = record(named[name], ctx.mub)
+        # a record holds the projector action or the transition table, never both
+        assert (images.action is None) is (images.transition is not None), name
+        assert (images.transition is None and "incidence" not in vars(net)) is (name in exact), name
 
 
 def test_basis_pair_memo_is_bounded():
@@ -582,11 +578,38 @@ def test_basis_pair_memo_is_bounded():
     ctx = standard_context(9)
     net = ctx.complete((0,) * 10)
     rng = np.random.default_rng(3)
-    for _ in range(3 * maxsize):
-        u = random_unitary(9, rng)
+    for k in range(3 * maxsize):
+        u = random_unitary(9, rng) if k % 2 else ctx.labeling.unitary_at(ctx.points[k % 81])
+        if k % 4 == 1:
+            u = 1.5 * u  # not unitary: a record that maps_mub_to_mub refuses
         is_flow(u, net)
-        clifford.maps_mub_to_mub(u, ctx.mub, ctx.mub)
+        images = record(u, ctx.mub)
+        assert images.unitary is (k % 4 != 1)
+        assert (images.action is None) is (images.transition is not None) is bool(k % 2)
+        if images.unitary:
+            clifford.maps_mub_to_mub(u, ctx.mub, ctx.mub)
     assert clifford._basis_images.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_one_record_per_unitary(d):
+    # is_flow, maps_mub_to_mub and affine_extraction share one overlap
+    # product and one unitarity check: the first call builds the record,
+    # the other two read it
+    gf = field(d)
+    ctx = standard_context(d)
+    rng = np.random.default_rng([d, 20])
+    net = ctx.complete(tuple(rng.integers(0, d, d + 1)))
+    shift = ctx.labeling.unitary_at(ctx.points[int(rng.integers(1, d * d))])
+    fresh = [random_unitary(d, rng), np.exp(2j * np.pi * rng.random()) * shift]
+    for u in fresh:
+        before = clifford._basis_images.cache_info()
+        flows = is_flow(u, net)
+        maps = clifford.maps_mub_to_mub(u, ctx.mub, ctx.mub)
+        affine = clifford.affine_extraction(u, gf)
+        after = clifford._basis_images.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+        assert flows is bool(maps) is bool(affine) is (u is not fresh[0])
 
 
 @pytest.mark.parametrize("d", (2, 4))
