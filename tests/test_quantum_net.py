@@ -572,6 +572,20 @@ def test_clifford_flows_take_the_integer_route(d):
         assert (images.transition is None and "incidence" not in vars(net)) is (name in exact), name
 
 
+def test_transition_memo_is_bounded():
+    # the dense route's transition tables live in the basis-pair records
+    maxsize = clifford._basis_images.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+    ctx = standard_context(9)
+    net = ctx.complete((0,) * 10)
+    rng = np.random.default_rng(2)
+    for _ in range(3 * maxsize):
+        u = random_unitary(9, rng)
+        is_flow(u, net)
+        assert record(u, ctx.mub).transition is not None
+    assert clifford._basis_images.cache_info().currsize <= maxsize
+
+
 def test_basis_pair_memo_is_bounded():
     maxsize = clifford._basis_images.cache_info().maxsize
     assert maxsize is not None and maxsize <= 16
