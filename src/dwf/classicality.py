@@ -157,14 +157,12 @@ def classify(
     return ClassificationReport(table, report, _decomposition(table), tuple(witnesses))
 
 
-def random_projector_mixture(
-    mub: MubSet, rng: np.random.Generator, terms: int | None = None
-) -> DensityState:
-    """A random convex mixture of basis projectors: a certified polytope
-    member by construction."""
+def random_projector_mixture(mub: MubSet, rng: np.random.Generator) -> DensityState:
+    """A random convex mixture of all d(d+1) basis projectors: a certified
+    polytope member by construction."""
     d = mub.dim
     count = (d + 1) * d
-    weights = rng.dirichlet(np.ones(terms if terms is not None else count))
-    picks = rng.choice(count, size=len(weights), replace=False)
+    weights = rng.dirichlet(np.ones(count))
+    picks = rng.choice(count, size=count, replace=False)
     rho = np.tensordot(weights, mub.projectors.reshape(count, d, d)[picks], axes=1)
     return DensityState(rho, kind="mixed")

@@ -44,12 +44,19 @@ def _dimension(value: str) -> int:
     return d
 
 
+def _seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:  # numpy's generators take no negative seed
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dwf",
         description="Discrete Wigner functions on finite-field phase space.",
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                         help="seed recorded in outputs and used by randomized checks")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -1,11 +1,11 @@
 """Clifford-group verification and synthesis.
 
 Membership is checked by conjugating the stack of all 2n translation
-generators at once, u G u~, and matching every image against the scaled
-translation catalogue in one product with its flattened conjugate;
-success yields the symplectic table over Z_p plus per-generator phase
-exponents.  The generator stack and the catalogue are built once per
-field and are read-only, as are the cached squeezing and Fourier results.
+generators at once, u G u~, and matching every image against the field's
+table of d^2 translations (`pauli.Labeling.translations`, read in place)
+in one product; success yields the symplectic table over Z_p plus
+per-generator phase exponents.  The generator stack is built once per
+field and is read-only, as are the cached squeezing and Fourier results.
 
 Synthesis goes the other way, along one path: `clifford_from_symplectic`
 writes down the unitary of a symplectic table F, with the joint +1
@@ -22,8 +22,9 @@ The stabilizer tableau at the bottom cross-validates generator-level
 circuits against dense simulation for qubit registers.
 
 Primitives come from the layers below: mod-p rank and inverse from
-`galois`, index <-> digit maps from the field (element(z).coords,
-from_coords), the spectral projection to a phase-fixed vector from
+`galois`, index <-> digit maps from the field (its digit table,
+from_coords), the symplectic form and dense Pauli strings from `pauli`,
+the spectral projection to a phase-fixed vector from
 `mub.joint_eigenvector` and the X-type basis from `mub.standard_mub`.
 One monomial test, `_extract_permutation`, takes stacks only: it decides
 all (d+1)^2 basis-pair blocks of one overlap product V2~ u V1 in the
@@ -43,22 +44,14 @@ import numpy as np
 
 from .galois import FieldSpec, inverse_mod_p, rank_mod_p
 from .mub import MubSet, joint_eigenvector, standard_mub
-from .pauli import PauliOperator, AbelianSet, symplectic_product
+from .pauli import AbelianSet, PauliOperator, build_labeling
+from .pauli import _phase_order, _symplectic_form, _translation_matrix
 from .tolerances import LOOKUP, SPECTRAL, flow_gate
 
 
 # ---------------------------------------------------------------------------
 # small mod-p linear algebra
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)  # read-only, built once per n
-def _symplectic_form(n: int) -> np.ndarray:
-    j = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    j[:n, n:] = np.eye(n, dtype=np.int64)
-    j[n:, :n] = -np.eye(n, dtype=np.int64)
-    j.flags.writeable = False
-    return j
-
 
 def is_symplectic_table(f: np.ndarray, p: int) -> bool:
     n = f.shape[0] // 2
@@ -99,21 +92,14 @@ def generator_operators(gf: FieldSpec) -> tuple[PauliOperator, ...]:
 
 @lru_cache(maxsize=None)
 def _translation_catalogue(gf: FieldSpec):
-    """Read-only (labels, conj_flat, generators): row k of labels (d^2 x 2n)
-    labels translation k, row k of conj_flat (d^2 x d^2) is its conjugated
-    dense matrix raveled, and generators (2n x d x d) stacks the dense
-    generator_operators."""
-    n, d = gf.n, gf.order
-    labels = np.array(list(itertools.product(range(gf.p), repeat=2 * n)), dtype=np.int64)
-    dense = np.stack([PauliOperator(gf, l[:n], l[n:]).dense for l in labels])
-    catalogue = (
-        labels,
-        dense.reshape(d * d, d * d).conj(),
-        np.stack([g.dense for g in generator_operators(gf)]),
-    )
-    for table in catalogue:
-        table.flags.writeable = False
-    return catalogue
+    """Read-only (labels, flat, generators): row k of labels (d^2 x 2n)
+    labels translation k and row k of flat (d^2 x d^2) is its dense matrix
+    raveled, both the field's Labeling in point order; generators
+    (2n x d x d) stacks the dense generator_operators."""
+    labeling, d = build_labeling(gf), gf.order
+    generators = np.stack([g.dense for g in generator_operators(gf)])
+    generators.flags.writeable = False
+    return labeling.labels, labeling.translations.reshape(d * d, d * d), generators
 
 
 def _match_translation(gf: FieldSpec, ops: np.ndarray):
@@ -122,9 +108,9 @@ def _match_translation(gf: FieldSpec, ops: np.ndarray):
     1 - |phase| per operator, unfiltered.  Where a deficit is <= LOOKUP,
     op = phase * T(label).
     """
-    labels, conj_flat, _ = _translation_catalogue(gf)
+    labels, flat, _ = _translation_catalogue(gf)
     d = gf.order
-    coeffs = ops.reshape(len(ops), d * d) @ conj_flat.T / d
+    coeffs = (ops.reshape(len(ops), d * d).conj() @ flat.T).conj() / d
     best = np.argmax(np.abs(coeffs), axis=-1)
     phases = coeffs[np.arange(len(coeffs)), best]
     return labels[best], phases, 1.0 - np.abs(phases)
@@ -155,7 +141,7 @@ def is_clifford(u: np.ndarray, gf: FieldSpec):
     failing = np.flatnonzero(deficits > LOOKUP)
     if failing.size:
         return NotClifford(generator_operators(gf)[failing[0]], deficits[failing[0]])
-    order = 4 if gf.p == 2 else gf.p
+    order = _phase_order(gf.p)
     exponents = np.rint(np.angle(phases) / (2 * np.pi / order)).astype(np.int64) % order
     off = np.abs(phases - np.exp(2j * np.pi * exponents / order)) > LOOKUP * 100
     if off.any():
@@ -198,7 +184,7 @@ def clifford_from_symplectic(f: np.ndarray, gf: FieldSpec) -> SymplecticClifford
     u = np.zeros((d, d), dtype=complex)
     for z in range(d):
         v = psi0
-        for x_image, digit in zip(images[:n], gf.element(z).coords):
+        for x_image, digit in zip(images[:n], gf.digits[z]):
             for _ in range(digit):
                 v = x_image @ v
         u[:, z] = v
@@ -219,14 +205,13 @@ def standardize_pair(s: AbelianSet, t: AbelianSet) -> SymplecticClifford:
     S^-1 holds the exponents of N_j = prod_k h_k^x.
     """
     gf = s.field
-    ms, hs = s.generators(), t.generators()
-    syndrome = [[symplectic_product(h, m) for m in ms] for h in hs]
+    ms = np.array([m.label for m in s.generators()])
+    hs = np.array([h.label for h in t.generators()])
     try:
-        exponents = inverse_mod_p(syndrome, gf.p)
+        exponents = inverse_mod_p(hs @ _symplectic_form(gf.n) @ ms.T % gf.p, gf.p)
     except ValueError:
         raise ValueError("sets intersect nontrivially; no standardization exists") from None
-    ns = exponents @ np.array([h.label for h in hs]) % gf.p
-    f = np.vstack([ns, [m.label for m in ms]]).T
+    f = np.vstack([exponents @ hs % gf.p, ms]).T
     return is_clifford(clifford_from_symplectic(f, gf).dense.conj().T, gf)
 
 
@@ -291,9 +276,7 @@ def hadamard_in_chart(gf: FieldSpec) -> np.ndarray:
     mat = np.array([e.coords for e in basis], dtype=np.int64)
     inv = inverse_mod_p(mat.T, 2)
     v = np.zeros((d, d))
-    for z in range(d):
-        chart = inv @ np.array(gf.element(z).coords)
-        v[gf.from_coords(chart).index, z] = 1.0
+    v[(gf.digits @ inv.T % 2) @ 2 ** np.arange(n), np.arange(d)] = 1.0  # |z> -> |chart of z>
     return v.T @ reduce(np.kron, [_H] * n) @ v
 
 
@@ -459,8 +442,7 @@ def affine_extraction(u: np.ndarray, gf: FieldSpec):
     mub = standard_mub(d)
     images = _images(u, mub, mub, strict=True)
     # vector j of the Z basis is |z[j]>, so column z[j] of u peaks at row z[perm[j]]
-    z = np.argmax(np.abs(mub.bases[0].vectors), axis=0)
-    label = np.argsort(z)
+    z, label = mub.z_order
     perm, phases = z[images.perms[0, 0]][label], images.phases[0, 0][label]
     # a unitary's columns are orthogonal, so where none leaks their peaks are distinct
     for basis, leaks in (("Z", images.leaks[0, 0][label]), ("X", images.leaks[1, 1])):
@@ -469,7 +451,7 @@ def affine_extraction(u: np.ndarray, gf: FieldSpec):
             return NotBasisPreserving(basis, col, float(leaks[col]))
 
     # row z of coords is the digit vector of index z, so z = coords[z] @ units
-    coords = np.array([e.coords for e in gf.elements], dtype=np.int64)
+    coords = gf.digits
     units = p ** np.arange(n)
     b = coords[perm[0]]
     a = (coords[perm[units]] - b).T % p
@@ -491,28 +473,13 @@ def affine_extraction(u: np.ndarray, gf: FieldSpec):
 
 GATE_NAMES = ("H", "S", "CNOT")
 
-_PAULI_1Q = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
-
-
-def _row_dense(xbits, zbits) -> np.ndarray:
-    """The Hermitian Pauli string with the given bits, qubit 0 on the least
-    significant index digit."""
-    factors = [_PAULI_1Q[(int(xb), int(zb))] for xb, zb in zip(xbits, zbits)]
-    return reduce(np.kron, list(reversed(factors)))
-
-
 @dataclass(eq=False)
 class StabilizerTableau:
     """n stabilizer generators as rows of X/Z bit matrices plus sign bits.
 
     Row i represents (-1)^r[i] times the Hermitian Pauli string with bits
-    (x[i], z[i]).  Supports up to 8 qubits; dense reconstruction is meant
-    for small n.
+    (x[i], z[i]), the canonical translation T(x[i], z[i]) of `pauli`.
+    Supports up to 8 qubits; dense reconstruction is meant for small n.
     """
 
     n: int
@@ -545,12 +512,11 @@ class StabilizerTableau:
             x[i] = [int(b) % 2 for b in xbits]
             z[i] = [int(b) % 2 for b in zbits]
             r[i] = 0 if sign == 1 else 1
-        if rank_mod_p(np.concatenate([x, z], axis=1), 2) != n:
+        bits = np.concatenate([x, z], axis=1)
+        if rank_mod_p(bits, 2) != n:
             raise ValueError("stabilizer generators are not independent")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (int(x[i] @ z[j]) - int(z[i] @ x[j])) % 2:
-                    raise ValueError("stabilizer generators do not commute")
+        if (bits @ _symplectic_form(n) @ bits.T % 2).any():
+            raise ValueError("stabilizer generators do not commute")
         return cls(n, x, z, r)
 
     def apply_gate(self, name: str, *qubits: int) -> None:
@@ -583,7 +549,7 @@ class StabilizerTableau:
     def state_vector(self) -> np.ndarray:
         """The stabilized state: the joint eigenvector of the unsigned rows
         with eigenvalue (-1)^r[i], phase-fixed like the MUB vectors."""
-        rows = [_row_dense(xbits, zbits) for xbits, zbits in zip(self.x, self.z)]
+        rows = [_translation_matrix(2, x, z) for x, z in zip(self.x.tolist(), self.z.tolist())]
         return joint_eigenvector(rows, self.r.astype(int), 2)
 
 

@@ -144,8 +144,10 @@ class FieldSpec:
         m[:, -1] = [(-c) % p for c in primitive_poly[:-1]]
         self.companion = m
 
-        # coords(x * y) = (sum_i x_i M^i) coords(y), one matrix per x.
-        coords = np.array(self._coords, dtype=np.int64)
+        # coords(x * y) = (sum_i x_i M^i) coords(y), one matrix per x;
+        # digits[z] = coords of element z, one read-only table for all layers
+        self.digits = coords = np.array(self._coords, dtype=np.int64)
+        coords.flags.writeable = False
         weights = p ** np.arange(n)
         powers = np.stack([np.linalg.matrix_power(m, i) % p for i in range(n)])
         left = np.einsum("xi,ijk->xjk", coords, powers)

@@ -68,6 +68,14 @@ class MubSet:
         stack.flags.writeable = False
         return stack
 
+    @cached_property
+    def z_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(z, z^-1), read-only: vector j of basis 0 is |z[j]> up to phase."""
+        z = np.argmax(np.abs(self.bases[0].vectors), axis=0)
+        label = np.argsort(z)
+        z.flags.writeable = label.flags.writeable = False
+        return z, label
+
     def projector(self, kappa: int, j: int) -> np.ndarray:
         """Read-only view of the projector onto vector j of basis kappa."""
         return self.projectors[kappa, j]

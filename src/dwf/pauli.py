@@ -25,14 +25,17 @@ the nonzero points of the ray with direction (a, b) are exactly the
 members of the commuting set S_(a, b) built from (M^j a, M~^j b).
 
 The labeling is one read-only integer table, Labeling.labels[point index]
-= (position tuple | momentum tuple); PhasePoint and PauliOperator meet it
-only at the API edge (operator_at, unitary_at).
+= (position tuple | momentum tuple), with the dense translations in the
+same order, Labeling.translations, built once per field; PhasePoint and
+PauliOperator meet them only at the API edge (operator_at, unitary_at).
+Only here does a label become a matrix (`_translation_matrix`) or meet
+another label: label(a) J label(b) mod p, J from `_symplectic_form`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -68,6 +71,36 @@ def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+@lru_cache(maxsize=None)  # read-only, built once per n
+def _symplectic_form(n: int) -> np.ndarray:
+    """J with label(a) J label(b) = qvec_a . pvec_b - pvec_a . qvec_b."""
+    j = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    j[:n, n:] = np.eye(n, dtype=np.int64)
+    j[n:, :n] = -np.eye(n, dtype=np.int64)
+    j.flags.writeable = False
+    return j
+
+
+def _translation_matrix(p: int, qvec, pvec, phase_exp: int = 0) -> np.ndarray:
+    """phase_unit^phase_exp T(qvec, pvec) on len(qvec) registers of
+    dimension p, as a dense matrix."""
+    w = np.exp(2j * np.pi / p)
+    shift = np.roll(np.eye(p, dtype=complex), 1, axis=0)  # |z> -> |z + 1>
+    clock = np.diag([w**z for z in range(p)])
+    factors = []
+    for qi, pi in zip(qvec, pvec):
+        f = np.linalg.matrix_power(shift, qi) @ np.linalg.matrix_power(clock, pi)
+        if p == 2:
+            f = (1j) ** (qi * pi) * f
+        else:
+            eta = np.exp(2j * np.pi * pow(2, -1, p) / p)
+            f = eta ** (-qi * pi) * f
+        factors.append(f)
+    # register i carries digit i of the basis index, digit 0 least
+    # significant, hence the reversed kron order
+    return _phase_unit(p) ** phase_exp * reduce(np.kron, reversed(factors))
+
+
 class PauliOperator:
     """phase_unit^phase_exp times the canonical translation T(qvec, pvec)."""
 
@@ -90,31 +123,9 @@ class PauliOperator:
     def dense(self) -> np.ndarray:
         """d x d matrix; computed once, then reused, read-only."""
         if self._dense is None:
-            self._dense = self._realize()
+            self._dense = _translation_matrix(self.field.p, self.qvec, self.pvec, self.phase_exp)
             self._dense.flags.writeable = False
         return self._dense
-
-    def _realize(self) -> np.ndarray:
-        gf = self.field
-        p = gf.p
-        w = np.exp(2j * np.pi / p)
-        shift = np.zeros((p, p), dtype=complex)
-        for z in range(p):
-            shift[(z + 1) % p, z] = 1.0
-        clock = np.diag([w**z for z in range(p)])
-        factors = []
-        for qi, pi in zip(self.qvec, self.pvec):
-            f = np.linalg.matrix_power(shift, qi) @ np.linalg.matrix_power(clock, pi)
-            if p == 2:
-                f = (1j) ** (qi * pi) * f
-            else:
-                eta = np.exp(2j * np.pi * pow(2, -1, p) / p)
-                f = eta ** (-qi * pi) * f
-            factors.append(f)
-        # register i carries digit i of the basis index, digit 0 least
-        # significant, hence the reversed kron order
-        full = reduce(np.kron, reversed(factors))
-        return _phase_unit(p) ** self.phase_exp * full
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         gf = self.field
@@ -157,9 +168,8 @@ class PauliOperator:
 
 
 def symplectic_product(a: PauliOperator, b: PauliOperator) -> int:
-    """qvec_a . pvec_b - pvec_a . qvec_b mod p; zero iff the operators commute."""
-    p = a.field.p
-    return (_dot(a.qvec, b.pvec) - _dot(a.pvec, b.qvec)) % p
+    """label(a) J label(b) mod p; zero iff the operators commute."""
+    return int(np.array(a.label) @ _symplectic_form(a.field.n) @ np.array(b.label)) % a.field.p
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
@@ -217,19 +227,27 @@ class Labeling:
         self.field = gf
         # (M^T)^i applied to the unit tuple is row 0 of M^i
         chart = np.stack([np.linalg.matrix_power(gf.companion, i)[0] for i in range(gf.n)])
-        coords = np.array([x.coords for x in gf.elements], dtype=np.int64)
-        momenta = (coords @ chart) % gf.p
+        momenta = (gf.digits @ chart) % gf.p
         d = gf.order
         # points are numbered q-major, q * d + p
-        self.labels = np.hstack([np.repeat(coords, d, axis=0), np.tile(momenta, (d, 1))])
+        self.labels = np.hstack([np.repeat(gf.digits, d, axis=0), np.tile(momenta, (d, 1))])
         self.labels.flags.writeable = False
+
+    @cached_property
+    def translations(self) -> np.ndarray:
+        """translations[point index] = the dense T(labels[point index]): one
+        read-only d^2 x d x d stack, built on first use."""
+        p, n = self.field.p, self.field.n
+        stack = np.stack([_translation_matrix(p, row[:n], row[n:]) for row in self.labels.tolist()])
+        stack.flags.writeable = False
+        return stack
 
     def operator_at(self, point: PhasePoint) -> PauliOperator:
         row = self.labels[point.index]
         return PauliOperator(self.field, row[: self.field.n], row[self.field.n :])
 
     def unitary_at(self, point: PhasePoint) -> np.ndarray:
-        return self.operator_at(point).dense
+        return self.translations[point.index]
 
 
 @lru_cache(maxsize=None)

@@ -5,9 +5,10 @@ choice for the ray); covariance under translations fixes every other
 line.  The completion is exact integer arithmetic, done once per
 dimension.  The translation T(alpha) shifts the eigenvalue label m of
 every vector of a basis by the symplectic products of alpha's label with
-the basis generators g_i.  One mod-p product of the Labeling table with
-the stacked generator labels gives shift[kappa, alpha, i] = <T(alpha), g_i>
-at every point, and the line through alpha is the ray translated by
+the basis generators g_i.  One mod-p product of the Labeling table, the
+symplectic form J of `pauli` and the stacked generator labels gives
+shift[kappa, alpha, i] = <T(alpha), g_i> = label(alpha) J label(g_i) at
+every point, and the line through alpha is the ray translated by
 alpha, so
 
     pencil[kappa, alpha, r] = index of the label (m(r) + shift[kappa, alpha]) mod p
@@ -45,7 +46,7 @@ from .clifford import _images
 from .galois import FieldSpec, field
 from .geometry import Line, PhasePoint, Striation, all_points, build_striations
 from .mub import MubSet, standard_mub
-from .pauli import Labeling, build_labeling
+from .pauli import Labeling, _symplectic_form, build_labeling
 from .tolerances import LOOKUP
 
 # Largest d whose nets are enumerated exhaustively (d^(d+1) = 15,625 at
@@ -78,11 +79,9 @@ def net_context(mub: MubSet, striations: tuple[Striation, ...]) -> NetContext:
     gf = mub.field
     d, n, p = gf.order, gf.n, gf.p
     labeling = build_labeling(gf)
-    # <T(alpha), g> = q(alpha) . p(g) - p(alpha) . q(g), so pair the point
-    # labels with the generator labels halves swapped and q(g) negated
+    # shift[kappa, alpha, i] = <T(alpha), g_i> = label(alpha) J label(g_i)
     gens = np.array([[g.label for g in basis.generators] for basis in mub.bases])
-    paired = np.concatenate([gens[..., n:], -gens[..., :n]], axis=-1)
-    shift = np.einsum("aj,kij->kai", labeling.labels, paired) % p  # shift[kappa, alpha, i]
+    shift = np.einsum("aj,kij->kai", labeling.labels @ _symplectic_form(n), gens) % p
     # basis labels run lexicographically, first entry most significant
     m = np.array([basis.labels for basis in mub.bases])  # m[kappa, r, i]
     weights = p ** np.arange(n - 1, -1, -1)

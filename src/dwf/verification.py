@@ -28,7 +28,7 @@ from .clifford import (
 from .galois import field
 from .geometry import all_points, build_striations, line_points
 from .mub import _fix_phase, standard_mub, unbiasedness_report
-from .pauli import PauliOperator, build_labeling, commutes, standard_sets
+from .pauli import _symplectic_form, build_labeling, standard_sets
 from .quantum_net import ENUMERATION_MAX_DIM, enumerate_nets, is_flow, net_count, standard_context
 from .tolerances import ALGEBRAIC, SPECTRAL
 from .wigner import DensityState, reconstruct_state, wigner_from_point_operators, wigner_function
@@ -92,26 +92,23 @@ def _check_geometry(d, rng):
 
 def _check_pauli(d, rng):
     gf = field(d)
-    labels = list(itertools.product(range(gf.p), repeat=2 * gf.n))
-    if d <= 4:
-        picks = labels
-    else:
-        idx = rng.choice(len(labels), size=24, replace=False)
-        picks = [labels[i] for i in idx]
-    for la in picks:
-        for lb in picks:
-            a = PauliOperator(gf, la[: gf.n], la[gf.n:])
-            b = PauliOperator(gf, lb[: gf.n], lb[gf.n:])
-            dense_zero = np.linalg.norm(a.dense @ b.dense - b.dense @ a.dense) < ALGEBRAIC
-            if commutes(a, b) != dense_zero:
-                return False, f"symplectic test disagrees at {la}, {lb}"
+    labeling = build_labeling(gf)
+    picks = np.arange(d * d) if d <= 4 else rng.choice(d * d, size=24, replace=False)
+    ops, rows = labeling.translations[picks], labeling.labels[picks]
+    # every pair at once: the dense commutators against the symplectic products
+    products = np.einsum("aij,bjk->abik", ops, ops)
+    dense_zero = np.linalg.norm(products - products.transpose(1, 0, 2, 3), axis=(2, 3)) < ALGEBRAIC
+    disagree = np.argwhere((rows @ _symplectic_form(gf.n) @ rows.T % gf.p == 0) != dense_zero)
+    if len(disagree):
+        a, b = disagree[0]
+        return False, f"symplectic test disagrees at {rows[a].tolist()}, {rows[b].tolist()}"
     sets = standard_sets(gf)
     seen = set()
     for s in sets:
         seen |= s.label_set()
     if len(seen) != d * d - 1:
         return False, "standard sets do not partition the labels"
-    labels = build_labeling(gf).labels
+    labels = labeling.labels
     for s, aset in zip(build_striations(gf), sets):
         # the ray's points, minus the origin (index 0, on every ray)
         ray_labels = set(map(tuple, labels[s.position == 0][1:].tolist()))

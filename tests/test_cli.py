@@ -265,40 +265,55 @@ def test_clifford_check_rejects_eighth_turn(tmp_path, capsys):
     assert "witness" in out
 
 
+def run_dwf(capsys, fresh, *argv):
+    """(exit code, stdout, stderr) of `dwf argv`: in a fresh interpreter when
+    fresh, else through main in this one, where an uncaught exception fails
+    the test instead of printing a traceback."""
+    if fresh:
+        proc = run_python("-m", "dwf.cli", *argv)
+        return proc.returncode, proc.stdout, proc.stderr
+    code = main(list(argv))
+    return (code, *capsys.readouterr())
+
+
+# nan stands for its class in a fresh interpreter, inf runs in process
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_non_finite_unitary_is_a_usage_error(tmp_path, bad):
+def test_non_finite_unitary_is_a_usage_error(tmp_path, capsys, bad):
     payload = unitary_to_payload(np.eye(2))
     payload["matrix"][1][0] = [bad, 0.0]
     path = write_state(tmp_path / "u.json", payload)
-    proc = run_python("-m", "dwf.cli", "clifford", "--check", path)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and "'matrix'" in lines[0], proc.stderr
+    code, out, err = run_dwf(capsys, np.isnan(bad), "clifford", "--check", path)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "'matrix'" in lines[0], err
+    assert "Traceback" not in err
 
 
 HUGE = b"1" * 401
 
 
-@pytest.mark.parametrize("subcommand, flag, document, names", [
-    ("classicality", "--state", b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
-    ("classicality", "--state", b'{"dim": 2, "kind": "pure", "data": "\xff"}', "not valid JSON"),
+# deep nesting stands for its class in a fresh interpreter, the others run in process
+@pytest.mark.parametrize("subcommand, flag, document, names, fresh", [
+    ("classicality", "--state", b"[" * 100_000 + b"]" * 100_000, "nested too deeply", True),
+    ("classicality", "--state", b'{"dim": 2, "kind": "pure", "data": "\xff"}', "not valid JSON", False),
     ("classicality", "--state", b'{"dim": 2, "kind": "pure", "data": [[' + HUGE + b', 0], [0, 0]]}',
-     "'data'"),
+     "'data'", False),
     ("classicality", "--state", b'{"dim": ' + b"1" * 5001 + b', "kind": "pure", "data": []}',
-     "not valid JSON"),
+     "not valid JSON", False),
     ("clifford", "--check", b'{"dim": 2, "matrix": [[[' + HUGE + b', 0], [0, 0]], [[0, 0], [1, 0]]]}',
-     "'matrix'"),
+     "'matrix'", False),
 ], ids=["deep nesting", "not utf-8", "huge amplitude", "huge dim", "huge matrix entry"])
-def test_unreadable_file_is_a_one_line_usage_error(tmp_path, subcommand, flag, document, names):
+def test_unreadable_file_is_a_one_line_usage_error(tmp_path, capsys, subcommand, flag, document, names,
+                                                   fresh):
     path = tmp_path / "input.json"
     path.write_bytes(document)
-    proc = run_python("-m", "dwf.cli", subcommand, flag, str(path))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and names in lines[0], proc.stderr
-    assert "Traceback" not in proc.stderr
+    code, out, err = run_dwf(capsys, fresh, subcommand, flag, str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and names in lines[0], err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
@@ -376,6 +391,24 @@ def test_verify_passes_at_d2(capsys):
     out = capsys.readouterr().out
     assert "9/9 checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--d", "2"],
+    ["field", "--p", "2", "--n", "1"],
+    ["nets", "--d", "2", "--count-only"],
+    ["clifford", "--squeeze", "--d", "4"],
+])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    # numpy refuses a negative seed; it once ended `verify` in a traceback, exit 1
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--seed", "-1", *argv])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.split("dwf: error: ")  # argparse's usage, then one line
+    assert usage.startswith("usage: ")
+    assert error == "argument --seed: must be non-negative, got -1\n"
 
 
 def test_unknown_dimension_rejected():

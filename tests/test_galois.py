@@ -179,3 +179,10 @@ def test_power_operator_matches_repeated_multiplication():
             for k in range(2 * d):
                 assert a**k == acc
                 acc = acc * a
+
+
+@pytest.mark.parametrize("d", ALL_DIMS)
+def test_digit_table_is_built_once_and_read_only(d):
+    gf = field(d)
+    assert gf.digits is field(d).digits and not gf.digits.flags.writeable
+    assert gf.digits.tolist() == [list(x.coords) for x in gf.elements]

@@ -100,3 +100,13 @@ def test_phase_convention_first_amplitude_real_positive():
                 lead = next(x for x in v if abs(x) > 1e-8)
                 assert abs(lead.imag) < 1e-12
                 assert lead.real > 0
+
+
+@pytest.mark.parametrize("d", MUB_DIMS)
+def test_z_order_is_built_once_and_read_only(d):
+    mub = standard_mub(d)
+    z, label = mub.z_order
+    assert mub.z_order[0] is z and not z.flags.writeable and not label.flags.writeable
+    # vector j of the Z basis is the computational vector |z[j]>, up to phase
+    assert np.allclose(np.abs(mub.bases[0].vectors[z, np.arange(d)]), 1.0)
+    assert z[label].tolist() == list(range(d))

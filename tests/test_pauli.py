@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from dwf.galois import SUPPORTED_DIMENSIONS, field, rank_mod_p
 from dwf.geometry import PhasePoint, all_points, build_striations, line_points, origin
 from dwf.pauli import (
     PauliOperator,
+    _translation_matrix,
     abelian_set,
     build_labeling,
     commutes,
@@ -293,3 +295,31 @@ def test_ray_points_carry_the_striation_set(d):
             if pt != o
         }
         assert ray_ops == aset.label_set()
+
+
+# -- the table of translations ---------------------------------------------------
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_translation_table_rows_are_the_operators(d):
+    gf = field(d)
+    labeling = build_labeling(gf)
+    table = labeling.translations
+    assert table is build_labeling(gf).translations  # built once per field
+    assert table.shape == (d * d, d, d) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0.0
+    for pt in all_points(gf):
+        row = labeling.labels[pt.index]
+        dense = PauliOperator(gf, row[: gf.n], row[gf.n :]).dense
+        assert table[pt.index].tobytes() == dense.tobytes()
+        assert np.shares_memory(labeling.unitary_at(pt), table)
+
+
+def test_translation_matrix_is_the_qubit_pauli_string():
+    one_qubit = {(0, 0): np.eye(2, dtype=complex), (1, 0): X, (0, 1): Z, (1, 1): Y}
+    for n in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=2 * n):
+            xbits, zbits = bits[:n], bits[n:]
+            # qubit 0 is the least significant index digit, hence the reversed order
+            reference = functools.reduce(np.kron, [one_qubit[b] for b in zip(xbits, zbits)][::-1])
+            assert np.abs(_translation_matrix(2, xbits, zbits) - reference).max() <= 1e-15, bits

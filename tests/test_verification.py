@@ -5,9 +5,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dwf.galois import SUPPORTED_DIMENSIONS
+from dwf import pauli, verification
+from dwf.galois import SUPPORTED_DIMENSIONS, field
+from dwf.pauli import Labeling, PauliOperator, build_labeling
 from dwf.verification import run_verification
 
 
@@ -17,6 +20,38 @@ def test_all_checks_pass(d):
     assert len(results) == 9
     for r in results:
         assert r.passed, f"{r.group}: {r.name} failed ({r.detail})"
+
+
+def test_verify_realizes_each_translation_once(monkeypatch):
+    # the Pauli check reads the field's table of translations; it once
+    # realized two matrices per sampled pair, 1,152 at d = 8
+    d = 8
+    run_verification(d)  # the per-field tables the checks share now exist
+    calls = []
+    realize = pauli._translation_matrix
+    monkeypatch.setattr(pauli, "_translation_matrix", lambda *args: calls.append(args) or realize(*args))
+    assert verification._check_pauli(d, np.random.default_rng(0))[0] and calls == []
+    assert all(r.passed for r in run_verification(d))
+    assert len(calls) <= d * d, len(calls)
+    calls.clear()
+    assert Labeling(field(d)).translations.shape == (d * d, d, d)
+    assert len(calls) == d * d
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_a_wrong_form_fails_the_pauli_check_naming_the_first_pair(monkeypatch, d):
+    # under a zero form every pair "commutes"; the check must name the first
+    # pair, in point order, whose dense commutator is not zero
+    gf = field(d)
+    labels = build_labeling(gf).labels.tolist()
+    dense = [PauliOperator(gf, label[: gf.n], label[gf.n :]).dense for label in labels]
+    first = next((a, b) for a in range(d * d) for b in range(d * d)
+                 if np.abs(dense[a] @ dense[b] - dense[b] @ dense[a]).max() > 1e-6)
+    monkeypatch.setattr(verification, "_symplectic_form", lambda n: np.zeros((2 * n, 2 * n), dtype=np.int64))
+    rows = {r.group: r for r in run_verification(d)}
+    assert not rows["pauli"].passed
+    assert rows["pauli"].detail == f"symplectic test disagrees at {labels[first[0]]}, {labels[first[1]]}"
+    assert all(r.passed for group, r in rows.items() if group != "pauli")
 
 
 def test_verify_d2_within_runtime_budget():
