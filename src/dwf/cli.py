@@ -35,7 +35,7 @@ from .verification import DEFAULT_SEED, run_verification
 from .wigner import wigner_function
 
 
-def _dimension(value: str) -> int:
+def dimension(value: str) -> int:
     d = int(value)
     if d not in SUPPORTED_DIMENSIONS:
         raise argparse.ArgumentTypeError(
@@ -44,7 +44,7 @@ def _dimension(value: str) -> int:
     return d
 
 
-def _seed(value: str) -> int:
+def seed(value: str) -> int:
     seed = int(value)
     if seed < 0:  # numpy's generators take no negative seed
         raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dwf",
         description="Discrete Wigner functions on finite-field phase space.",
     )
-    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+    parser.add_argument("--seed", type=seed, default=DEFAULT_SEED,
                         help="seed recorded in outputs and used by randomized checks")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -66,20 +66,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--tables", action="store_true")
 
     p_geo = sub.add_parser("geometry", help="print striations and their lines")
-    p_geo.add_argument("--d", type=_dimension, required=True)
+    p_geo.add_argument("--d", type=dimension, required=True)
     p_geo.add_argument("--striations", action="store_true")
 
     p_pauli = sub.add_parser("pauli", help="print the d+1 commuting sets")
-    p_pauli.add_argument("--d", type=_dimension, required=True)
+    p_pauli.add_argument("--d", type=dimension, required=True)
     p_pauli.add_argument("--sets", action="store_true")
 
     p_mub = sub.add_parser("mub", help="print bases and the unbiasedness report")
-    p_mub.add_argument("--d", type=_dimension, required=True)
+    p_mub.add_argument("--d", type=dimension, required=True)
     p_mub.add_argument("--check", action="store_true")
     p_mub.add_argument("--json", metavar="PATH", help="export bases as JSON")
 
     p_nets = sub.add_parser("nets", help="enumerate or export quantum nets")
-    p_nets.add_argument("--d", type=_dimension, required=True)
+    p_nets.add_argument("--d", type=dimension, required=True)
     p_nets.add_argument("--fix-axes", action="store_true")
     p_nets.add_argument("--count-only", action="store_true")
     p_nets.add_argument("--ray-choices", metavar="J,J,...",
@@ -103,10 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="scan the Fourier transform over nets for flows")
     p_clif.add_argument("--squeeze", action="store_true",
                         help="synthesize the squeezing operator and print its table")
-    p_clif.add_argument("--d", type=_dimension)
+    p_clif.add_argument("--d", type=dimension)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite for a dimension")
-    p_verify.add_argument("--d", type=_dimension, required=True)
+    p_verify.add_argument("--d", type=dimension, required=True)
     return parser
 
 
@@ -298,22 +298,17 @@ def _cmd_clifford(args: argparse.Namespace) -> int:
             result = is_clifford(u, field(d))
         except ValueError as exc:
             raise FormatError(f"field 'matrix': {exc}") from exc
-        if result:
-            print("clifford: yes")
-            print("symplectic table (columns X_1..X_n, Z_1..Z_n):")
-            for row in result.symplectic:
-                print("  " + " ".join(str(x) for x in row))
-            print(f"phase exponents: {result.phase_exponents}")
-            return 0
-        print("clifford: no")
-        print(f"witness generator: {result.witness} (overlap deficit {result.deficit:.3e})")
-        return 1
-    if args.d is None:
+        if not result:
+            print("clifford: no")
+            print(f"witness generator: {result.witness} (overlap deficit {result.deficit:.3e})")
+            return 1
+        print("clifford: yes")
+    elif args.d is None:
         print("error: --no-flow-scan and --squeeze require --d", file=sys.stderr)
         return 2
-    d = args.d
-    gf = field(d)
-    if args.no_flow_scan:
+    elif args.no_flow_scan:
+        d = args.d
+        gf = field(d)
         if gf.p != 2:
             print("error: the Fourier scan needs characteristic 2", file=sys.stderr)
             return 2
@@ -325,16 +320,17 @@ def _cmd_clifford(args: argparse.Namespace) -> int:
         print(f"Fourier flow scan at d={d}: {len(census.flows)} flows "
               f"among {census.size} {census.family} nets")
         return 0
-    try:
-        us = squeezing_operator(gf)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"squeezing operator synthesized for d={d}")
+    else:
+        try:
+            result = squeezing_operator(field(args.d))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(f"squeezing operator synthesized for d={args.d}")
     print("symplectic table (columns X_1..X_n, Z_1..Z_n):")
-    for row in us.symplectic:
+    for row in result.symplectic:
         print("  " + " ".join(str(x) for x in row))
-    print(f"phase exponents: {us.phase_exponents}")
+    print(f"phase exponents: {result.phase_exponents}")
     return 0
 
 
@@ -368,10 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -108,6 +108,15 @@ class QuantumNet:
     ray_choices: tuple[int, ...]
     indices: tuple[tuple[int, ...], ...]  # indices[kappa][line position] = j
     _point_ops: np.ndarray | None = dc_field(default=None, repr=False)
+    # the net's row in a state's scan: ray_choices read as base-d digits, first most significant
+    scan_index: int = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        d, self.scan_index = self.dim, 0  # not np.ravel_multi_index: it costs more than a completion
+        if len(self.ray_choices) != d + 1 or not 0 <= min(self.ray_choices) <= max(self.ray_choices) < d:
+            raise ValueError(f"ray_choices must be {d + 1} indices in [0, {d})")
+        for r in self.ray_choices:
+            self.scan_index = self.scan_index * d + r
 
     @property
     def dim(self) -> int:

@@ -9,9 +9,9 @@ together; the functions never call each other.
 Every net's table is a sum of the same (d+1) x d probabilities (Gibbons,
 Hoffman and Wootters), so a state memoizes its probability table per
 basis set and, at d <= ENUMERATION_MAX_DIM, its `wigner_scan` per net
-context: the Wigner values of all d^(d+1) nets at once.  There
-`wigner_function` returns the net's row of the scan; above it, one gather
-per net.  Tables are read-only at every d.
+context: the Wigner values of all d^(d+1) nets at once, one row per net
+in `QuantumNet.scan_index` order, where `wigner_function` looks up the
+net's row; above it, one gather per net.  Tables are read-only at every d.
 
 The producer of a table checks that it sums to one and computes its
 minimum, so a `WignerTable` does no reduction of its own.  When a scan
@@ -149,7 +149,7 @@ def probabilities(rho: DensityState, mub: MubSet) -> ProbabilityTable:
     return ProbabilityTable(values)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class WignerTable:
     """values[q_index, p_index]; normalized to one, real by construction.
 
@@ -208,9 +208,9 @@ def _check_sums(sums) -> None:
 
 
 def _scan(rho: DensityState, ctx: NetContext) -> tuple[np.ndarray, np.ndarray]:
-    """The state's memoized scan over the nets of ctx, values[r_0, ..., r_d, q, p],
-    and each net's minimum, minima[r_0, ..., r_d]: read-only, built,
-    sum-checked and reduced on a miss."""
+    """The state's memoized scan over the nets of ctx, one row per net in
+    `QuantumNet.scan_index` order: values[i, q, p] and each net's minimum,
+    minima[i].  Read-only, built, sum-checked and reduced on a miss."""
     memo = rho._scans.get(ctx)
     if memo is None:
         d = ctx.mub.dim
@@ -222,8 +222,7 @@ def _scan(rho: DensityState, ctx: NetContext) -> tuple[np.ndarray, np.ndarray]:
         minima = tables[:, 0].copy()
         for column in tables.T[1:]:
             np.minimum(minima, column, out=minima)
-        values = values.reshape((d,) * (d + 1) + (d, d))
-        minima = minima.reshape((d,) * (d + 1))
+        values = values.reshape(-1, d, d)
         values.flags.writeable = False  # memoized per state and shared by every reader
         minima.flags.writeable = False
         memo = rho._scans[ctx] = (values, minima)
@@ -253,25 +252,29 @@ def net_minima(rho: DensityState, mub: MubSet) -> np.ndarray:
     """Each net's smallest Wigner value, minima[r_0, ..., r_d]: the state's
     memoized minima of `wigner_scan` over its last axis, read-only.
     Refused above ENUMERATION_MAX_DIM."""
-    return _enumerable_scan(rho, mub)[1]
+    return _enumerable_scan(rho, mub)[1].reshape((mub.dim,) * (mub.dim + 1))
 
 
 def wigner_function(rho: DensityState, net: QuantumNet) -> WignerTable:
     """Wigner values from basis probabilities: at each point, the pencil sum
     of assigned-line probabilities minus one, over d.  Read-only: the net's
-    row of the state's scan at d <= ENUMERATION_MAX_DIM, one gather above."""
-    d = net.dim
-    if rho.dim != d:
-        raise ValueError(f"state dimension {rho.dim} != net dimension {d}")
-    if d <= ENUMERATION_MAX_DIM:
-        scan, minima = _scan(rho, net.context)
-        r = net.ray_choices
-        return WignerTable(scan[r], net, minima[r])
-    pencil_sum = _table(rho, net.context.mub).values.ravel()[net.rows].sum(axis=0)
-    values = ((pencil_sum - 1.0) / d).reshape(d, d)
-    _check_sums(values.sum())
-    values.flags.writeable = False
-    return WignerTable(values, net, values.min())
+    row of the state's scan at d <= ENUMERATION_MAX_DIM, one gather above.
+    A scan is memoized only after the dimension and sum checks pass, so once
+    it exists a table is one lookup at `net.scan_index`; checks run on a miss."""
+    memo = rho._scans.get(net.context)
+    if memo is None:
+        d = net.dim
+        if rho.dim != d:
+            raise ValueError(f"state dimension {rho.dim} != net dimension {d}")
+        if d > ENUMERATION_MAX_DIM:
+            pencil_sum = _table(rho, net.context.mub).values.ravel()[net.rows].sum(axis=0)
+            values = ((pencil_sum - 1.0) / d).reshape(d, d)
+            _check_sums(values.sum())
+            values.flags.writeable = False
+            return WignerTable(values, net, values.min())
+        memo = _scan(rho, net.context)
+    values, minima = memo
+    return WignerTable(values[net.scan_index], net, minima[net.scan_index])
 
 
 def wigner_from_point_operators(rho: DensityState, net: QuantumNet) -> np.ndarray:

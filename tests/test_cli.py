@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dwf.cli import main
-from dwf.clifford import is_clifford
+from dwf.clifford import is_clifford, squeezing_operator
 from dwf.formats import unitary_from_payload, unitary_to_payload, wigner_values_from_csv
 from dwf.galois import field
 from dwf.tolerances import SPECTRAL, trace_slack
@@ -256,6 +256,29 @@ def test_clifford_check_accepts_hadamard(tmp_path, capsys):
     assert "clifford: yes" in out
 
 
+def test_check_and_squeeze_print_the_same_table(tmp_path, capsys):
+    # both branches of `dwf clifford` print the table and the phases one way
+    u = squeezing_operator(field(4)).dense
+    assert main(["clifford", "--squeeze", "--d", "4"]) == 0
+    squeezed = capsys.readouterr().out.splitlines()
+    assert main(["clifford", "--check", write_state(tmp_path / "s.json", unitary_to_payload(u))]) == 0
+    checked = capsys.readouterr().out.splitlines()
+    result = is_clifford(u, field(4))
+    table = ["symplectic table (columns X_1..X_n, Z_1..Z_n):",
+             *("  " + " ".join(map(str, row)) for row in result.symplectic),
+             f"phase exponents: {result.phase_exponents}"]
+    assert checked == ["clifford: yes", *table]
+    assert squeezed == ["squeezing operator synthesized for d=4", *table]
+
+
+def test_unwritable_output_is_a_one_line_usage_error(tmp_path, capsys, zero_state):
+    net = write_state(tmp_path / "n.json", {"dim": 2, "ray_choices": [0, 0, 0]})
+    code = main(["wigner", "--state", zero_state, "--net", net, "--out", str(tmp_path / "no" / "w.csv")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "w.csv" in err
+
+
 def test_clifford_check_rejects_eighth_turn(tmp_path, capsys):
     t = np.diag([1.0, np.exp(1j * np.pi / 4)])
     path = write_state(tmp_path / "t.json", unitary_to_payload(t))
@@ -409,6 +432,23 @@ def test_negative_seed_is_a_usage_error(capsys, argv):
     usage, error = err.split("dwf: error: ")  # argparse's usage, then one line
     assert usage.startswith("usage: ")
     assert error == "argument --seed: must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("argv, flag, kind, value", [
+    (["--seed", "abc", "verify", "--d", "2"], "--seed", "seed", "abc"),
+    (["verify", "--d", "x"], "--d", "dimension", "x"),
+])
+def test_unparsable_argument_names_the_kind_of_value(capsys, argv, flag, kind, value):
+    # argparse names a type by its callable's __name__; it once named private functions
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.split(": error: ")  # argparse's usage, then one line
+    assert usage.startswith("usage: ")
+    assert error == f"argument {flag}: invalid {kind} value: '{value}'\n"
+    assert "_seed" not in err and "_dimension" not in err
 
 
 def test_unknown_dimension_rejected():

@@ -12,6 +12,7 @@ from dwf.formats import net_from_payload
 from dwf import clifford
 from dwf.quantum_net import (
     ENUMERATION_MAX_DIM,
+    QuantumNet,
     covariant_completion,
     enumerate_nets,
     flow_census,
@@ -21,6 +22,7 @@ from dwf.quantum_net import (
     standard_context,
 )
 from dwf.tolerances import LOOKUP, flow_gate
+from dwf.wigner import DensityState, wigner_function
 
 
 def make_net(d, choices):
@@ -87,6 +89,20 @@ def test_fixed_axes_enumeration_count_d4():
     nets = list(enumerate_nets(field(4), fix_axes=True))
     assert len(nets) == 64
     assert len({net.indices for net in nets}) == 64
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_a_hand_built_net_with_bad_ray_choices_is_refused(d):
+    # once read a wrong row of a state's scan: a whole scan for too few
+    # choices, a wrapped row for -1, an IndexError past d - 1
+    ctx = standard_context(d)
+    good = ctx.complete((0,) * (d + 1))
+    rho = DensityState.random_pure(d, np.random.default_rng([d, 23]))
+    wigner_function(rho, good)  # the state now holds its scan
+    for choices in ((0,) * d, (0,) * (d + 2), (-1,) + (0,) * d, (0,) * d + (d,), (0,) * d + (7,)):
+        with pytest.raises(ValueError):
+            QuantumNet(ctx, choices, good.indices)
+    assert QuantumNet(ctx, good.ray_choices, good.indices).scan_index == 0
 
 
 def test_enumeration_refuses_large_dimension():

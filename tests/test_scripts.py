@@ -1,7 +1,9 @@
 """Smoke tests of the experiment scripts at their documented arguments.
 
 Each script runs in a fresh interpreter, as a user would run it, and its
-printed summary is held to the expectation stated in its docstring.
+printed summary is held to the expectation stated in its docstring.  Bad
+arguments run in one fresh interpreter per script and otherwise through
+the script's `main` in this one.
 """
 
 import importlib.util
@@ -26,6 +28,13 @@ def spawn_script(name, *args):
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(name, *args):
@@ -68,9 +77,7 @@ def test_bloch_rigidity_scan_flags_only_basis_states():
 
 @pytest.mark.parametrize("resolution", [7.0, 0.7])
 def test_bloch_grid_ends_exactly_at_the_south_pole(resolution):
-    spec = importlib.util.spec_from_file_location("bloch", ROOT / "scripts" / "bloch_rigidity_scan.py")
-    bloch = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bloch)
+    bloch = load_script("bloch_rigidity_scan.py")
     assert np.array_equal(bloch.polar_angles_deg(1.0), np.arange(181.0))
     thetas = bloch.polar_angles_deg(resolution)
     assert thetas[0] == 0.0 and thetas[-1] == 180.0
@@ -79,6 +86,10 @@ def test_bloch_grid_ends_exactly_at_the_south_pole(resolution):
     _, flagged, _, _ = bloch.scan(resolution, 1e-9)
     rows = flagged.reshape(len(thetas), -1)
     assert rows[0].all() and rows[-1].all()
+
+
+# one bad argument per script runs in a fresh interpreter
+FRESH = {("negativity_census.py", "--mixing", "nan"), ("bloch_rigidity_scan.py", "--resolution-deg", "0")}
 
 
 @pytest.mark.parametrize(
@@ -92,10 +103,17 @@ def test_bloch_grid_ends_exactly_at_the_south_pole(resolution):
         ("bloch_rigidity_scan.py", "--slack", "nan"),
     ],
 )
-def test_bad_argument_exits_2_naming_the_flag(name, flag, value):
-    proc = spawn_script(name, flag, value)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    usage, error = proc.stderr.split(f"{name}: error: ")  # argparse's usage, then one line
+def test_bad_argument_exits_2_naming_the_flag(monkeypatch, capsys, name, flag, value):
+    if (name, flag, value) in FRESH:
+        proc = spawn_script(name, flag, value)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:  # in process, any exception but SystemExit fails the test
+        monkeypatch.setattr(sys, "argv", [name, flag, value])
+        with pytest.raises(SystemExit) as exit_info:
+            load_script(name).main()
+        code, (out, err) = exit_info.value.code, capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    usage, error = err.split(f"{name}: error: ")  # argparse's usage, then one line
     assert usage.startswith("usage: ")
     assert error.startswith(f"argument {flag}: ") and error.count("\n") == 1

@@ -295,7 +295,8 @@ def test_memoized_tables_equal_the_direct_gather_on_every_net():
         probs = probabilities(rho, standard_mub(4))
         for net in enumerate_nets(field(4)):
             table = wigner_function(rho, net)
-            assert np.array_equal(table.values, pencil_gather(probs, net))
+            assert table.values.tobytes() == pencil_gather(probs, net).tobytes()
+            assert type(table.minimum) is np.float64 and table.minimum == table.values.min()
             assert table.min() == float(table.values.min())
 
 
@@ -366,6 +367,49 @@ def test_every_table_equals_the_direct_gather_bit_for_bit(d):
             table = wigner_function(rho, net)
             assert np.array_equal(table.values, pencil_gather(probs, net))
             assert table.min() == float(table.values.min())
+
+
+def test_tables_of_a_scanned_state_check_nothing_again(monkeypatch):
+    dim_reads, sum_checks = [], []
+    dim, check = DensityState.dim, wigner._check_sums
+    monkeypatch.setattr(DensityState, "dim", property(lambda rho: dim_reads.append(1) or dim.fget(rho)))
+    monkeypatch.setattr(wigner, "_check_sums", lambda sums: sum_checks.append(1) or check(sums))
+    nets = list(enumerate_nets(field(4)))
+    rho = DensityState.random_pure(4, np.random.default_rng(21))
+    wigner_function(rho, nets[0])
+    first = (len(dim_reads), len(sum_checks))
+    assert first[0] > 0 and first[1] == 1
+    for net in nets:
+        wigner_function(rho, net)
+    assert (len(dim_reads), len(sum_checks)) == first
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_scan_rows_are_in_scan_index_order(d):
+    ctx = standard_context(d)
+    rho = DensityState.random_mixed(d, np.random.default_rng([d, 22]))
+    values, minima = wigner_scan(rho, ctx.mub), net_minima(rho, ctx.mub)
+    rows, row_minima = rho._scans[ctx]
+    assert rows.shape == (d ** (d + 1), d, d) and row_minima.shape == (d ** (d + 1),)
+    assert values.shape == (d,) * (d + 1) + (d * d,) and minima.shape == (d,) * (d + 1)
+    for view, memo in ((values, rows), (minima, row_minima)):  # views, no copies
+        assert np.shares_memory(view, memo)
+        assert not view.flags.writeable and not memo.flags.writeable
+    for net in enumerate_nets(field(d)):
+        assert net.scan_index == np.ravel_multi_index(net.ray_choices, (d,) * (d + 1))
+        table = wigner_function(rho, net)
+        assert np.shares_memory(table.values, rows[net.scan_index])
+        assert np.array_equal(table.values.ravel(), values[net.ray_choices])
+        assert table.minimum == minima[net.ray_choices]
+
+
+def test_a_net_of_another_dimension_is_refused_after_a_scan():
+    rho = DensityState.random_pure(4, np.random.default_rng(24))
+    wigner_function(rho, base_net(4))
+    assert list(rho._scans) == [standard_context(4)]
+    for d in (2, 3, 5, 8):
+        with pytest.raises(ValueError, match=f"state dimension 4 != net dimension {d}"):
+            wigner_function(rho, base_net(d))
 
 
 def test_net_minima_are_read_only_and_refused_above_enumeration():
