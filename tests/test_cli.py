@@ -409,6 +409,33 @@ def test_clifford_flag_validation(capsys):
     assert main(["clifford", "--squeeze", "--d", "2"]) == 2  # squeezing needs n >= 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["field", "--p", "3", "--n", "3"], "dimension 27 not supported; choose from (2, 3, 4, 5, 7, 8, 9)"),
+    (["field", "--p", "9", "--n", "1"], "p=9, n=1 is not a supported field"),
+    (["nets", "--d", "4", "--out", "net.json"], "--out needs --ray-choices"),
+    (["nets", "--d", "4", "--count-only", "--ray-choices", "0,0,0,0,0"],
+     "--ray-choices conflicts with --count-only"),
+    (["nets", "--d", "4", "--fix-axes", "--ray-choices", "0,0,0,0,0"],
+     "--ray-choices conflicts with --fix-axes"),
+    (["nets", "--d", "4", "--ray-choices", "a,b"], "field 'ray_choices' must be comma-separated integers"),
+    (["nets", "--d", "4", "--ray-choices", "0,0,0"], "ray_choices must be 5 indices in [0, 4)"),
+    (["nets", "--d", "7"], "enumeration of 5764801 nets at d=7 is refused; use --ray-choices to select one"),
+    (["classicality", "--brute-force", "--state", "STATE9"], "--brute-force supports d <= 5, got d=9"),
+    (["clifford"], "pick exactly one of --check, --no-flow-scan, --squeeze"),
+    (["clifford", "--squeeze"], "--no-flow-scan and --squeeze require --d"),
+    (["clifford", "--no-flow-scan"], "--no-flow-scan and --squeeze require --d"),
+    (["clifford", "--no-flow-scan", "--d", "3"], "the Fourier scan needs characteristic 2"),
+    (["clifford", "--no-flow-scan", "--d", "8"], "the Fourier scan enumerates nets only for d <= 5, got d=8"),
+    (["clifford", "--squeeze", "--d", "5"], "squeezing needs an extension field (n >= 2)"),
+])
+def test_every_usage_error_of_a_command_is_one_line_and_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)  # --out names a file that must not appear
+    write_state(tmp_path / "STATE9", {"dim": 9, "kind": "pure", "data": [[1, 0]] + [[0, 0]] * 8})
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["STATE9"]
+
+
 def test_verify_passes_at_d2(capsys):
     assert main(["verify", "--d", "2"]) == 0
     out = capsys.readouterr().out
