@@ -1,8 +1,9 @@
 """Command-line front door: build, check, compute, enumerate, export.
 
 Exit codes: 0 success, 1 a verification or membership check failed,
-2 usage error (bad flags, missing or malformed files).  Every JSON the
-tool writes embeds dimension, primitive polynomial, seed and tool version.
+2 usage error (bad flags, missing or malformed files), raised to `main`
+as a UsageError or FormatError.  Every JSON the tool writes embeds
+dimension, primitive polynomial, seed and tool version.
 The environment variable DWF_TOLERANCE_SCALE multiplies all numeric
 tolerances (default 1.0).
 """
@@ -33,6 +34,10 @@ from .quantum_net import ENUMERATION_MAX_DIM, enumerate_nets, flow_census, net_c
 from .tolerances import ALGEBRAIC
 from .verification import DEFAULT_SEED, run_verification
 from .wigner import wigner_function
+
+
+class UsageError(FormatError):
+    """Flags that contradict each other or name what the command refuses."""
 
 
 def dimension(value: str) -> int:
@@ -115,11 +120,9 @@ def _cmd_field(args: argparse.Namespace) -> int:
     try:
         gf = field(d)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     if gf.p != args.p or gf.n != args.n:
-        print(f"error: p={args.p}, n={args.n} is not a supported field", file=sys.stderr)
-        return 2
+        raise UsageError(f"p={args.p}, n={args.n} is not a supported field")
     poly = " + ".join(
         f"{c}*x^{i}" if i else str(c)
         for i, c in enumerate(gf.primitive_poly) if c
@@ -191,12 +194,10 @@ def _cmd_nets(args: argparse.Namespace) -> int:
     gf = field(d)
     total = net_count(d, args.fix_axes)
     if args.out and args.ray_choices is None:
-        print("error: --out needs --ray-choices", file=sys.stderr)
-        return 2
+        raise UsageError("--out needs --ray-choices")
     conflict = "--count-only" if args.count_only else "--fix-axes" if args.fix_axes else None
     if args.ray_choices is not None and conflict:
-        print(f"error: --ray-choices conflicts with {conflict}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--ray-choices conflicts with {conflict}")
     if args.count_only:
         print(total)
         return 0
@@ -204,22 +205,18 @@ def _cmd_nets(args: argparse.Namespace) -> int:
         try:
             choices = tuple(int(x) for x in args.ray_choices.split(","))
         except ValueError:
-            print("error: field 'ray_choices' must be comma-separated integers", file=sys.stderr)
-            return 2
+            raise UsageError("field 'ray_choices' must be comma-separated integers") from None
         try:
             net = standard_context(d).complete(choices)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(exc) from None
         print(f"net {net.ray_choices} on d={d}")
         if args.out:
             write_json(args.out, net_to_payload(net), d, args.seed)
             print(f"wrote {args.out}")
         return 0
     if d > ENUMERATION_MAX_DIM:
-        print(f"error: enumeration of {total} nets at d={d} is refused; "
-              "use --ray-choices to select one", file=sys.stderr)
-        return 2
+        raise UsageError(f"enumeration of {total} nets at d={d} is refused; use --ray-choices to select one")
     count = 0
     for net in enumerate_nets(gf, fix_axes=args.fix_axes):
         print(",".join(str(r) for r in net.ray_choices))
@@ -248,9 +245,7 @@ def _cmd_classicality(args: argparse.Namespace) -> int:
     if d not in SUPPORTED_DIMENSIONS:
         raise FormatError(f"field 'dim': {d} is not a supported dimension")
     if args.brute_force and d > ENUMERATION_MAX_DIM:
-        print(f"error: --brute-force supports d <= {ENUMERATION_MAX_DIM}, got d={d}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"--brute-force supports d <= {ENUMERATION_MAX_DIM}, got d={d}")
     gf = field(d)
     mub = standard_mub(d)
     out = classify(state, mub, gf)
@@ -286,9 +281,7 @@ def _cmd_classicality(args: argparse.Namespace) -> int:
 def _cmd_clifford(args: argparse.Namespace) -> int:
     chosen = [bool(args.check), args.no_flow_scan, args.squeeze]
     if sum(chosen) != 1:
-        print("error: pick exactly one of --check, --no-flow-scan, --squeeze",
-              file=sys.stderr)
-        return 2
+        raise UsageError("pick exactly one of --check, --no-flow-scan, --squeeze")
     if args.check:
         u = unitary_from_payload(read_json(args.check))
         d = u.shape[0]
@@ -304,18 +297,15 @@ def _cmd_clifford(args: argparse.Namespace) -> int:
             return 1
         print("clifford: yes")
     elif args.d is None:
-        print("error: --no-flow-scan and --squeeze require --d", file=sys.stderr)
-        return 2
+        raise UsageError("--no-flow-scan and --squeeze require --d")
     elif args.no_flow_scan:
         d = args.d
         gf = field(d)
         if gf.p != 2:
-            print("error: the Fourier scan needs characteristic 2", file=sys.stderr)
-            return 2
+            raise UsageError("the Fourier scan needs characteristic 2")
         if d > ENUMERATION_MAX_DIM:
-            print(f"error: the Fourier scan enumerates nets only for d <= "
-                  f"{ENUMERATION_MAX_DIM}, got d={d}", file=sys.stderr)
-            return 2
+            raise UsageError(f"the Fourier scan enumerates nets only for d <= {ENUMERATION_MAX_DIM}, "
+                             f"got d={d}")
         census = flow_census(fourier_operator(gf).dense, gf)
         print(f"Fourier flow scan at d={d}: {len(census.flows)} flows "
               f"among {census.size} {census.family} nets")
@@ -324,8 +314,7 @@ def _cmd_clifford(args: argparse.Namespace) -> int:
         try:
             result = squeezing_operator(field(args.d))
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(exc) from None
         print(f"squeezing operator synthesized for d={args.d}")
     print("symplectic table (columns X_1..X_n, Z_1..Z_n):")
     for row in result.symplectic:

@@ -12,9 +12,9 @@ and the root-of-unity convention that makes T^p the identity for odd p,
 
 with w = exp(2 pi i / p) and inv2 the inverse of 2 mod p.  Phases of group
 products are tracked exactly as integer exponents of the phase unit (i for
-p = 2, w for odd p); dense matrices are realized lazily, frozen read-only
-so they can be shared, and are meant for verification, not for group
-arithmetic.
+p = 2, w for odd p); a dense matrix is a read-only row of the field's one
+table of translations (times the phase unit to its exponent), meant for
+verification, not for group arithmetic.
 
 Labeling of phase space: the position tuple of a field element is its
 polynomial-basis coordinate vector (so multiplication by omega acts as the
@@ -25,9 +25,9 @@ the nonzero points of the ray with direction (a, b) are exactly the
 members of the commuting set S_(a, b) built from (M^j a, M~^j b).
 
 The labeling is one read-only integer table, Labeling.labels[point index]
-= (position tuple | momentum tuple), with the dense translations in the
-same order, Labeling.translations, built once per field; PhasePoint and
-PauliOperator meet them only at the API edge (operator_at, unitary_at).
+= (position tuple | momentum tuple), inverted by Labeling.point_index, with
+the dense translations in the same order, Labeling.translations, realized
+once per field; every dense translation is a row of it (unitary_at, dense).
 Only here does a label become a matrix (`_translation_matrix`) or meet
 another label: label(a) J label(b) mod p, J from `_symplectic_form`.
 """
@@ -35,7 +35,7 @@ another label: label(a) J label(b) mod p, J from `_symplectic_form`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -87,18 +87,18 @@ def _translation_matrix(p: int, qvec, pvec, phase_exp: int = 0) -> np.ndarray:
     w = np.exp(2j * np.pi / p)
     shift = np.roll(np.eye(p, dtype=complex), 1, axis=0)  # |z> -> |z + 1>
     clock = np.diag([w**z for z in range(p)])
-    factors = []
-    for qi, pi in zip(qvec, pvec):
+    out = None
+    # register i carries digit i of the basis index, digit 0 least significant, hence the
+    # reversed Kronecker order; the broadcast product is np.kron's, bit for bit, at less cost
+    for qi, pi in reversed(list(zip(qvec, pvec))):
         f = np.linalg.matrix_power(shift, qi) @ np.linalg.matrix_power(clock, pi)
         if p == 2:
             f = (1j) ** (qi * pi) * f
         else:
             eta = np.exp(2j * np.pi * pow(2, -1, p) / p)
             f = eta ** (-qi * pi) * f
-        factors.append(f)
-    # register i carries digit i of the basis index, digit 0 least
-    # significant, hence the reversed kron order
-    return _phase_unit(p) ** phase_exp * reduce(np.kron, reversed(factors))
+        out = f if out is None else (out[:, None, :, None] * f[None, :, None, :]).reshape(len(out) * p, -1)
+    return _phase_unit(p) ** phase_exp * out
 
 
 class PauliOperator:
@@ -109,23 +109,24 @@ class PauliOperator:
         self.qvec = tuple(int(x) % gf.p for x in qvec)
         self.pvec = tuple(int(x) % gf.p for x in pvec)
         self.phase_exp = int(phase_exp) % _phase_order(gf.p)
-        self._dense = None
 
     @property
     def label(self) -> tuple[int, ...]:
         """The exponent vector (qvec | pvec) in Z_p^2n."""
         return self.qvec + self.pvec
 
-    def is_identity_label(self) -> bool:
-        return not any(self.label)
-
     @property
     def dense(self) -> np.ndarray:
-        """d x d matrix; computed once, then reused, read-only."""
-        if self._dense is None:
-            self._dense = _translation_matrix(self.field.p, self.qvec, self.pvec, self.phase_exp)
-            self._dense.flags.writeable = False
-        return self._dense
+        """d x d matrix, read-only: the row of the field's translations at
+        point_index[label code] itself, times unit^phase_exp if that is not 1."""
+        labeling, p = build_labeling(self.field), self.field.p
+        code = sum(x * p**i for i, x in enumerate(self.label))
+        row = labeling.translations[labeling.point_index[code]]
+        if not self.phase_exp:
+            return row
+        dense = _phase_unit(p) ** self.phase_exp * row
+        dense.flags.writeable = False
+        return dense
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         gf = self.field
@@ -172,10 +173,6 @@ def symplectic_product(a: PauliOperator, b: PauliOperator) -> int:
     return int(np.array(a.label) @ _symplectic_form(a.field.n) @ np.array(b.label)) % a.field.p
 
 
-def commutes(a: PauliOperator, b: PauliOperator) -> bool:
-    return symplectic_product(a, b) == 0
-
-
 @dataclass(eq=False)
 class AbelianSet:
     """The d-1 commuting translations T(M^j avec, M~^j bvec), j = 0..d-2."""
@@ -220,7 +217,8 @@ class Labeling:
     d^2 x 2n integer table.  Positions use polynomial coordinates; momenta
     use the transposed chart (columns (M^T)^i applied to the unit tuple),
     so that moving along a ray multiplies the point by omega and the two
-    halves of its row by M and M^T respectively.
+    halves of its row by M and M^T respectively.  Read-only point_index
+    inverts it: point_index[label @ p**arange(2n)] is the labeled point.
     """
 
     def __init__(self, gf: FieldSpec):
@@ -231,7 +229,8 @@ class Labeling:
         d = gf.order
         # points are numbered q-major, q * d + p
         self.labels = np.hstack([np.repeat(gf.digits, d, axis=0), np.tile(momenta, (d, 1))])
-        self.labels.flags.writeable = False
+        self.point_index = np.argsort(self.labels @ gf.p ** np.arange(2 * gf.n))
+        self.labels.flags.writeable = self.point_index.flags.writeable = False
 
     @cached_property
     def translations(self) -> np.ndarray:

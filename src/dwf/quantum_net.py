@@ -106,8 +106,8 @@ class QuantumNet:
 
     context: NetContext
     ray_choices: tuple[int, ...]
-    indices: tuple[tuple[int, ...], ...]  # indices[kappa][line position] = j
-    _point_ops: np.ndarray | None = dc_field(default=None, repr=False)
+    indices: tuple[tuple[int, ...], ...] = dc_field(init=False)  # [kappa][line position] = j, from sigma
+    _point_ops: np.ndarray | None = dc_field(default=None, init=False, repr=False)
     # the net's row in a state's scan: ray_choices read as base-d digits, first most significant
     scan_index: int = dc_field(init=False, repr=False)
 
@@ -117,6 +117,7 @@ class QuantumNet:
             raise ValueError(f"ray_choices must be {d + 1} indices in [0, {d})")
         for r in self.ray_choices:
             self.scan_index = self.scan_index * d + r
+        self.indices = tuple(map(tuple, self.context.sigma[range(d + 1), :, self.ray_choices].tolist()))
 
     @property
     def dim(self) -> int:
@@ -158,16 +159,8 @@ class QuantumNet:
                 return kappa, self.indices[kappa][s.positions[line]]
         raise KeyError(f"{line} is not a line of this phase space")
 
-    def pencil_indices(self, point: PhasePoint) -> tuple[tuple[int, int], ...]:
-        """The d+1 (kappa, j) pairs of the lines through a point."""
-        return tuple(enumerate(self.pencil[:, point.index].tolist()))
-
-    def point_operator(self, point: PhasePoint) -> np.ndarray:
-        """(sum of the d+1 projectors through the point - identity) / d."""
-        return self.point_operator_table()[point.index]
-
     def point_operator_table(self) -> np.ndarray:
-        """All d^2 point operators stacked in point-index order, read-only."""
+        """Point operators (sum of the projectors through the point - I) / d in point order, read-only."""
         if self._point_ops is None:
             d = self.dim
             total = self.context.mub.projectors.reshape(-1, d, d)[self.rows].sum(axis=0)
@@ -183,13 +176,7 @@ def covariant_completion(
     ray_choices, mub: MubSet, striations: tuple[Striation, ...]
 ) -> QuantumNet:
     """Extend one projector choice per ray to the whole grid by covariance."""
-    ctx = net_context(mub, striations)
-    d = ctx.dim
-    choices = tuple(int(r) for r in ray_choices)
-    if len(choices) != d + 1 or any(not 0 <= r < d for r in choices):
-        raise ValueError(f"ray_choices must be {d + 1} indices in [0, {d})")
-    indices = tuple(map(tuple, ctx.sigma[np.arange(d + 1), :, choices].tolist()))
-    return QuantumNet(ctx, choices, indices)
+    return QuantumNet(net_context(mub, striations), tuple(int(r) for r in ray_choices))
 
 
 def net_count(d: int, fix_axes: bool = False) -> int:

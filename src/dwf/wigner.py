@@ -80,11 +80,6 @@ class DensityState:
     def dim(self) -> int:
         return self.rho.shape[0]
 
-    def min_eigenvalue(self) -> float:
-        """Most negative eigenvalue; negative values flag a non-physical
-        input, which is allowed everywhere in this package."""
-        return float(np.linalg.eigvalsh(self.rho)[0])
-
     @classmethod
     def from_vector(cls, amplitudes) -> "DensityState":
         v = np.asarray(amplitudes, dtype=complex)

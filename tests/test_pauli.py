@@ -11,7 +11,6 @@ from dwf.pauli import (
     _translation_matrix,
     abelian_set,
     build_labeling,
-    commutes,
     standard_sets,
     symplectic_product,
 )
@@ -95,7 +94,7 @@ def test_odd_translations_have_order_p(d):
     for label in all_labels(gf):
         op = op_from_label(gf, label)
         assert np.linalg.norm(np.linalg.matrix_power(op.dense, gf.p) - np.eye(d)) < 1e-10
-        assert op.power(gf.p).is_identity_label()
+        assert not any(op.power(gf.p).label)
         assert op.power(gf.p).phase_exp == 0
 
 
@@ -103,13 +102,13 @@ def test_commutation_examples():
     gf = field(2)
     x = PauliOperator(gf, (1,), (0,))
     z = PauliOperator(gf, (0,), (1,))
-    assert not commutes(x, z)
-    assert commutes(x, x)
+    assert symplectic_product(x, z) != 0
+    assert symplectic_product(x, x) == 0
     gf3 = field(3)
     a = PauliOperator(gf3, (1,), (0,))
     b = PauliOperator(gf3, (1,), (1,))
     assert symplectic_product(a, b) == 1
-    assert not commutes(a, b)
+    assert symplectic_product(a, b) != 0
     assert np.linalg.norm(a.dense @ b.dense - b.dense @ a.dense) > 0.1
 
 
@@ -120,7 +119,7 @@ def test_symplectic_test_agrees_with_dense_commutators_exhaustive(d):
     for a in ops:
         for b in ops:
             dense_zero = np.linalg.norm(a.dense @ b.dense - b.dense @ a.dense) < 1e-12
-            assert commutes(a, b) == dense_zero
+            assert (symplectic_product(a, b) == 0) == dense_zero
 
 
 def test_symplectic_test_agrees_with_dense_commutators_sampled_d8():
@@ -130,7 +129,7 @@ def test_symplectic_test_agrees_with_dense_commutators_sampled_d8():
         a = PauliOperator(gf, rng.integers(0, 2, 3), rng.integers(0, 2, 3))
         b = PauliOperator(gf, rng.integers(0, 2, 3), rng.integers(0, 2, 3))
         dense_zero = np.linalg.norm(a.dense @ b.dense - b.dense @ a.dense) < 1e-12
-        assert commutes(a, b) == dense_zero
+        assert (symplectic_product(a, b) == 0) == dense_zero
 
 
 def test_abelian_set_single_qubit_x():
@@ -175,7 +174,7 @@ def test_standard_sets_members_commute_and_close(d):
     for s in standard_sets(gf):
         labels = s.label_set() | {(0,) * (2 * gf.n)}
         for a, b in itertools.combinations_with_replacement(s.members, 2):
-            assert commutes(a, b)
+            assert symplectic_product(a, b) == 0
             assert (a * b).label in labels
 
 
@@ -243,7 +242,7 @@ def test_point_to_translation_identity_at_origin():
     for d in (2, 3, 4):
         gf = field(d)
         lab = build_labeling(gf)
-        assert lab.operator_at(origin(gf)).is_identity_label()
+        assert not any(lab.operator_at(origin(gf)).label)
 
 
 def test_point_to_translation_d2_pauli_triple():
@@ -310,9 +309,73 @@ def test_translation_table_rows_are_the_operators(d):
         table[0, 0, 0] = 0.0
     for pt in all_points(gf):
         row = labeling.labels[pt.index]
-        dense = PauliOperator(gf, row[: gf.n], row[gf.n :]).dense
-        assert table[pt.index].tobytes() == dense.tobytes()
+        # realized afresh: PauliOperator.dense reads this very table
+        assert table[pt.index].tobytes() == _translation_matrix(gf.p, row[: gf.n], row[gf.n :]).tobytes()
         assert np.shares_memory(labeling.unitary_at(pt), table)
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_point_index_inverts_the_labels(d):
+    gf = field(d)
+    labeling = build_labeling(gf)
+    codes = labeling.labels @ gf.p ** np.arange(2 * gf.n)
+    assert labeling.point_index[codes].tolist() == list(range(d * d))
+    assert not labeling.point_index.flags.writeable
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_dense_translations_are_read_from_the_table(d, monkeypatch):
+    from dwf import pauli
+    from dwf.clifford import clifford_from_symplectic, squeezing_operator, standardize_pair
+    from dwf.mub import joint_eigenbasis
+
+    gf = field(d)
+    labeling = build_labeling(gf)
+    table = labeling.translations
+    sets = standard_sets(gf)
+    calls = []
+    monkeypatch.setattr(pauli, "_translation_matrix", lambda *args: calls.append(args))
+    for s in sets:
+        joint_eigenbasis(s)
+    if gf.n >= 2:
+        clifford_from_symplectic(squeezing_operator(gf).symplectic, gf)
+    standardize_pair(sets[0], sets[1])
+    label = labeling.labels[-1]
+    for e in range(pauli._phase_order(gf.p)):
+        dense = PauliOperator(gf, label[: gf.n], label[gf.n :], e).dense
+        row = table[labeling.point_index[label @ gf.p ** np.arange(2 * gf.n)]]
+        assert not dense.flags.writeable
+        if e == 0:
+            assert np.shares_memory(dense, table) and dense.tobytes() == row.tobytes()
+        else:
+            assert dense.tobytes() == (pauli._phase_unit(gf.p) ** e * row).tobytes()
+    assert calls == []
+
+
+def _kron_reference(p, qvec, pvec, phase_exp):
+    """The dense translation as np.kron of the register factors: the
+    reference that the broadcast product in _translation_matrix must match."""
+    w = np.exp(2j * np.pi / p)
+    shift = np.roll(np.eye(p, dtype=complex), 1, axis=0)
+    clock = np.diag([w**z for z in range(p)])
+    factors = []
+    for qi, pi in zip(qvec, pvec):
+        f = np.linalg.matrix_power(shift, qi) @ np.linalg.matrix_power(clock, pi)
+        if p == 2:
+            f = (1j) ** (qi * pi) * f
+        else:
+            f = np.exp(2j * np.pi * pow(2, -1, p) / p) ** (-qi * pi) * f
+        factors.append(f)
+    return (1j if p == 2 else np.exp(2j * np.pi / p)) ** phase_exp * functools.reduce(np.kron, reversed(factors))
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_translation_matrix_equals_the_kron_reference_bit_for_bit(d):
+    gf = field(d)
+    for label in all_labels(gf):
+        for e in range(4 if gf.p == 2 else gf.p):
+            reference = _kron_reference(gf.p, label[: gf.n], label[gf.n :], e)
+            assert _translation_matrix(gf.p, label[: gf.n], label[gf.n :], e).tobytes() == reference.tobytes()
 
 
 def test_translation_matrix_is_the_qubit_pauli_string():

@@ -21,8 +21,8 @@ from dwf.quantum_net import (
     net_count,
     standard_context,
 )
-from dwf.tolerances import LOOKUP, flow_gate
-from dwf.wigner import DensityState, wigner_function
+from dwf.tolerances import LOOKUP, SPECTRAL, flow_gate
+from dwf.wigner import DensityState, line_probability, wigner_function
 
 
 def make_net(d, choices):
@@ -101,8 +101,30 @@ def test_a_hand_built_net_with_bad_ray_choices_is_refused(d):
     wigner_function(rho, good)  # the state now holds its scan
     for choices in ((0,) * d, (0,) * (d + 2), (-1,) + (0,) * d, (0,) * d + (d,), (0,) * d + (7,)):
         with pytest.raises(ValueError):
-            QuantumNet(ctx, choices, good.indices)
-    assert QuantumNet(ctx, good.ray_choices, good.indices).scan_index == 0
+            QuantumNet(ctx, choices)
+    assert QuantumNet(ctx, good.ray_choices).scan_index == 0
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_a_hand_built_net_derives_indices_that_keep_the_line_sums(d):
+    # a net once took its indices as an argument; indices that contradicted
+    # its ray choices broke the line sums with no error
+    ctx = standard_context(d)
+    with pytest.raises(TypeError):
+        QuantumNet(ctx, (0,) * (d + 1), ctx.complete((1,) * (d + 1)).indices)
+    rng = np.random.default_rng([d, 29])
+    rho = DensityState.random_mixed(d, rng)
+    if d <= 3:
+        drawn = itertools.product(range(d), repeat=d + 1)
+    else:
+        drawn = [tuple(rng.integers(0, d, d + 1).tolist()) for _ in range(3)]
+    for choices in drawn:
+        net = QuantumNet(ctx, choices)
+        assert net.indices == tuple(map(tuple, ctx.sigma[np.arange(d + 1), :, choices].tolist()))
+        values = wigner_function(rho, net).values
+        for line in (line for s in ctx.striations for line in s.lines):
+            total = sum(values[pt.q.index, pt.p.index] for pt in line_points(line))
+            assert abs(total - line_probability(rho, net, line)) <= SPECTRAL
 
 
 def test_enumeration_refuses_large_dimension():
@@ -167,9 +189,11 @@ def test_pencil_has_one_projector_per_basis():
     for d in (2, 3, 4, 5):
         net = make_net(d, tuple(min(k, d - 1) for k in range(d + 1)))
         for pt in net.context.points:
-            pencil = net.pencil_indices(pt)
+            pencil = net.pencil[:, pt.index]
             assert len(pencil) == d + 1
-            assert [kappa for kappa, _ in pencil] == list(range(d + 1))
+            for kappa, s in enumerate(net.context.striations):
+                line = next(ln for ln in s.lines if pt in line_points(ln))
+                assert net.projector_index(line) == (kappa, pencil[kappa])
 
 
 def test_covariance_under_translation_restatement():
@@ -198,7 +222,7 @@ def test_covariance_under_translation_restatement():
 def test_point_operator_traces(d):
     net = make_net(d, (0,) * (d + 1))
     for pt in net.context.points:
-        a = net.point_operator(pt)
+        a = net.point_operator_table()[pt.index]
         assert abs(np.trace(a) - 1.0 / d) < 1e-12
         assert np.linalg.norm(a - a.conj().T) < 1e-12
 
@@ -239,10 +263,10 @@ def test_large_dimension_nets_smoke(d):
     rng = np.random.default_rng(d)
     net = standard_context(d).complete(tuple(rng.integers(0, d, d + 1)))
     for pt in net.context.points:
-        pencil = net.pencil_indices(pt)
-        assert [kappa for kappa, _ in pencil] == list(range(d + 1))
+        pencil = net.pencil[:, pt.index]
+        assert pencil.shape == (d + 1,) and 0 <= pencil.min() <= pencil.max() < d
     for pt in list(net.context.points)[:: max(1, d // 2)]:
-        a = net.point_operator(pt)
+        a = net.point_operator_table()[pt.index]
         assert abs(np.trace(a) - 1.0 / d) < 1e-12
         assert np.linalg.norm(a - a.conj().T) < 1e-12
 

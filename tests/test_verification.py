@@ -171,6 +171,15 @@ def test_no_dead_private_helpers_in_the_package():
     assert found == []
 
 
+def test_only_main_returns_the_usage_exit_code():
+    # commands raise UsageError or FormatError; main alone prints it and returns 2
+    cli = Path(__file__).resolve().parents[1] / "src" / "dwf" / "cli.py"
+    functions = [node for node in ast.parse(cli.read_text()).body if isinstance(node, ast.FunctionDef)]
+    found = [function.name for function in functions for node in ast.walk(function)
+             if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 2]
+    assert found == ["main"]
+
+
 def test_package_stays_within_its_line_budget():
     # the budget of ROADMAP item 10: new work pays for itself in removed lines
     package = Path(__file__).resolve().parents[1] / "src" / "dwf"

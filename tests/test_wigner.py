@@ -74,7 +74,7 @@ def test_point_operator_d2_origin_assembled_entrywise():
         + np.outer(y_plus, y_plus.conj())
         - np.eye(2)
     ) / 2
-    a = net.point_operator(origin(gf))
+    a = net.point_operator_table()[origin(gf).index]
     assert np.linalg.norm(a - expected) < 1e-12
 
 
@@ -203,7 +203,7 @@ def test_non_positive_hermitian_input_accepted():
     # Hermitian, trace one, one negative eigenvalue
     m = np.diag([1.2, -0.2])
     state = DensityState(m)
-    assert state.min_eigenvalue() < 0
+    assert np.linalg.eigvalsh(state.rho)[0] < 0
     table = wigner_function(state, base_net(2))
     assert abs(table.values.sum() - 1.0) < 1e-12
 
@@ -308,7 +308,7 @@ def test_another_mub_object_gets_its_own_table(probability_calls):
     corrupted = MubSet(ctx.mub.field, tuple(bases))
     net = ctx.complete((0, 0, 0))
     # built by hand so the shared net-context cache never sees the copy
-    bad_net = QuantumNet(dataclasses.replace(ctx, mub=corrupted), net.ray_choices, net.indices)
+    bad_net = QuantumNet(dataclasses.replace(ctx, mub=corrupted), net.ray_choices)
     rho = DensityState.from_vector([1.0, 1j])
     good = wigner_function(rho, net).values
     bad = wigner_function(rho, bad_net).values
