@@ -86,7 +86,7 @@ def _report(table: ProbabilityTable, gf: FieldSpec) -> ClassicalityReport:
     minima = table.minima()
     total = float(minima.sum())
     value = (total - 1.0) / gf.order
-    argmins = table.argmin_choices()
+    argmins = tuple(table.values.argmin(axis=1).tolist())  # per striation, the lowest minimizing j
     classical = value >= -MEMBERSHIP
     witness_point, witness_net = (None, None) if classical else (origin(gf), argmins)
     return ClassicalityReport(value, total, classical, witness_point, witness_net, argmins)

@@ -22,10 +22,10 @@ The stabilizer tableau at the bottom cross-validates generator-level
 circuits against dense simulation for qubit registers.
 
 Primitives come from the layers below: mod-p rank and inverse from
-`galois`, index <-> digit maps from the field (its digit table,
-from_coords), the symplectic form and dense Pauli strings from `pauli`,
-the spectral projection to a phase-fixed vector from
-`mub.joint_eigenvector` and the X-type basis from `mub.standard_mub`.
+`galois`, index <-> digit maps from the field's digit table, the
+symplectic form and dense Pauli strings from `pauli`, the spectral
+projection to a phase-fixed vector from `mub.joint_eigenvector` and the
+X-type basis from `mub.standard_mub`.
 One monomial test, `_extract_permutation`, takes stacks only: it decides
 all (d+1)^2 basis-pair blocks of one overlap product V2~ u V1 in the
 per-unitary record `_basis_images` that `quantum_net.is_flow`,
@@ -37,6 +37,7 @@ off its Z block in computational order.  The last two refuse non-unitaries.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -91,29 +92,25 @@ def generator_operators(gf: FieldSpec) -> tuple[PauliOperator, ...]:
 
 
 @lru_cache(maxsize=None)
-def _translation_catalogue(gf: FieldSpec):
-    """Read-only (labels, flat, generators): row k of labels (d^2 x 2n)
-    labels translation k and row k of flat (d^2 x d^2) is its dense matrix
-    raveled, both the field's Labeling in point order; generators
-    (2n x d x d) stacks the dense generator_operators."""
-    labeling, d = build_labeling(gf), gf.order
+def _generator_stack(gf: FieldSpec) -> np.ndarray:
+    """The dense generator_operators as one read-only 2n x d x d stack."""
     generators = np.stack([g.dense for g in generator_operators(gf)])
     generators.flags.writeable = False
-    return labeling.labels, labeling.translations.reshape(d * d, d * d), generators
+    return generators
 
 
 def _match_translation(gf: FieldSpec, ops: np.ndarray):
     """Match a stack of operators, (count, d, d) or raveled (count, d^2),
-    against the catalogue in one product: label rows, phases and deficits
-    1 - |phase| per operator, unfiltered.  Where a deficit is <= LOOKUP,
-    op = phase * T(label).
+    against the field's Labeling (labels and translations, in point order)
+    in one product: label rows, phases and deficits 1 - |phase| per
+    operator, unfiltered.  Where a deficit is <= LOOKUP, op = phase * T(label).
     """
-    labels, flat, _ = _translation_catalogue(gf)
-    d = gf.order
+    labeling, d = build_labeling(gf), gf.order
+    flat = labeling.translations.reshape(d * d, d * d)
     coeffs = (ops.reshape(len(ops), d * d).conj() @ flat.T).conj() / d
     best = np.argmax(np.abs(coeffs), axis=-1)
     phases = coeffs[np.arange(len(coeffs)), best]
-    return labels[best], phases, 1.0 - np.abs(phases)
+    return labeling.labels[best], phases, 1.0 - np.abs(phases)
 
 
 def _require_shape(u: np.ndarray, d: int) -> np.ndarray:
@@ -136,7 +133,7 @@ def is_clifford(u: np.ndarray, gf: FieldSpec):
     u = _require_shape(u, gf.order)
     if not _is_unitary(u):
         raise ValueError("input matrix is not unitary")
-    generators = _translation_catalogue(gf)[2]
+    generators = _generator_stack(gf)
     labels, phases, deficits = _match_translation(gf, u @ generators @ u.conj().T)
     failing = np.flatnonzero(deficits > LOOKUP)
     if failing.size:
@@ -382,10 +379,10 @@ class AffineData:
 
     def predicted_column(self, gf: FieldSpec, z: int) -> tuple[int, complex]:
         """(row, phase) of column z of U: U|z> = phase |row>."""
-        zd = np.array(gf.element(z).coords, dtype=np.int64)
-        image = self.a_matrix @ zd + np.array(self.b_shift, dtype=np.int64)
+        zd = gf.digits[z]
+        image = (self.a_matrix @ zd + self.b_shift) % gf.p
         angle = 2 * np.pi / gf.p * int(np.dot(self.c_phase, zd)) + self.global_phase
-        return gf.from_coords(image).index, np.exp(1j * angle)
+        return int(image @ gf.p ** np.arange(gf.n)), np.exp(1j * angle)
 
 
 @dataclass(frozen=True)
@@ -561,9 +558,11 @@ def tableau_apply(circuit, n: int, initial=None) -> StabilizerTableau:
     """
     ops = []
     for step, gate in enumerate(circuit):
-        if not isinstance(gate, (tuple, list)) or not gate:
-            raise ValueError(f"circuit step {step} is not a (name, qubits...) tuple")
-        ops.append((str(gate[0]).upper(), tuple(int(q) for q in gate[1:])))
+        try:  # a non-tuple, an empty tuple or a non-integer qubit
+            name, *qubits = gate if isinstance(gate, (tuple, list)) else ()
+            ops.append((str(name).upper(), tuple(map(operator.index, qubits))))
+        except (TypeError, ValueError):
+            raise ValueError(f"circuit step {step} is not a (name, qubits...) tuple") from None
     tab = StabilizerTableau.zero_state(n) if initial is None else StabilizerTableau.from_rows(n, initial)
     for name, qubits in ops:
         tab.apply_gate(name, *qubits)

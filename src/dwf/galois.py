@@ -134,7 +134,6 @@ class FieldSpec:
         self._coords = tuple(
             tuple(reversed(c)) for c in itertools.product(range(p), repeat=n)
         )
-        self._index_of = {c: i for i, c in enumerate(self._coords)}
         self._elements = tuple(FieldElement(self, i) for i in range(self.order))
 
         # Multiplication by omega: x * x^j = x^(j+1) below the top power,
@@ -190,25 +189,8 @@ class FieldSpec:
     def elements(self) -> tuple[FieldElement, ...]:
         return self._elements
 
-    def element(self, index: int) -> FieldElement:
-        return self._elements[index]
-
-    def from_coords(self, coords) -> FieldElement:
-        return self._elements[self._index_of[tuple(int(c) % self.p for c in coords)]]
-
     def generator_power(self, k: int) -> FieldElement:
         return self._elements[self._exp[k % (self.order - 1)]]
-
-    def trace(self, x: FieldElement) -> int:
-        """Absolute trace GF(p^n) -> Z_p, as an integer in [0, p)."""
-        acc = x
-        total = x
-        for _ in range(self.n - 1):
-            acc = acc ** self.p
-            total = total + acc
-        if any(total.coords[1:]):
-            raise AssertionError("trace landed outside the prime subfield")
-        return total.coords[0]
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, n={self.n}, poly={self.primitive_poly})"

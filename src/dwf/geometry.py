@@ -84,10 +84,6 @@ class Striation:
     position: np.ndarray  # position[point index] = t of the line through it, read-only
     positions: dict[Line, int]
 
-    @property
-    def ray(self) -> Line:
-        return self.lines[0]
-
     def describe(self) -> str:
         if not self.alpha:
             return "vertical (q = c)"

@@ -34,6 +34,7 @@ another label: label(a) J label(b) mod p, J from `_symplectic_form`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
@@ -105,9 +106,13 @@ class PauliOperator:
     """phase_unit^phase_exp times the canonical translation T(qvec, pvec)."""
 
     def __init__(self, gf: FieldSpec, qvec, pvec, phase_exp: int = 0):
-        self.field = gf
-        self.qvec = tuple(int(x) % gf.p for x in qvec)
-        self.pvec = tuple(int(x) % gf.p for x in pvec)
+        try:
+            qvec, pvec = (tuple(operator.index(x) % gf.p for x in v) for v in (qvec, pvec))
+        except TypeError:
+            qvec = pvec = ()
+        if not len(qvec) == len(pvec) == gf.n:
+            raise ValueError(f"qvec and pvec must each hold {gf.n} integers")
+        self.field, self.qvec, self.pvec = gf, qvec, pvec
         self.phase_exp = int(phase_exp) % _phase_order(gf.p)
 
     @property
@@ -240,10 +245,6 @@ class Labeling:
         stack = np.stack([_translation_matrix(p, row[:n], row[n:]) for row in self.labels.tolist()])
         stack.flags.writeable = False
         return stack
-
-    def operator_at(self, point: PhasePoint) -> PauliOperator:
-        row = self.labels[point.index]
-        return PauliOperator(self.field, row[: self.field.n], row[self.field.n :])
 
     def unitary_at(self, point: PhasePoint) -> np.ndarray:
         return self.translations[point.index]

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
@@ -113,6 +114,10 @@ class QuantumNet:
 
     def __post_init__(self):
         d, self.scan_index = self.dim, 0  # not np.ravel_multi_index: it costs more than a completion
+        try:  # numpy integers become Python ints
+            self.ray_choices = tuple(map(operator.index, self.ray_choices))
+        except TypeError:  # a non-integer choice
+            self.ray_choices = ()
         if len(self.ray_choices) != d + 1 or not 0 <= min(self.ray_choices) <= max(self.ray_choices) < d:
             raise ValueError(f"ray_choices must be {d + 1} indices in [0, {d})")
         for r in self.ray_choices:
@@ -176,7 +181,7 @@ def covariant_completion(
     ray_choices, mub: MubSet, striations: tuple[Striation, ...]
 ) -> QuantumNet:
     """Extend one projector choice per ray to the whole grid by covariance."""
-    return QuantumNet(net_context(mub, striations), tuple(int(r) for r in ray_choices))
+    return QuantumNet(net_context(mub, striations), ray_choices)
 
 
 def net_count(d: int, fix_axes: bool = False) -> int:

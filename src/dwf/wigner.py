@@ -60,7 +60,7 @@ class DensityState:
         rho = np.array(self.rho, dtype=complex)  # a copy: never freeze the caller's array
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
-        d = rho.shape[0]
+        d = rho.shape[0] if rho.ndim else 0
         if rho.shape != (d, d):
             raise ValueError(f"state matrix must be square, got {rho.shape}")
         if not np.isfinite(rho).all():
@@ -128,10 +128,6 @@ class ProbabilityTable:
     def minima(self) -> np.ndarray:
         """Smallest probability in each striation."""
         return self.values.min(axis=1)
-
-    def argmin_choices(self) -> tuple[int, ...]:
-        """Per striation, the lowest projector index achieving the minimum."""
-        return tuple(int(j) for j in self.values.argmin(axis=1))
 
 
 def probabilities(rho: DensityState, mub: MubSet) -> ProbabilityTable:

@@ -543,6 +543,14 @@ def test_tableau_rejects_malformed_circuits():
         tableau_apply(["H0"], 1)
 
 
+def test_tableau_refuses_non_integer_qubits():
+    # int() once truncated ("H", 0.5) to qubit 0
+    for bad in (("H", 0.5), ("CNOT", 0, 1.0), ("S", "0")):
+        with pytest.raises(ValueError, match="circuit step 1 is not a"):
+            tableau_apply([("H", 0), bad], 2)
+    assert tableau_apply([("H", np.int64(0))], 1).rows() == (((1,), (0,), 1),)
+
+
 def test_tableau_from_rows_validation():
     with pytest.raises(ValueError, match="independent"):
         StabilizerTableau.from_rows(2, [((1, 1), (0, 0), 1), ((1, 1), (0, 0), 1)])
@@ -748,11 +756,12 @@ def test_stacked_monomial_test_matches_single_calls_at_lookup():
 # -- per-field constants are shared and read-only ------------------------------------
 
 def test_field_constants_are_built_once_and_read_only():
-    from dwf.clifford import _symplectic_form, _translation_catalogue
+    from dwf.clifford import _generator_stack, _symplectic_form
 
     for d in SUPPORTED_DIMENSIONS:
         gf = field(d)
-        shared = [generator_operators(gf)[0].dense, *_translation_catalogue(gf)]
+        labeling = build_labeling(gf)
+        shared = [generator_operators(gf)[0].dense, _generator_stack(gf), labeling.labels, labeling.translations]
         assert generator_operators(gf) is generator_operators(gf)
         for name, build in (("squeezing", squeezing_operator), ("fourier", fourier_operator)):
             if (name == "squeezing" and gf.n < 2) or (name == "fourier" and gf.p != 2):
@@ -762,12 +771,12 @@ def test_field_constants_are_built_once_and_read_only():
         for array in shared:
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = array[(0,) * array.ndim]
-        u = np.array(build_labeling(gf).unitary_at(list(all_points(gf))[1]))
+        u = np.array(labeling.unitary_at(list(all_points(gf))[1]))
         result = is_clifford(u, gf)
         assert result.dense is u and u.flags.writeable
         u[0, 0] = u[0, 0]
     for n in (1, 2, 3):
         form = _symplectic_form(n)
         assert form is _symplectic_form(n) and not form.flags.writeable
-    for cached in (generator_operators, _translation_catalogue, squeezing_operator, fourier_operator):
+    for cached in (generator_operators, _generator_stack, squeezing_operator, fourier_operator):
         assert cached.cache_info().currsize <= len(SUPPORTED_DIMENSIONS)

@@ -73,7 +73,7 @@ def test_d4_oblique_rays_have_generator_power_slopes():
     gf = field(4)
     striations = build_striations(gf)
     for k in range(3):
-        ray = striations[2 + k].ray
+        ray = striations[2 + k].lines[0]
         slope = gf.generator_power(k)
         expected = frozenset(PhasePoint(q, slope * q) for q in gf.elements)
         assert line_points(ray) == expected
@@ -104,11 +104,11 @@ def test_line_points_examples():
 
     gf4 = field(4)
     omega = gf4.generator
-    ray = build_striations(gf4)[2].ray  # p = omega^0 q ... slope 1
+    ray = build_striations(gf4)[2].lines[0]  # p = omega^0 q ... slope 1
     slope_one = {(q.index, q.index) for q in gf4.elements}
     assert {(pt.q.index, pt.p.index) for pt in line_points(ray)} == slope_one
     # p = omega*q has the 4 solutions (0,0), (1,w), (w,w^2), (w^2,1)
-    ray_w = build_striations(gf4)[3].ray
+    ray_w = build_striations(gf4)[3].lines[0]
     expected_w = {(0, 0), (1, omega.index), (omega.index, (omega * omega).index), ((omega * omega).index, 1)}
     assert {(pt.q.index, pt.p.index) for pt in line_points(ray_w)} == expected_w
 
@@ -118,7 +118,7 @@ def test_lines_through_origin_are_the_rays():
         gf = field(d)
         striations = build_striations(gf)
         pencil = lines_through(origin(gf), striations)
-        assert list(pencil) == [s.ray for s in striations]
+        assert list(pencil) == [s.lines[0] for s in striations]
 
 
 def test_lines_through_point_d2():
@@ -133,7 +133,7 @@ def test_lines_through_point_d2():
 def test_lines_through_point_d3_pairwise_intersections():
     gf = field(3)
     striations = build_striations(gf)
-    pt = PhasePoint(gf.one, gf.element(2))
+    pt = PhasePoint(gf.one, gf.elements[2])
     pencil = lines_through(pt, striations)
     assert len(pencil) == 4
     for ln1, ln2 in itertools.combinations(pencil, 2):
@@ -188,6 +188,6 @@ def test_translation_along_direction_preserves_striation(d):
                 assert len(matches) == 1
             # the ray is fixed pointwise-as-a-set by its own translations
             ray_translated = frozenset(
-                PhasePoint(pt.q + dq, pt.p + dp) for pt in line_points(s.ray)
+                PhasePoint(pt.q + dq, pt.p + dp) for pt in line_points(s.lines[0])
             )
-            assert ray_translated == line_points(s.ray)
+            assert ray_translated == line_points(s.lines[0])

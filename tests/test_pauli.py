@@ -139,6 +139,19 @@ def test_abelian_set_single_qubit_x():
     assert np.allclose(s.members[0].dense, X)
 
 
+@pytest.mark.parametrize("d", (2, 4, 8, 9))
+def test_labels_of_the_wrong_length_or_kind_are_refused(d):
+    # a short label once read another translation's row of the table
+    gf = field(d)
+    zero, one = (0,) * gf.n, (1,) + (0,) * (gf.n - 1)
+    for qvec, pvec in ((one[:-1], zero), (zero, one + (0,)), ((0.5,) + zero[1:], zero),
+                       (zero, ("1",) + zero[1:]), (1, zero)):
+        with pytest.raises(ValueError, match=f"must each hold {gf.n} integers"):
+            PauliOperator(gf, qvec, pvec)
+    op = PauliOperator(gf, np.array(one), zero)
+    assert op.qvec == one and type(op.qvec[0]) is int
+
+
 def test_abelian_set_rejects_zero_labels():
     with pytest.raises(ValueError):
         abelian_set(field(4), (0, 0), (0, 0))
@@ -242,26 +255,26 @@ def test_point_to_translation_identity_at_origin():
     for d in (2, 3, 4):
         gf = field(d)
         lab = build_labeling(gf)
-        assert not any(lab.operator_at(origin(gf)).label)
+        assert not lab.labels[origin(gf).index].any()
 
 
 def test_point_to_translation_d2_pauli_triple():
     gf = field(2)
     lab = build_labeling(gf)
-    pt = lambda a, b: PhasePoint(gf.element(a), gf.element(b))
-    assert np.allclose(lab.operator_at(pt(1, 0)).dense, X)
-    assert np.allclose(lab.operator_at(pt(0, 1)).dense, Z)
-    assert np.allclose(lab.operator_at(pt(1, 1)).dense, Y)
+    pt = lambda a, b: PhasePoint(gf.elements[a], gf.elements[b])
+    assert np.allclose(lab.unitary_at(pt(1, 0)), X)
+    assert np.allclose(lab.unitary_at(pt(0, 1)), Z)
+    assert np.allclose(lab.unitary_at(pt(1, 1)), Y)
 
 
 def test_point_to_translation_horizontal_ray_d4():
     gf = field(4)
     lab = build_labeling(gf)
     omega = gf.generator
-    op = lab.operator_at(PhasePoint(omega, gf.zero))
+    label = lab.labels[PhasePoint(omega, gf.zero).index]
     expected_q = tuple((gf.companion @ np.array([1, 0])) % 2)
-    assert op.qvec == expected_q
-    assert op.pvec == (0, 0)
+    assert tuple(label[:2]) == expected_q
+    assert tuple(label[2:]) == (0, 0)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 8, 9))
@@ -274,10 +287,8 @@ def test_labeling_is_additive(d):
     for i, j in idx:
         v, w = pts[i], pts[j]
         s = PhasePoint(v.q + w.q, v.p + w.p)
-        lhs = lab.operator_at(s).label
-        a = lab.operator_at(v).label
-        b = lab.operator_at(w).label
-        assert lhs == tuple((x + y) % gf.p for x, y in zip(a, b))
+        a, b = lab.labels[v.index], lab.labels[w.index]
+        assert np.array_equal(lab.labels[s.index], (a + b) % gf.p)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 7, 8, 9))
@@ -289,8 +300,8 @@ def test_ray_points_carry_the_striation_set(d):
     o = origin(gf)
     for s, aset in zip(striations, sets):
         ray_ops = {
-            lab.operator_at(pt).label
-            for pt in line_points(s.ray)
+            tuple(lab.labels[pt.index].tolist())
+            for pt in line_points(s.lines[0])
             if pt != o
         }
         assert ray_ops == aset.label_set()

@@ -35,7 +35,7 @@ def test_d2_base_net_assignments_match_hand_table():
     striations = build_striations(gf)
     mub = standard_mub(2)
 
-    assert net.projector_index(striations[0].ray) == (0, 0)
+    assert net.projector_index(striations[0].lines[0]) == (0, 0)
     assert np.allclose(mub.projector(0, 0), np.diag([1.0, 0.0]))
 
     # vertical line q=c carries |c><c|
@@ -55,7 +55,7 @@ def test_d2_base_net_assignments_match_hand_table():
 
     # diagonal ray carries the +1 eigenvector of Y, its translate the other
     y_plus = np.array([1.0, 1j]) / np.sqrt(2)
-    kappa, j = net.projector_index(striations[2].ray)
+    kappa, j = net.projector_index(striations[2].lines[0])
     assert kappa == 2
     assert np.linalg.norm(mub.projector(2, j) - np.outer(y_plus, y_plus.conj())) < 1e-12
 
@@ -103,6 +103,22 @@ def test_a_hand_built_net_with_bad_ray_choices_is_refused(d):
         with pytest.raises(ValueError):
             QuantumNet(ctx, choices)
     assert QuantumNet(ctx, good.ray_choices).scan_index == 0
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_non_integer_ray_choices_are_refused(d):
+    # int() once truncated 1.7 to 1 in a completion, and 0.5 passed the
+    # range check of a hand-built net, then failed the gather with IndexError
+    ctx = standard_context(d)
+    rest = (0,) * d
+    for choices in ((1.7,) + rest, (0.5,) + rest, ("1",) + rest, 1):
+        with pytest.raises(ValueError, match=f"ray_choices must be {d + 1} indices"):
+            ctx.complete(choices)
+        with pytest.raises(ValueError, match=f"ray_choices must be {d + 1} indices"):
+            QuantumNet(ctx, choices)
+    net = ctx.complete(np.arange(d + 1) % d)
+    assert net.ray_choices == tuple(range(d)) + (0,)
+    assert all(type(r) is int for r in net.ray_choices)
 
 
 @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)

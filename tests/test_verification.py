@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,64 @@ def test_no_unused_imports_in_the_package():
                     if name not in used:
                         found.append(f"{path.relative_to(root)}:{node.lineno}: {name}")
     assert found == []
+
+
+# public functions and methods that no module, script or benchmark reads,
+# each kept for a reason of its own
+READ_ONLY_BY_TESTS = {
+    "hadamard_in_chart": "the independent construction that fourier_operator is checked against",
+    "random_unitary": "Haar unitaries, the negative cases of the Clifford and flow checks",
+    "maximally_mixed": "the flat state of the Wigner and classicality checks",
+    "line_probability": "the projector route that Wigner line sums are checked against",
+    "state_to_payload": "the write half of the state format's round trip",
+    "unitary_to_payload": "the write half of the unitary format's round trip",
+    "wigner_values_from_csv": "the read half of the Wigner CSV format's round trip",
+    "lines_through": "the pencil through a point, read by the acceptance criteria",
+    "symplectic_product": "the commutation test of two translations at the API edge",
+    "power": "a translation's powers, which the spread record of ROADMAP item 1 reads;"
+             " a local variable in mub shares the name, so only attribute reads count",
+}
+
+
+def _names(tree):
+    """(bare names, attribute names) read anywhere in an ast subtree."""
+    bare, attributes = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            bare[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            attributes[node.attr] += 1
+    return bare, attributes
+
+
+def test_every_public_function_has_a_reader_outside_the_tests():
+    # a public function or method is named somewhere in the package outside
+    # its own body, in scripts/ or in perfbench/, or it is on the keep-list;
+    # a method counts only as an attribute read, obj.method
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text())
+             for d in ("src/dwf", "scripts", "perfbench") for path in sorted((root / d).rglob("*.py"))}
+    bare, attributes = Counter(), Counter()
+    for tree in trees.values():
+        found_bare, found_attributes = _names(tree)
+        bare.update(found_bare)
+        attributes.update(found_attributes)
+    defined, unread = set(), []
+    for tree in (tree for path, tree in trees.items() if path.parent.name == "dwf"):
+        for node in tree.body:
+            method = isinstance(node, ast.ClassDef)
+            for func in node.body if method else [node]:
+                if not isinstance(func, ast.FunctionDef) or func.name.startswith("_"):
+                    continue
+                defined.add(func.name)
+                own_bare, own_attributes = _names(func)
+                reads = attributes[func.name] - own_attributes[func.name]
+                if not method:
+                    reads += bare[func.name] - own_bare[func.name]
+                if not reads and func.name not in READ_ONLY_BY_TESTS:
+                    unread.append(f"{func.name} (line {func.lineno})")
+    assert unread == []
+    assert set(READ_ONLY_BY_TESTS) <= defined  # the keep-list names only live code
 
 
 def test_no_imports_inside_functions_in_the_package():

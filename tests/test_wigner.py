@@ -217,6 +217,13 @@ def test_state_validation_errors():
         wigner_function(DensityState.maximally_mixed(3), base_net(2))
 
 
+def test_a_scalar_state_is_refused_as_not_square():
+    # a 0-d array once raised IndexError reading its first axis
+    for rho in (np.array(1.0), 1.0, np.ones(2)):
+        with pytest.raises(ValueError, match="state matrix must be square"):
+            DensityState(rho)
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-320])
 def test_from_vector_extreme_amplitudes_give_plus(scale):
     state = DensityState.from_vector([scale, scale])
