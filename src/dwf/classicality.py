@@ -9,8 +9,8 @@ ray and read the value at the origin.  `brute_force_min` validates that
 argument with the minimum of `net_minima`, the per-net minima of
 `wigner_scan` over every net at every point for d <= ENUMERATION_MAX_DIM;
 it must never be shortcut through the closed form.  `classify` lists the
-scan's most negative witnesses.  The scan and its minima are built in
-`wigner` and memoized on the state, so these two and every
+scan's WITNESS_COUNT most negative witnesses.  The scan and its minima
+are built in `wigner` and memoized on the state, so these two and every
 `wigner_function` call on one state read one scan.
 
 Membership comes with a constructive certificate: the coefficients
@@ -34,6 +34,8 @@ from .mub import MubSet
 from .quantum_net import ENUMERATION_MAX_DIM
 from .tolerances import MEMBERSHIP
 from .wigner import DensityState, ProbabilityTable, net_minima, probabilities, wigner_scan
+
+WITNESS_COUNT = 5  # witnesses `classify` lists from a scan
 
 
 @dataclass(frozen=True)
@@ -126,18 +128,14 @@ def convex_decomposition(rho: DensityState, mub: MubSet) -> DecompositionResult:
     return _decomposition(_table(rho, mub))
 
 
-def classify(
-    rho: DensityState, mub: MubSet, gf: FieldSpec, top_k: int = 5
-) -> ClassificationReport:
-    """Bundle probabilities, membership, decomposition and the most
-    negative witnessing (net, point) pairs.
+def classify(rho: DensityState, mub: MubSet, gf: FieldSpec) -> ClassificationReport:
+    """Bundle probabilities, membership, decomposition and the WITNESS_COUNT
+    most negative witnessing (net, point) pairs, ties broken in scan order.
 
     For d <= ENUMERATION_MAX_DIM witnesses come from the exhaustive scan;
     above it, only the closed-form minimizing configuration is reported.
-    gf must be the field of mub, and top_k non-negative."""
+    gf must be the field of mub."""
     _check_field(mub, gf)
-    if top_k < 0:
-        raise ValueError(f"top_k must be non-negative, got {top_k}")
     table = _table(rho, mub)
     report = _report(table, mub.field)
     witnesses: list[Witness] = []
@@ -147,11 +145,11 @@ def classify(
         values = wigner_scan(rho, mub)
         flat = values.ravel()
         hits = np.flatnonzero(flat < -MEMBERSHIP)
-        if 0 < top_k < len(hits):  # the top_k smallest, ties kept, in scan order
-            kth = np.partition(flat[hits], top_k - 1)[top_k - 1]
+        if WITNESS_COUNT < len(hits):  # the smallest, ties kept, in scan order
+            kth = np.partition(flat[hits], WITNESS_COUNT - 1)[WITNESS_COUNT - 1]
             hits = hits[flat[hits] <= kth]
         points = all_points(gf)
-        for i in hits[np.argsort(flat[hits], kind="stable")][:top_k]:
+        for i in hits[np.argsort(flat[hits], kind="stable")][:WITNESS_COUNT]:
             *choices, alpha = np.unravel_index(i, values.shape)
             witnesses.append(Witness(tuple(map(int, choices)), points[alpha], float(flat[i])))
     return ClassificationReport(table, report, _decomposition(table), tuple(witnesses))

@@ -495,27 +495,6 @@ class StabilizerTableau:
             np.zeros(n, dtype=np.uint8),
         )
 
-    @classmethod
-    def from_rows(cls, n: int, rows) -> "StabilizerTableau":
-        """rows: (xbits, zbits, sign) triples with sign in {+1, -1}."""
-        if len(rows) != n:
-            raise ValueError(f"need exactly {n} stabilizer generators")
-        x = np.zeros((n, n), dtype=np.uint8)
-        z = np.zeros((n, n), dtype=np.uint8)
-        r = np.zeros(n, dtype=np.uint8)
-        for i, (xbits, zbits, sign) in enumerate(rows):
-            if sign not in (1, -1):
-                raise ValueError("stabilizer signs must be +1 or -1")
-            x[i] = [int(b) % 2 for b in xbits]
-            z[i] = [int(b) % 2 for b in zbits]
-            r[i] = 0 if sign == 1 else 1
-        bits = np.concatenate([x, z], axis=1)
-        if rank_mod_p(bits, 2) != n:
-            raise ValueError("stabilizer generators are not independent")
-        if (bits @ _symplectic_form(n) @ bits.T % 2).any():
-            raise ValueError("stabilizer generators do not commute")
-        return cls(n, x, z, r)
-
     def apply_gate(self, name: str, *qubits: int) -> None:
         if name not in GATE_NAMES:
             raise ValueError(f"unknown gate {name!r}; supported: {GATE_NAMES}")
@@ -550,8 +529,8 @@ class StabilizerTableau:
         return joint_eigenvector(rows, self.r.astype(int), 2)
 
 
-def tableau_apply(circuit, n: int, initial=None) -> StabilizerTableau:
-    """Run a {H, S, CNOT} circuit on a stabilizer state (default |0..0>).
+def tableau_apply(circuit, n: int) -> StabilizerTableau:
+    """Run a {H, S, CNOT} circuit on the n-qubit state |0..0>.
 
     The circuit is a sequence of (name, *qubits) tuples; anything else is
     rejected before any gate is applied.  Qubit registers only, n <= 8.
@@ -563,7 +542,7 @@ def tableau_apply(circuit, n: int, initial=None) -> StabilizerTableau:
             ops.append((str(name).upper(), tuple(map(operator.index, qubits))))
         except (TypeError, ValueError):
             raise ValueError(f"circuit step {step} is not a (name, qubits...) tuple") from None
-    tab = StabilizerTableau.zero_state(n) if initial is None else StabilizerTableau.from_rows(n, initial)
+    tab = StabilizerTableau.zero_state(n)
     for name, qubits in ops:
         tab.apply_gate(name, *qubits)
     return tab

@@ -22,9 +22,9 @@ modules built on top of this one.
 Linear algebra over Z_p lives here too: one Gauss-Jordan row reduction,
 from which both rank_mod_p and inverse_mod_p are read.
 
-Elements carry their field handle and support +, -, *, /, ** and unary
-minus; all tables are precomputed at construction (d <= 9, so every table
-is tiny) and never mutated afterwards.
+Elements carry their field handle and support +, -, *, unary minus and
+`inverse()`; all tables are precomputed at construction (d <= 9, so every
+table is tiny) and never mutated afterwards.
 """
 
 from __future__ import annotations
@@ -79,17 +79,6 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         return self.field._elements[self.field._mul[self.index][other.index]]
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
-    def __pow__(self, k: int) -> "FieldElement":
-        if self.index == 0:
-            if k < 0:
-                raise ZeroDivisionError("inverse of zero in GF(p^n)")
-            return self.field.one if k == 0 else self
-        order = self.field.order - 1
-        return self.field._elements[self.field._exp[(self.field._log[self.index] * k) % order]]
 
     def inverse(self) -> "FieldElement":
         if self.index == 0:
@@ -154,16 +143,14 @@ class FieldSpec:
         self._neg = (((-coords) % p) @ weights).tolist()
         self._mul = ((np.einsum("xjk,yk->xyj", left, coords) % p) @ weights).tolist()
 
-        # omega = M applied to 1.  Its powers fill the log/exp tables; full
+        # omega = M applied to 1.  Its powers fill the exp table; full
         # order d - 1 proves the polynomial primitive, hence irreducible.
         omega_index = int(m[:, 0] @ weights)
         self.generator = self._elements[omega_index]
         self._exp = [0] * (self.order - 1)
-        self._log = [0] * self.order
         acc = 1
         for k in range(self.order - 1):
             self._exp[k] = acc
-            self._log[acc] = k
             acc = self._mul[acc][omega_index]
             if acc == 1:
                 break
@@ -172,8 +159,8 @@ class FieldSpec:
                 f"{primitive_poly} is not primitive over Z_{p}: x does not have order {self.order - 1}"
             )
         self._inv = [0] * self.order
-        for i in range(1, self.order):
-            self._inv[i] = self._exp[(self.order - 1 - self._log[i]) % (self.order - 1)]
+        for k, x in enumerate(self._exp):  # omega^k omega^-k = 1
+            self._inv[x] = self._exp[-k]
 
     # -- element access -------------------------------------------------
 

@@ -198,8 +198,10 @@ class AbelianSet:
 
 
 def abelian_set(gf: FieldSpec, avec, bvec) -> AbelianSet:
-    avec = tuple(int(x) % gf.p for x in avec)
-    bvec = tuple(int(x) % gf.p for x in bvec)
+    try:  # numpy integers become Python ints
+        avec, bvec = (tuple(operator.index(x) % gf.p for x in v) for v in (avec, bvec))
+    except TypeError:
+        raise ValueError("avec and bvec must hold integers") from None
     if not any(avec) and not any(bvec):
         raise ValueError("commuting set needs (avec, bvec) != (0, 0)")
     mt = gf.companion.T

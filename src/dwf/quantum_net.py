@@ -28,9 +28,9 @@ cheap.
 operators from U's record `clifford._basis_images`, which `maps_mub_to_mub`
 and `affine_extraction` read too: in integers from its projector action
 when U sends basis projectors within `tolerances.flow_gate` of basis
-projectors, else from its transition table read through each net's 0/1
-incidence.  `flow_census` scans one family per field, completed once: every net at d <= 3, the fixed-axes nets
-(ray choices (0, 0)) above.
+projectors, else from its transition table gathered at each net's rows.
+`flow_census` scans one family per field, completed once: every net at
+d <= 3, the fixed-axes nets (ray choices (0, 0)) above.
 """
 
 from __future__ import annotations
@@ -141,15 +141,6 @@ class QuantumNet:
         return (self.pencil + d * np.arange(d + 1)[:, None]).astype(np.intp, copy=False)
 
     @cached_property
-    def incidence(self) -> np.ndarray:
-        """`rows` as a read-only d(d+1) x d^2 matrix, 1.0 at [rows[kappa, alpha], alpha]."""
-        d = self.dim
-        incidence = np.zeros((d * (d + 1), d * d))
-        incidence[self.rows, np.arange(d * d)] = 1.0
-        incidence.flags.writeable = False
-        return incidence
-
-    @cached_property
     def meet(self) -> np.ndarray:
         """meet[j0, j1] = the point where the lines of projectors j0 and j1 cross."""
         d = self.dim  # invert each point's key j0 d + j1, its lines in bases 0 and 1
@@ -220,10 +211,10 @@ def is_flow(unitary: np.ndarray, net: QuantumNet) -> bool:
     bases 0 and 1 meet, can carry it: the net flows iff rows[:, beta] is
     the image of rows.  Dense route, otherwise: point operators are
     orthogonal, Tr(A_alpha A_gamma) = delta / d (Gibbons, Hoffman and
-    Wootters), so U A_alpha U~ = sum_gamma X[gamma, alpha] A_gamma with
-    X = E^T T~ E for the net's incidence E and the record's table T~ =
-    (T - a_mu/(d+1) - b_lam/(d+1) + |U|^2/(d+1)^2) / d, where T[lam, mu] =
-    |<phi_lam|U|phi_mu>|^2, a_mu = |U phi_mu|^2, b_lam = |U~ phi_lam|^2.
+    Wootters), so U A_alpha U~ = sum_gamma X[gamma, alpha] A_gamma, where
+    X[gamma, alpha] sums the record's T~[rows[:, gamma]][:, rows[:, alpha]],
+    T~ = (T - a_mu/(d+1) - b_lam/(d+1) + |U|^2/(d+1)^2) / d, T[lam, mu] =
+    |<phi_lam|U|phi_mu>|^2, a_mu = |U phi_mu|^2 and b_lam = |U~ phi_lam|^2.
     The nearest is beta = argmax X[:, alpha], at squared distance (1/d)
     sum_gamma (X - e_beta)^2, a sum of small terms; the origin's column, a
     lower bound, is tested first through `rows` alone.  A non-d x d matrix
@@ -237,11 +228,11 @@ def is_flow(unitary: np.ndarray, net: QuantumNet) -> bool:
         return net.rows.take(beta, axis=1).tobytes() == image.tobytes()  # both intp
     table = images.transition
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan
-        origin = table[:, net.rows[:, 0]].sum(axis=1)[net.rows].sum(axis=0)  # E^T T~ E[:, 0]
+        origin = table[:, net.rows[:, 0]].sum(axis=1)[net.rows].sum(axis=0)  # X[:, 0]
         origin[origin.argmax()] -= 1.0
         if not math.sqrt(origin @ origin / d) < LOOKUP:
             return False
-    x = net.incidence.T @ table @ net.incidence
+        x = table[:, net.rows].sum(axis=1)[net.rows].sum(axis=0)  # the origin's gather at every alpha
     x[x.argmax(axis=0), np.arange(d * d)] -= 1.0  # x[gamma, alpha] - e_beta
     # einsum overflows a huge x to inf silently, unlike the ufuncs
     return math.sqrt(np.einsum("ij,ij->j", x, x).max() / d) < LOOKUP

@@ -8,17 +8,17 @@ together; the functions never call each other.
 
 Every net's table is a sum of the same (d+1) x d probabilities (Gibbons,
 Hoffman and Wootters), so a state memoizes its probability table per
-basis set and, at d <= ENUMERATION_MAX_DIM, its `wigner_scan` per net
-context: the Wigner values of all d^(d+1) nets at once, one row per net
-in `QuantumNet.scan_index` order, where `wigner_function` looks up the
-net's row; above it, one gather per net.  Tables are read-only at every d.
+basis set.  One producer, `_pencil_scan`, turns that table into the
+tables of every net a pencil holds.  At d <= ENUMERATION_MAX_DIM the state
+memoizes its `wigner_scan` per net context: the Wigner values of all
+d^(d+1) nets at once, one row per net in `QuantumNet.scan_index` order,
+where `wigner_function` looks up the net's row; above it, the producer
+runs on the one net's pencil.  Tables are read-only at every d.
 
-The producer of a table checks that it sums to one and computes its
-minimum, so a `WignerTable` does no reduction of its own.  When a scan
-is built, every net's sum is checked at once and every net's minimum is
-memoized next to the scan (`net_minima`); reading a table from it then
-reduces nothing.  The gather above ENUMERATION_MAX_DIM checks and
-minimizes its one table.
+The producer checks that every table sums to one and computes every
+table's minimum, so a `WignerTable` does no reduction of its own.  A
+scan's minima are memoized next to it (`net_minima`); reading a table
+from it then reduces nothing.
 
 States are accepted when Hermitian, within `trace_slack(d)` of trace one
 and with no entry of modulus above STATE_ENTRY_MAX: no such state breaks the
@@ -83,6 +83,8 @@ class DensityState:
     @classmethod
     def from_vector(cls, amplitudes) -> "DensityState":
         v = np.asarray(amplitudes, dtype=complex)
+        if v.ndim != 1:  # np.outer would flatten a matrix into a vector
+            raise ValueError("amplitudes must be a 1-D vector")
         if not np.isfinite(v).all():
             raise ValueError("amplitudes must be finite")
         # scale by the largest modulus first, so the norm neither overflows
@@ -144,9 +146,8 @@ def probabilities(rho: DensityState, mub: MubSet) -> ProbabilityTable:
 class WignerTable:
     """values[q_index, p_index]; normalized to one, real by construction.
 
-    Built only by `wigner_function`, which has checked the sum and
-    computed the minimum: from the state's scan at d <= ENUMERATION_MAX_DIM,
-    from the net's own gather above it."""
+    Built only by `wigner_function` from a row of `_pencil_scan`, which
+    has checked the sum and computed the minimum."""
 
     values: np.ndarray
     net: QuantumNet
@@ -171,9 +172,12 @@ def _table(rho: DensityState, mub: MubSet) -> ProbabilityTable:
     return table
 
 
-def _pencil_scan(probs: np.ndarray, pencil: np.ndarray) -> np.ndarray:
-    """Wigner values of every net at every point, values[r_0, ..., r_d, alpha],
-    from a (d+1) x d probability table and a context's pencil.
+def _pencil_scan(probs: np.ndarray, pencil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values[i, q, p], minima[i]), read-only: the Wigner values and the
+    minimum of every net of a pencil[kappa, alpha, r] of c ray choices,
+    from a (d+1) x d probability table; row i reads the net's choices as
+    base-c digits, first most significant.  Raises on the table whose sum
+    strays furthest from one.
 
     The sums grow one striation at a time: striation kappa opens axis
     r_kappa and adds the probability of the line through alpha that ray
@@ -182,41 +186,32 @@ def _pencil_scan(probs: np.ndarray, pencil: np.ndarray) -> np.ndarray:
     d = probs.shape[1]
     values = probs[0, pencil[0].T]  # [r_0, alpha]
     for kappa in range(1, d + 1):
-        grown = np.empty((len(values), d, d * d))
+        grown = np.empty((len(values), pencil.shape[2], d * d))
         np.add(values[:, None, :], probs[kappa, pencil[kappa].T], out=grown)
         values = grown.reshape(-1, d * d)  # [(r_0, ..., r_kappa), alpha]
     values -= 1.0
     values /= d
-    return values.reshape((d,) * (d + 1) + (d * d,))
-
-
-def _check_sums(sums) -> None:
-    """Raise on the table whose sum strays furthest from one."""
-    error = np.abs(sums - 1.0)
-    worst = error.argmax()
-    if error.flat[worst] > SPECTRAL:
-        raise ValueError(f"Wigner table sums to {sums.flat[worst]:.12f}")
+    # a product and a loop over the d^2 columns: both far faster than
+    # numpy's reductions over a short last axis
+    sums = values @ np.ones(d * d)
+    worst = np.abs(sums - 1.0).argmax()
+    if abs(sums[worst] - 1.0) > SPECTRAL:
+        raise ValueError(f"Wigner table sums to {sums[worst]:.12f}")
+    minima = values[:, 0].copy()
+    for column in values.T[1:]:
+        np.minimum(minima, column, out=minima)
+    values = values.reshape(-1, d, d)
+    values.flags.writeable = False  # memoized per state and shared by every reader
+    minima.flags.writeable = False
+    return values, minima
 
 
 def _scan(rho: DensityState, ctx: NetContext) -> tuple[np.ndarray, np.ndarray]:
-    """The state's memoized scan over the nets of ctx, one row per net in
-    `QuantumNet.scan_index` order: values[i, q, p] and each net's minimum,
-    minima[i].  Read-only, built, sum-checked and reduced on a miss."""
+    """The state's memoized `_pencil_scan` over the nets of ctx, one row per
+    net in `QuantumNet.scan_index` order, built on a miss."""
     memo = rho._scans.get(ctx)
     if memo is None:
-        d = ctx.mub.dim
-        values = _pencil_scan(_table(rho, ctx.mub).values, ctx.pencil)
-        tables = values.reshape(-1, d * d)  # one net per row
-        # a product and a loop over the d^2 columns: both far faster than
-        # numpy's reductions over a short last axis
-        _check_sums(tables @ np.ones(d * d))
-        minima = tables[:, 0].copy()
-        for column in tables.T[1:]:
-            np.minimum(minima, column, out=minima)
-        values = values.reshape(-1, d, d)
-        values.flags.writeable = False  # memoized per state and shared by every reader
-        minima.flags.writeable = False
-        memo = rho._scans[ctx] = (values, minima)
+        memo = rho._scans[ctx] = _pencil_scan(_table(rho, ctx.mub).values, ctx.pencil)
     return memo
 
 
@@ -248,21 +243,18 @@ def net_minima(rho: DensityState, mub: MubSet) -> np.ndarray:
 
 def wigner_function(rho: DensityState, net: QuantumNet) -> WignerTable:
     """Wigner values from basis probabilities: at each point, the pencil sum
-    of assigned-line probabilities minus one, over d.  Read-only: the net's
-    row of the state's scan at d <= ENUMERATION_MAX_DIM, one gather above.
-    A scan is memoized only after the dimension and sum checks pass, so once
-    it exists a table is one lookup at `net.scan_index`; checks run on a miss."""
+    of assigned-line probabilities minus one, over d.  Read-only: a row of
+    `_pencil_scan`, of the state's memoized scan at d <= ENUMERATION_MAX_DIM
+    (once it exists, a table is one lookup at `net.scan_index` and checks
+    nothing), of the net's own pencil above."""
     memo = rho._scans.get(net.context)
     if memo is None:
         d = net.dim
         if rho.dim != d:
             raise ValueError(f"state dimension {rho.dim} != net dimension {d}")
         if d > ENUMERATION_MAX_DIM:
-            pencil_sum = _table(rho, net.context.mub).values.ravel()[net.rows].sum(axis=0)
-            values = ((pencil_sum - 1.0) / d).reshape(d, d)
-            _check_sums(values.sum())
-            values.flags.writeable = False
-            return WignerTable(values, net, values.min())
+            values, minima = _pencil_scan(_table(rho, net.context.mub).values, net.pencil[:, :, None])
+            return WignerTable(values[0], net, minima[0])
         memo = _scan(rho, net.context)
     values, minima = memo
     return WignerTable(values[net.scan_index], net, minima[net.scan_index])

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dwf.classicality import (
+    WITNESS_COUNT,
     brute_force_min,
     classify,
     convex_decomposition,
@@ -235,37 +236,23 @@ def test_entry_points_share_one_memoized_table(monkeypatch):
 
 
 def test_classify_witnesses_equal_a_full_stable_sort_of_the_scan():
-    """128 seeded (state, top_k) cases at d=2..5: the partial sort keeps
-    exactly the witnesses, ties in scan order included, that a stable sort
-    of every negative scan value puts first."""
+    """128 seeded states at d=2..5: the partial sort keeps exactly the
+    WITNESS_COUNT witnesses, ties in scan order included, that a stable
+    sort of every negative scan value puts first."""
     rng = np.random.default_rng(13)
     for case in range(128):
         d = 2 + case % 4
         mub = standard_mub(d)
         rho = (DensityState.random_pure if case % 3 else DensityState.random_mixed)(d, rng)
-        top_k = int(rng.integers(1, 12))
         values = wigner_scan(rho, mub)
         flat = values.ravel()
         hits = np.flatnonzero(flat < -MEMBERSHIP)
         expected = [
             (tuple(int(r) for r in np.unravel_index(i, values.shape)), float(flat[i]))
-            for i in hits[np.argsort(flat[hits], kind="stable")][:top_k]
+            for i in hits[np.argsort(flat[hits], kind="stable")][:WITNESS_COUNT]
         ]
-        got = [
-            (w.ray_choices + (w.point.index,), w.value)
-            for w in classify(rho, mub, field(d), top_k=top_k).witnesses
-        ]
-        assert got == expected, (case, d, top_k)
-
-
-def test_classify_refuses_a_negative_top_k():
-    rho = DensityState.random_pure(3, np.random.default_rng(1))
-    mub = standard_mub(3)
-    assert len(classify(rho, mub, field(3), top_k=300).witnesses) == 216
-    for top_k in (-1, -3):
-        with pytest.raises(ValueError, match="top_k"):
-            classify(rho, mub, field(3), top_k=top_k)
-    assert classify(rho, mub, field(3), top_k=0).witnesses == ()
+        got = [(w.ray_choices + (w.point.index,), w.value) for w in classify(rho, mub, field(d)).witnesses]
+        assert got == expected, (case, d)
 
 
 def test_a_field_other_than_the_basis_field_is_refused():

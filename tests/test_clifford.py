@@ -9,7 +9,6 @@ from dwf.clifford import (
     SymplecticClifford,
     NotBasisPreserving,
     NotClifford,
-    StabilizerTableau,
     affine_extraction,
     circuit_unitary,
     clifford_from_symplectic,
@@ -549,13 +548,6 @@ def test_tableau_refuses_non_integer_qubits():
         with pytest.raises(ValueError, match="circuit step 1 is not a"):
             tableau_apply([("H", 0), bad], 2)
     assert tableau_apply([("H", np.int64(0))], 1).rows() == (((1,), (0,), 1),)
-
-
-def test_tableau_from_rows_validation():
-    with pytest.raises(ValueError, match="independent"):
-        StabilizerTableau.from_rows(2, [((1, 1), (0, 0), 1), ((1, 1), (0, 0), 1)])
-    with pytest.raises(ValueError, match="commute"):
-        StabilizerTableau.from_rows(2, [((1, 0), (0, 0), 1), ((0, 0), (1, 0), 1)])
 
 
 def test_tableau_dense_cross_validation_random_circuits():

@@ -164,16 +164,6 @@ def test_unsupported_dimension_rejected():
         field(6)
 
 
-def test_power_operator_matches_repeated_multiplication():
-    for d in (4, 9):
-        gf = field(d)
-        for a in gf.elements[1:]:
-            acc = gf.one
-            for k in range(2 * d):
-                assert a**k == acc
-                acc = acc * a
-
-
 @pytest.mark.parametrize("d", ALL_DIMS)
 def test_digit_table_is_built_once_and_read_only(d):
     gf = field(d)

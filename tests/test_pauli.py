@@ -157,6 +157,21 @@ def test_abelian_set_rejects_zero_labels():
         abelian_set(field(4), (0, 0), (0, 0))
 
 
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_abelian_set_reads_integer_labels_only(d):
+    # int() would truncate (0.7, ...) to the label (0, ...)
+    gf = field(d)
+    unit, zero = (1,) + (0,) * (gf.n - 1), (0,) * gf.n
+    expected = abelian_set(gf, unit, unit)
+    same = abelian_set(gf, np.array(unit), tuple(np.int8(x + gf.p) for x in unit))
+    assert (same.avec, same.bvec, same.label_set()) == (unit, unit, expected.label_set())
+    assert {type(x) for x in same.avec + same.bvec} == {int}
+    for bad in ((0.7,) + zero[1:], (1.0,) + zero[1:], ("1",) + zero[1:], 1):
+        for avec, bvec in ((bad, unit), (unit, bad)):
+            with pytest.raises(ValueError, match="avec and bvec must hold integers"):
+                abelian_set(gf, avec, bvec)
+
+
 def test_abelian_set_x_type_two_qubits():
     gf = field(4)
     s = abelian_set(gf, (1, 0), (0, 0))

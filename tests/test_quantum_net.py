@@ -528,16 +528,20 @@ def test_flow_counts_over_every_d4_net_equal_the_reference():
 
 def dense_verdict(u, net):
     """The dense criterion on X = E^T T~ E for every point, with no
-    integer route and no early exit at the origin, and T~ built here from
-    the transition probabilities T between the basis vectors (the frame)."""
+    integer route and no early exit at the origin, T~ built here from the
+    transition probabilities T between the basis vectors (the frame) and
+    the net's 0/1 incidence E built here from its pencil."""
     d, frame = net.dim, net.context.mub.frame
+    incidence = np.zeros((d * (d + 1), d * d))
+    for kappa in range(d + 1):
+        incidence[kappa * d + net.pencil[kappa], np.arange(d * d)] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.abs(frame.conj().T @ np.asarray(u, dtype=complex) @ frame) ** 2
         # T~ = (T - a_mu/(d+1) - b_lam/(d+1) + |U|^2/(d+1)^2) / d, a_mu = |U phi_mu|^2
         # and b_lam = |U~ phi_lam|^2 from the column and row sums of T
         a, b = t.sum(axis=0) / (d + 1), t.sum(axis=1) / (d + 1)
         table = (t - a / (d + 1) - b[:, None] / (d + 1) + a.sum() / (d + 1) ** 3) / d
-        x = net.incidence.T @ table @ net.incidence
+        x = incidence.T @ table @ incidence
         x[x.argmax(axis=0), np.arange(d * d)] -= 1.0
         return bool(np.sqrt(np.einsum("ij,ij->j", x, x).max() / d) < LOOKUP)
 
@@ -623,9 +627,10 @@ def test_clifford_flows_take_the_integer_route(d):
         net = ctx.complete(tuple(rng.integers(0, d, d + 1)))
         is_flow(named[name], net)
         images = record(named[name], ctx.mub)
-        # a record holds the projector action or the transition table, never both
+        # a record holds the projector action or the transition table, never
+        # both; only the integer route reads the net's meet table
         assert (images.action is None) is (images.transition is not None), name
-        assert (images.transition is None and "incidence" not in vars(net)) is (name in exact), name
+        assert (images.transition is None and "meet" in vars(net)) is (name in exact), name
 
 
 def test_transition_memo_is_bounded():

@@ -183,6 +183,50 @@ def test_every_public_function_has_a_reader_outside_the_tests():
     assert set(READ_ONLY_BY_TESTS) <= defined  # the keep-list names only live code
 
 
+def _passes(call, name, position, arg):
+    """Whether a call of `name` passes the parameter `arg`, which sits at
+    `position` after self or cls (None: keyword-only): by keyword, by
+    position, or through *args or **kwargs."""
+    func = call.func
+    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != name:
+        return False
+    if any(keyword.arg in (arg, None) for keyword in call.keywords):  # None: **kwargs
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_option_is_set_outside_the_tests():
+    # every parameter with a default, on a public function or method or on
+    # a class's __init__, is passed by some call in the package outside its
+    # own body, in scripts/ or in perfbench/: an option that only tests set
+    # is a second behaviour no workload runs; a call of a class counts for
+    # its __init__
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text())
+             for d in ("src/dwf", "scripts", "perfbench") for path in sorted((root / d).rglob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = []
+    for tree in (tree for path, tree in trees.items() if path.parent.name == "dwf"):
+        for node in tree.body:
+            method = isinstance(node, ast.ClassDef)
+            for func in node.body if method else [node]:
+                if not isinstance(func, ast.FunctionDef) or func.name.startswith("_") and func.name != "__init__":
+                    continue
+                name = node.name if func.name == "__init__" else func.name
+                args = func.args
+                positional = args.posonlyargs + args.args
+                if method and "staticmethod" not in {getattr(d, "id", None) for d in func.decorator_list}:
+                    positional = positional[1:]  # self or cls
+                first_default = len(positional) - len(args.defaults)
+                options = [(i, a.arg) for i, a in enumerate(positional) if i >= first_default]
+                options += [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+                own = {id(call) for call in ast.walk(func)}
+                unset += [f"{name}({arg}) (line {func.lineno})" for position, arg in options
+                          if not any(_passes(call, name, position, arg) for call in calls if id(call) not in own)]
+    assert unset == []
+
+
 def test_no_imports_inside_functions_in_the_package():
     # every import sits at module level, so the import graph is the layer
     # order and a cycle between layers fails at import time

@@ -235,6 +235,14 @@ def test_from_vector_refuses_only_the_exact_zero_vector():
         DensityState.from_vector([0.0, 0.0])
 
 
+def test_from_vector_refuses_anything_but_a_vector():
+    # np.outer flattens its input: np.eye(2) would give a 4 x 4 state, 1.0 a 1 x 1
+    for bad in (np.eye(2), [[1, 0], [0, 0]], [[1, 0]], 1.0):
+        with pytest.raises(ValueError, match="amplitudes must be a 1-D vector"):
+            DensityState.from_vector(bad)
+    assert DensityState.from_vector(np.array([1, 0])).rho.shape == (2, 2)
+
+
 def hermitian_with_largest_entry(d, largest, rng):
     """Seeded Hermitian, trace-one: I/d plus a traceless G + G~ scaled so
     that its largest entry modulus is `largest`."""
@@ -377,10 +385,11 @@ def test_every_table_equals_the_direct_gather_bit_for_bit(d):
 
 
 def test_tables_of_a_scanned_state_check_nothing_again(monkeypatch):
+    # the producer checks every table's sum, so a scan counts as one check
     dim_reads, sum_checks = [], []
-    dim, check = DensityState.dim, wigner._check_sums
+    dim, scan = DensityState.dim, wigner._pencil_scan
     monkeypatch.setattr(DensityState, "dim", property(lambda rho: dim_reads.append(1) or dim.fget(rho)))
-    monkeypatch.setattr(wigner, "_check_sums", lambda sums: sum_checks.append(1) or check(sums))
+    monkeypatch.setattr(wigner, "_pencil_scan", lambda probs, pencil: sum_checks.append(1) or scan(probs, pencil))
     nets = list(enumerate_nets(field(4)))
     rho = DensityState.random_pure(4, np.random.default_rng(21))
     wigner_function(rho, nets[0])
@@ -437,14 +446,20 @@ def test_a_scan_with_one_unnormalized_net_is_refused_at_every_net(monkeypatch):
     original = wigner._pencil_scan
 
     def skewed(probs, pencil):
-        values = original(probs, pencil)
-        values[(1,) * (d + 1) + (0,)] += 1e-6  # net (1, ..., 1) now sums to 1 + 1e-6
-        return values
+        # one more choice per ray: a copy of choice 0, except in striation 0,
+        # where it assigns projector 0 to every point.  Of the 5^5 nets
+        # scanned, those with r_0 = 4 sum to d probs[0, 0]; the rest to one.
+        extra = pencil[:, :, :1].copy()
+        extra[0] = 0
+        return original(probs, np.concatenate([pencil, extra], axis=2))
 
     monkeypatch.setattr(wigner, "_pencil_scan", skewed)
     rho = DensityState.random_pure(d, np.random.default_rng(17))
-    with pytest.raises(ValueError, match="sums to 1.000001"):
+    unnormalized = d * probabilities(rho, standard_mub(d)).values[0, 0]
+    with pytest.raises(ValueError, match="sums to") as refused:
         wigner_function(rho, standard_context(d).complete((0,) * (d + 1)))
+    assert float(str(refused.value).split()[-1]) == pytest.approx(unnormalized, abs=1e-11)
+    assert abs(unnormalized - 1.0) > 0.1
     assert not rho._scans  # nothing is memoized from a refused scan
 
 
