@@ -45,7 +45,6 @@ class ClassicalityReport:
     classical: bool
     witness_point: PhasePoint | None
     witness_ray_choices: tuple[int, ...] | None
-    argmin_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,10 @@ def _report(table: ProbabilityTable, gf: FieldSpec) -> ClassicalityReport:
     minima = table.minima()
     total = float(minima.sum())
     value = (total - 1.0) / gf.order
-    argmins = tuple(table.values.argmin(axis=1).tolist())  # per striation, the lowest minimizing j
     classical = value >= -MEMBERSHIP
-    witness_point, witness_net = (None, None) if classical else (origin(gf), argmins)
-    return ClassicalityReport(value, total, classical, witness_point, witness_net, argmins)
+    # the witness net takes, per striation, the lowest minimizing j
+    witness_net = None if classical else tuple(table.values.argmin(axis=1).tolist())
+    return ClassicalityReport(value, total, classical, None if classical else origin(gf), witness_net)
 
 
 def min_wigner(rho: DensityState, mub: MubSet) -> ClassicalityReport:

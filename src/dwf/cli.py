@@ -116,6 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_field(args: argparse.Namespace) -> int:
+    if not (2 <= args.p <= 9 and 1 <= args.n <= 3):  # d <= 9 bounds both, so no larger power is raised
+        raise UsageError(f"p={args.p}, n={args.n} is not a supported field")
     d = args.p**args.n
     try:
         gf = field(d)

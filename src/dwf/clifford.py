@@ -172,7 +172,12 @@ def clifford_from_symplectic(f: np.ndarray, gf: FieldSpec) -> SymplecticClifford
     return F with every exponent zero.
     """
     p, n, d = gf.p, gf.n, gf.order
-    f = np.array(f, dtype=np.int64) % p
+    try:  # operator.index refuses floats and takes numpy integers
+        f = np.array([[operator.index(x) % p for x in row] for row in f], dtype=np.int64)
+    except (TypeError, ValueError):  # a non-integer entry, a non-table or ragged rows
+        f = None
+    if f is None or f.shape != (2 * n, 2 * n):
+        raise ValueError(f"table must be a {2 * n} x {2 * n} integer matrix")
     if not is_symplectic_table(f, p):
         raise ValueError("table does not preserve the symplectic form mod p")
     # column i of F is the image label of X_i, column n + i that of Z_i
@@ -470,57 +475,44 @@ def affine_extraction(u: np.ndarray, gf: FieldSpec):
 
 GATE_NAMES = ("H", "S", "CNOT")
 
+
+def _circuit_steps(circuit, n: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The (name, qubits) steps of a {H, S, CNOT} circuit on 1 to 8 qubits:
+    the one reading of a circuit that both simulations share.  Anything
+    else raises ValueError before any gate is applied."""
+    if not 1 <= n <= 8:
+        raise ValueError("circuits act on 1 to 8 qubits")
+    steps = []
+    for step, gate in enumerate(circuit):
+        try:  # a non-tuple, an empty tuple or a non-integer qubit
+            name, *qubits = gate if isinstance(gate, (tuple, list)) else ()
+            name, qubits = str(name).upper(), tuple(map(operator.index, qubits))
+        except (TypeError, ValueError):
+            raise ValueError(f"circuit step {step} is not a (name, qubits...) tuple") from None
+        if name not in GATE_NAMES:
+            raise ValueError(f"unknown gate {name!r}; supported: {GATE_NAMES}")
+        expected = 2 if name == "CNOT" else 1
+        if len(qubits) != expected or any(not 0 <= q < n for q in qubits):
+            raise ValueError(f"gate {name} takes {expected} qubit index(es) in [0, {n})")
+        if len(set(qubits)) < expected:
+            raise ValueError("CNOT needs distinct control and target")
+        steps.append((name, qubits))
+    return steps
+
+
 @dataclass(eq=False)
 class StabilizerTableau:
     """n stabilizer generators as rows of X/Z bit matrices plus sign bits.
 
     Row i represents (-1)^r[i] times the Hermitian Pauli string with bits
     (x[i], z[i]), the canonical translation T(x[i], z[i]) of `pauli`.
-    Supports up to 8 qubits; dense reconstruction is meant for small n.
+    Dense reconstruction is meant for small n.
     """
 
     n: int
     x: np.ndarray
     z: np.ndarray
     r: np.ndarray
-
-    @classmethod
-    def zero_state(cls, n: int) -> "StabilizerTableau":
-        if not 1 <= n <= 8:
-            raise ValueError("tableau supports 1 to 8 qubits")
-        return cls(
-            n,
-            np.zeros((n, n), dtype=np.uint8),
-            np.eye(n, dtype=np.uint8),
-            np.zeros(n, dtype=np.uint8),
-        )
-
-    def apply_gate(self, name: str, *qubits: int) -> None:
-        if name not in GATE_NAMES:
-            raise ValueError(f"unknown gate {name!r}; supported: {GATE_NAMES}")
-        expected = 2 if name == "CNOT" else 1
-        if len(qubits) != expected or any(not 0 <= q < self.n for q in qubits):
-            raise ValueError(f"gate {name} takes {expected} qubit index(es) in [0, {self.n})")
-        x, z, r = self.x, self.z, self.r
-        if name == "H":
-            (q,) = qubits
-            r ^= x[:, q] & z[:, q]
-            x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
-        elif name == "S":
-            (q,) = qubits
-            r ^= x[:, q] & z[:, q]
-            z[:, q] ^= x[:, q]
-        else:
-            a, b = qubits
-            if a == b:
-                raise ValueError("CNOT needs distinct control and target")
-            r ^= x[:, a] & z[:, b] & (x[:, b] ^ z[:, a] ^ 1)
-            x[:, b] ^= x[:, a]
-            z[:, a] ^= z[:, b]
-
-    def rows(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-        x, z = self.x.tolist(), self.z.tolist()
-        return tuple((tuple(x[i]), tuple(z[i]), -1 if self.r[i] else 1) for i in range(self.n))
 
     def state_vector(self) -> np.ndarray:
         """The stabilized state: the joint eigenvector of the unsigned rows
@@ -532,20 +524,26 @@ class StabilizerTableau:
 def tableau_apply(circuit, n: int) -> StabilizerTableau:
     """Run a {H, S, CNOT} circuit on the n-qubit state |0..0>.
 
-    The circuit is a sequence of (name, *qubits) tuples; anything else is
-    rejected before any gate is applied.  Qubit registers only, n <= 8.
+    The circuit is a sequence of (name, *qubits) tuples, read by
+    `_circuit_steps`.  Qubit registers only, n <= 8.
     """
-    ops = []
-    for step, gate in enumerate(circuit):
-        try:  # a non-tuple, an empty tuple or a non-integer qubit
-            name, *qubits = gate if isinstance(gate, (tuple, list)) else ()
-            ops.append((str(name).upper(), tuple(map(operator.index, qubits))))
-        except (TypeError, ValueError):
-            raise ValueError(f"circuit step {step} is not a (name, qubits...) tuple") from None
-    tab = StabilizerTableau.zero_state(n)
-    for name, qubits in ops:
-        tab.apply_gate(name, *qubits)
-    return tab
+    steps = _circuit_steps(circuit, n)
+    x, z, r = np.zeros((n, n), dtype=np.uint8), np.eye(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
+    for name, qubits in steps:
+        if name == "H":
+            (q,) = qubits
+            r ^= x[:, q] & z[:, q]
+            x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+        elif name == "S":
+            (q,) = qubits
+            r ^= x[:, q] & z[:, q]
+            z[:, q] ^= x[:, q]
+        else:
+            a, b = qubits
+            r ^= x[:, a] & z[:, b] & (x[:, b] ^ z[:, a] ^ 1)
+            x[:, b] ^= x[:, a]
+            z[:, a] ^= z[:, b]
+    return StabilizerTableau(n, x, z, r)
 
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -557,22 +555,19 @@ def _embed(gate: np.ndarray, qubit: int, n: int) -> np.ndarray:
 
 
 def circuit_unitary(circuit, n: int) -> np.ndarray:
-    """Dense matrix of a {H, S, CNOT} circuit, for cross-validation."""
+    """Dense matrix of a {H, S, CNOT} circuit, for cross-validation; it
+    reads the circuit through `_circuit_steps`, as `tableau_apply` does."""
+    steps = _circuit_steps(circuit, n)
     u = np.eye(2**n, dtype=complex)
     p0 = np.diag([1.0, 0.0])
     p1 = np.diag([0.0, 1.0])
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    for gate in circuit:
-        name = str(gate[0]).upper()
-        if name == "H":
-            step = _embed(_H, gate[1], n)
-        elif name == "S":
-            step = _embed(_S, gate[1], n)
-        elif name == "CNOT":
-            a, b = gate[1], gate[2]
+    for name, qubits in steps:
+        if name == "CNOT":
+            a, b = qubits
             step = _embed(p0, a, n) + _embed(p1, a, n) @ _embed(x, b, n)
         else:
-            raise ValueError(f"unknown gate {name!r}")
+            step = _embed(_H if name == "H" else _S, qubits[0], n)
         u = step @ u
     return u
 

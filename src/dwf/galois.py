@@ -22,14 +22,15 @@ modules built on top of this one.
 Linear algebra over Z_p lives here too: one Gauss-Jordan row reduction,
 from which both rank_mod_p and inverse_mod_p are read.
 
-Elements carry their field handle and support +, -, *, unary minus and
-`inverse()`; all tables are precomputed at construction (d <= 9, so every
-table is tiny) and never mutated afterwards.
+Elements compare and hash by value (a field hashes by its p, n and
+polynomial, so set orders repeat run to run) and support +, -, *, unary
+minus and `inverse()`; every table is built at construction, never mutated.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -51,6 +52,7 @@ _PRIMITIVE_POLYS = {
 _PRIMES = (2, 3, 5, 7)
 
 
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """A value in GF(p^n), stored as an index into the field's tables.
 
@@ -58,11 +60,8 @@ class FieldElement:
     significant), so index order equals lexicographic coordinate order.
     """
 
-    __slots__ = ("field", "index")
-
-    def __init__(self, field: "FieldSpec", index: int):
-        self.field = field
-        self.index = index
+    field: FieldSpec
+    index: int
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -84,16 +83,6 @@ class FieldElement:
         if self.index == 0:
             raise ZeroDivisionError("inverse of zero in GF(p^n)")
         return self.field._elements[self.field._inv[self.index]]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.field is other.field
-            and self.index == other.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.index))
 
     def __bool__(self) -> bool:
         return self.index != 0
@@ -178,6 +167,9 @@ class FieldSpec:
 
     def generator_power(self, k: int) -> FieldElement:
         return self._elements[self._exp[k % (self.order - 1)]]
+
+    def __hash__(self) -> int:  # by value, so hashes repeat run to run; equality stays identity
+        return hash((self.p, self.n, self.primitive_poly))
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, n={self.n}, poly={self.primitive_poly})"

@@ -102,18 +102,25 @@ def _translation_matrix(p: int, qvec, pvec, phase_exp: int = 0) -> np.ndarray:
     return _phase_unit(p) ** phase_exp * out
 
 
+@dataclass(unsafe_hash=True)
 class PauliOperator:
     """phase_unit^phase_exp times the canonical translation T(qvec, pvec)."""
 
-    def __init__(self, gf: FieldSpec, qvec, pvec, phase_exp: int = 0):
+    field: FieldSpec
+    qvec: tuple[int, ...]
+    pvec: tuple[int, ...]
+    phase_exp: int = 0
+
+    def __post_init__(self):
+        gf = self.field
         try:
-            qvec, pvec = (tuple(operator.index(x) % gf.p for x in v) for v in (qvec, pvec))
+            qvec, pvec = (tuple(operator.index(x) % gf.p for x in v) for v in (self.qvec, self.pvec))
         except TypeError:
             qvec = pvec = ()
         if not len(qvec) == len(pvec) == gf.n:
             raise ValueError(f"qvec and pvec must each hold {gf.n} integers")
-        self.field, self.qvec, self.pvec = gf, qvec, pvec
-        self.phase_exp = int(phase_exp) % _phase_order(gf.p)
+        self.qvec, self.pvec = qvec, pvec
+        self.phase_exp = int(self.phase_exp) % _phase_order(gf.p)
 
     @property
     def label(self) -> tuple[int, ...]:
@@ -157,17 +164,6 @@ class PauliOperator:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PauliOperator)
-            and self.field is other.field
-            and self.label == other.label
-            and self.phase_exp == other.phase_exp
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.label, self.phase_exp))
 
     def __repr__(self) -> str:
         return f"T(q={self.qvec}, p={self.pvec}, phase^{self.phase_exp})"

@@ -427,6 +427,9 @@ def test_clifford_flag_validation(capsys):
     (["clifford", "--no-flow-scan", "--d", "3"], "the Fourier scan needs characteristic 2"),
     (["clifford", "--no-flow-scan", "--d", "8"], "the Fourier scan enumerates nets only for d <= 5, got d=8"),
     (["clifford", "--squeeze", "--d", "5"], "squeezing needs an extension field (n >= 2)"),
+    (["field", "--p", "3", "--n", "1000000"], "p=3, n=1000000 is not a supported field"),
+    (["field", "--p", "3", "--n", "0"], "p=3, n=0 is not a supported field"),
+    (["field", "--p", "3", "--n", "-1"], "p=3, n=-1 is not a supported field"),
 ])
 def test_every_usage_error_of_a_command_is_one_line_and_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)  # --out names a file that must not appear

@@ -170,6 +170,22 @@ def test_clifford_from_symplectic_rejects_non_symplectic():
         clifford_from_symplectic(np.eye(4, dtype=np.int64) * 0, gf)
 
 
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_clifford_from_symplectic_reads_a_square_integer_table_of_side_2n_only(d):
+    # an int64 cast once truncated float tables (to the identity here), and other
+    # shapes died in numpy's matmul or in PauliOperator with messages of their own
+    gf = field(d)
+    n = gf.n
+    eye = np.eye(2 * n, dtype=np.int64)
+    for bad in ((eye + 0.2).tolist(), eye + 0.7, np.eye(2 * n + 1, dtype=np.int64),
+                np.eye(2 * n - 1, dtype=np.int64), np.eye(2 * n + 2, dtype=np.int64)[:2 * n],
+                [[1] * 2 * n, [0]], eye[0], 3, "ab"):
+        with pytest.raises(ValueError, match=rf"^table must be a {2 * n} x {2 * n} integer matrix$"):
+            clifford_from_symplectic(bad, gf)
+    for good in (eye, eye.astype(np.int8), eye.tolist(), (eye + gf.p).tolist()):
+        assert np.array_equal(clifford_from_symplectic(good, gf).symplectic, eye)
+
+
 # -- squeezing ----------------------------------------------------------------
 
 def test_squeezing_rejected_for_prime_dimension():
@@ -341,6 +357,23 @@ def test_basis_maps_refuse_what_is_not_a_unitary(d):
         assert affine_extraction(shift, gf)
 
 
+@pytest.mark.parametrize("d", [2, 4, 8, 9])
+def test_basis_maps_into_a_second_basis_set(d):
+    # the source-is-not-target branch of _basis_images, onto the standard
+    # bases in reverse order: basis k of the standard set is basis d - k there
+    gf, mub = field(d), standard_mub(d)
+    rev = MubSet(gf, tuple(reversed(mub.bases)))
+    assert maps_mub_to_mub(np.eye(d), mub, rev).permutation == tuple(d - k for k in range(d + 1))
+    if gf.n >= 2:
+        us = squeezing_operator(gf).dense
+        perm = maps_mub_to_mub(us, mub, mub).permutation
+        into_rev = maps_mub_to_mub(us, mub, rev).permutation
+        assert into_rev == tuple(d - k for k in perm)
+        assert d != 4 or (perm, into_rev) == ((0, 1, 3, 4, 2), (4, 3, 1, 0, 2))
+    haar = maps_mub_to_mub(random_unitary(d, np.random.default_rng(d)), mub, rev)
+    assert not haar and haar.permutation is None
+
+
 # -- affine certificates --------------------------------------------------------
 
 def test_affine_extraction_x_gate():
@@ -510,23 +543,21 @@ def test_affine_extraction_equals_the_direct_route(d):
 
 def test_tableau_empty_circuit_keeps_z_stabilizers():
     tab = tableau_apply([], 3)
-    assert tab.rows() == (
-        ((0, 0, 0), (1, 0, 0), 1),
-        ((0, 0, 0), (0, 1, 0), 1),
-        ((0, 0, 0), (0, 0, 1), 1),
-    )
+    assert tab.x.tolist() == [[0, 0, 0]] * 3
+    assert tab.z.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert tab.r.tolist() == [0, 0, 0]  # sign bits: every generator is +Z_i
 
 
 def test_tableau_h_gate_gives_x_stabilizer():
     tab = tableau_apply([("H", 0)], 1)
-    assert tab.rows() == (((1,), (0,), 1),)
+    assert (tab.x.tolist(), tab.z.tolist(), tab.r.tolist()) == ([[1]], [[0]], [0])
 
 
 def test_tableau_bell_circuit():
     tab = tableau_apply([("H", 0), ("CNOT", 0, 1)], 2)
-    rows = set(tab.rows())
-    assert ((1, 1), (0, 0), 1) in rows  # XX
-    assert ((0, 0), (1, 1), 1) in rows  # ZZ
+    rows = {(tuple(x), tuple(z), r) for x, z, r in zip(tab.x.tolist(), tab.z.tolist(), tab.r.tolist())}
+    assert ((1, 1), (0, 0), 0) in rows  # +XX
+    assert ((0, 0), (1, 1), 0) in rows  # +ZZ
     expected = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     assert np.linalg.norm(tab.state_vector() - expected) < 1e-10
 
@@ -547,7 +578,8 @@ def test_tableau_refuses_non_integer_qubits():
     for bad in (("H", 0.5), ("CNOT", 0, 1.0), ("S", "0")):
         with pytest.raises(ValueError, match="circuit step 1 is not a"):
             tableau_apply([("H", 0), bad], 2)
-    assert tableau_apply([("H", np.int64(0))], 1).rows() == (((1,), (0,), 1),)
+    tab = tableau_apply([("H", np.int64(0))], 1)
+    assert (tab.x.tolist(), tab.z.tolist(), tab.r.tolist()) == ([[1]], [[0]], [0])
 
 
 def test_tableau_dense_cross_validation_random_circuits():
@@ -567,7 +599,26 @@ def test_tableau_dense_cross_validation_random_circuits():
 def test_tableau_sign_tracking():
     # S S X S S = X conjugated by Z: S^2 = Z, so stabilizer X flips sign
     tab = tableau_apply([("H", 0), ("S", 0), ("S", 0)], 1)
-    assert tab.rows() == (((1,), (0,), -1),)
+    assert (tab.x.tolist(), tab.z.tolist(), tab.r.tolist()) == ([[1]], [[0]], [1])  # -X
+
+
+@pytest.mark.parametrize("circuit, n, message", [
+    ([("CNOT", 0, 0)], 2, "CNOT needs distinct control and target"),
+    ([("H", 5)], 2, "gate H takes 1 qubit index(es) in [0, 2)"),
+    ([("H", 0.5)], 2, "circuit step 0 is not a (name, qubits...) tuple"),
+    ([("h", -1)], 2, "gate H takes 1 qubit index(es) in [0, 2)"),
+    ([("CNOT", 0)], 2, "gate CNOT takes 2 qubit index(es) in [0, 2)"),
+    ([("X", 0)], 2, "unknown gate 'X'; supported: ('H', 'S', 'CNOT')"),
+    ([], 0, "circuits act on 1 to 8 qubits"),
+    ([], 9, "circuits act on 1 to 8 qubits"),
+])
+def test_both_simulations_read_a_circuit_one_way(circuit, n, message):
+    # the dense side once parsed circuits on its own: it built a non-unitary
+    # matrix for ("CNOT", 0, 0) and raised TypeError or IndexError elsewhere
+    for simulate in (tableau_apply, circuit_unitary):
+        with pytest.raises(ValueError) as refused:
+            simulate(circuit, n)
+        assert str(refused.value) == message, simulate.__name__
 
 
 # -- translations act as flows on every net ------------------------------------

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dwf.galois import SUPPORTED_DIMENSIONS, field, rank_mod_p
+from dwf.galois import SUPPORTED_DIMENSIONS, FieldSpec, field, rank_mod_p
 from dwf.geometry import PhasePoint, all_points, build_striations, line_points, origin
 from dwf.pauli import (
     PauliOperator,
@@ -412,3 +412,18 @@ def test_translation_matrix_is_the_qubit_pauli_string():
             # qubit 0 is the least significant index digit, hence the reversed order
             reference = functools.reduce(np.kron, [one_qubit[b] for b in zip(xbits, zbits)][::-1])
             assert np.abs(_translation_matrix(2, xbits, zbits) - reference).max() <= 1e-15, bits
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_a_second_instance_of_a_field_hashes_like_the_cached_one(d):
+    # hashes once mixed in id(field), so a set of points iterated, and a sum
+    # over it was taken, in an order set by where the field was allocated
+    gf = field(d)
+    twin = FieldSpec(gf.p, gf.n, gf.primitive_poly)
+    assert hash(twin) == hash(gf) and twin != gf  # equality stays identity
+    assert [hash(x) for x in twin.elements] == [hash(x) for x in gf.elements]
+    assert [hash(pt) for pt in all_points(twin)] == [hash(pt) for pt in all_points(gf)]
+    for label in all_labels(gf):
+        ops = [PauliOperator(f, label[: gf.n], label[gf.n :], 1) for f in (gf, twin)]
+        assert hash(ops[0]) == hash(ops[1]) and ops[0] != ops[1]
+    assert [pt.index for pt in set(all_points(twin))] == [pt.index for pt in set(all_points(gf))]

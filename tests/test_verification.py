@@ -274,6 +274,21 @@ def test_no_dead_private_helpers_in_the_package():
     assert found == []
 
 
+def test_no_hash_in_the_package_reads_an_identity():
+    # a hash that mixes in id() changes with where an object was allocated,
+    # and with it the iteration order of every set and the sums taken over it
+    package = Path(__file__).resolve().parents[1] / "src" / "dwf"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef) and func.name == "__hash__"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    assert found == []
+
+
 def test_only_main_returns_the_usage_exit_code():
     # commands raise UsageError or FormatError; main alone prints it and returns 2
     cli = Path(__file__).resolve().parents[1] / "src" / "dwf" / "cli.py"
