@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -308,6 +308,7 @@ class BasisImages:
     action: np.ndarray | None = None  # action[k d + j] = sigma(k) d + pi_k(j)
     order: np.ndarray | None = None  # sigma^-1
     transition: np.ndarray | None = None  # T~ of `quantum_net.is_flow`
+    flows: dict = dc_field(default_factory=dict)  # net context -> `is_flow` verdicts on its census family
 
 
 @lru_cache(maxsize=16)  # holds every record of one `flows` benchmark round: 11 unitaries

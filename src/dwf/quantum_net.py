@@ -24,19 +24,17 @@ the projector on line t of striation kappa.  Nets are pure index
 arithmetic, which keeps exhaustive enumeration over all d^(d+1) of them
 cheap.
 
-`is_flow` decides whether conjugation by U permutes a net's point
-operators from U's record `clifford._basis_images`, which `maps_mub_to_mub`
-and `affine_extraction` read too: in integers from its projector action
-when U sends basis projectors within `tolerances.flow_gate` of basis
-projectors, else from its transition table gathered at each net's rows.
-`flow_census` scans one family per field, completed once: every net at
-d <= 3, the fixed-axes nets (ray choices (0, 0)) above.
+`is_flow` and `flow_census` share one kernel, which decides for a stack of
+nets whether conjugation by U permutes each net's point operators, from
+U's record `clifford._basis_images`: in integers from its projector action
+when U sends basis projectors within `tolerances.flow_gate` of them, else
+from its transition table gathered at the nets' rows.  The record memoizes
+U's verdicts on the census family, whose nets are stacked once per field.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
@@ -202,6 +200,7 @@ def enumerate_nets(gf: FieldSpec, fix_axes: bool = False):
 def is_flow(unitary: np.ndarray, net: QuantumNet) -> bool:
     """True iff conjugation by the unitary permutes the net's point
     operators: each image U A U~ lies within LOOKUP of its nearest one.
+    Census family nets read their record's memo; others are stacks of one.
 
     Integer route, when U's record `clifford._basis_images` holds an
     action (U sends each basis projector within flow_gate(d) of one): an
@@ -217,25 +216,39 @@ def is_flow(unitary: np.ndarray, net: QuantumNet) -> bool:
     |<phi_lam|U|phi_mu>|^2, a_mu = |U phi_mu|^2 and b_lam = |U~ phi_lam|^2.
     The nearest is beta = argmax X[:, alpha], at squared distance (1/d)
     sum_gamma (X - e_beta)^2, a sum of small terms; the origin's column, a
-    lower bound, is tested first through `rows` alone.  A non-d x d matrix
-    raises ValueError; huge or non-finite entries give False.
+    lower bound, is tested first, on every net of the stack.  A non-d x d
+    matrix raises ValueError; huge or non-finite entries give False.
     """
-    d = net.dim
-    images = _images(unitary, net.context.mub, net.context.mub, strict=False)
+    d, ctx = net.dim, net.context
+    if d <= 3 or d <= ENUMERATION_MAX_DIM and net.ray_choices[:2] == (0, 0):  # shaped like a family net
+        if ctx is _census_family(ctx.field)[0][0].context:  # of the standard context, too
+            return bool(_family_verdicts(unitary, ctx)[net.scan_index])
+    images = _images(unitary, ctx.mub, ctx.mub, strict=False)
+    rows = net.rows[:, None]  # a stack of one
+    return bool(_flow_verdicts(images, rows, rows, lambda key: net.meet.take(key - d))[0])
+
+
+def _flow_verdicts(images, rows: np.ndarray, columns: np.ndarray, meet) -> np.ndarray:
+    """`is_flow` on each net n of a stack: rows[:, n] holds its `rows`, columns = rows * count + n,
+    and meet(j0 d + j1), read by the integer route only, is n d^2 + `meet`[j0, j1 - d] of net n."""
+    d = len(rows) - 1
     if images.action is not None:
-        image = images.action.take(net.rows.take(images.order, axis=0))  # image[kappa] in basis kappa
-        beta = net.meet[image[0], image[1] - d]
-        return net.rows.take(beta, axis=1).tobytes() == image.tobytes()  # both intp
+        image = images.action.take(rows.take(images.order, axis=0))  # image[kappa] in basis kappa
+        beta = meet(image[0] * d + image[1])
+        return (rows.reshape(d + 1, -1).take(beta, axis=1) == image).all(axis=(0, 2))
     table = images.transition
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan
-        origin = table[:, net.rows[:, 0]].sum(axis=1)[net.rows].sum(axis=0)  # X[:, 0]
-        origin[origin.argmax()] -= 1.0
-        if not math.sqrt(origin @ origin / d) < LOOKUP:
-            return False
-        x = table[:, net.rows].sum(axis=1)[net.rows].sum(axis=0)  # the origin's gather at every alpha
-    x[x.argmax(axis=0), np.arange(d * d)] -= 1.0  # x[gamma, alpha] - e_beta
-    # einsum overflows a huge x to inf silently, unlike the ufuncs
-    return math.sqrt(np.einsum("ij,ij->j", x, x).max() / d) < LOOKUP
+        origin = table[:, rows[:, :, 0].T].sum(axis=2).take(columns).sum(axis=0)  # X[:, 0]
+        origin[np.arange(len(origin)), origin.argmax(axis=1)] -= 1.0
+        verdicts = np.sqrt(np.einsum("ni,ni->n", origin, origin) / d) < LOOKUP
+        if np.count_nonzero(verdicts):  # the origin's gather at every alpha, on the nets that pass
+            held = rows[:, verdicts]
+            x = sum(table[:, h] for h in held)  # x[lam, m, alpha]
+            m = np.arange(held.shape[1])[:, None]
+            x = sum(x[h, m] for h in held)  # X[m, gamma, alpha]
+            x[m, x.argmax(axis=1), np.arange(d * d)] -= 1.0  # X - e_beta
+            verdicts[verdicts] = np.sqrt(np.einsum("mij,mij->mj", x, x).max(axis=1) / d) < LOOKUP
+    return verdicts
 
 
 @dataclass(frozen=True)
@@ -248,15 +261,31 @@ class FlowCensus:
 
 
 @lru_cache(maxsize=None)
-def _census_family(gf: FieldSpec) -> tuple[tuple[QuantumNet, ...], str]:
-    """(nets, kind) of the census family, completed once per field and shared."""
-    fix_axes = gf.order > 3
-    return tuple(enumerate_nets(gf, fix_axes)), "fixed-axes" if fix_axes else "all"
+def _census_family(gf: FieldSpec) -> tuple[tuple[QuantumNet, ...], str, tuple]:
+    """(nets, kind, stack) of the census family, completed once per field and
+    shared; the stack is the rows, columns and meet of `_flow_verdicts`."""
+    fix_axes, d = gf.order > 3, gf.order
+    nets = tuple(enumerate_nets(gf, fix_axes))
+    rows, n = np.stack([net.rows for net in nets], axis=1), np.arange(len(nets))[:, None]
+    columns, meet = rows * len(nets) + n, np.stack([net.meet.ravel() for net in nets]) + n * d * d
+    for array in (rows, columns, meet):
+        array.flags.writeable = False
+    stack = rows, columns, lambda key: meet.take(key + n * d * d - d)
+    return nets, "fixed-axes" if fix_axes else "all", stack
+
+
+def _family_verdicts(unitary: np.ndarray, ctx: NetContext) -> np.ndarray:
+    """`is_flow` on the census family nets of ctx, in enumeration order, memoized in U's record."""
+    images = _images(unitary, ctx.mub, ctx.mub, strict=False)
+    if ctx not in images.flows:
+        images.flows[ctx] = _flow_verdicts(images, *_census_family(ctx.field)[2])
+    return images.flows[ctx]
 
 
 def flow_census(unitary: np.ndarray, gf: FieldSpec) -> FlowCensus:
-    """Test the unitary with `is_flow` on every net of the census family:
-    all nets at d <= 3, the d^(d-1) fixed-axes nets above (64 at d = 4, 625
-    at d = 5).  Above ENUMERATION_MAX_DIM it raises like `enumerate_nets`."""
-    nets, family = _census_family(gf)
-    return FlowCensus(tuple(net for net in nets if is_flow(unitary, net)), len(nets), family)
+    """The census family nets that `is_flow` passes, read off the family's
+    verdicts: all nets at d <= 3, the d^(d-1) fixed-axes nets above (64 at
+    d = 4, 625 at d = 5).  Above ENUMERATION_MAX_DIM it raises like `enumerate_nets`."""
+    nets, family, _ = _census_family(gf)
+    verdicts = _family_verdicts(unitary, nets[0].context)
+    return FlowCensus(tuple(itertools.compress(nets, verdicts)), len(nets), family)

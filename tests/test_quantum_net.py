@@ -1,5 +1,6 @@
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.geometry import PhasePoint, build_striations, line_points
 from dwf.mub import standard_mub
 from dwf.formats import net_from_payload
-from dwf import clifford
+from dwf import clifford, quantum_net
 from dwf.quantum_net import (
     ENUMERATION_MAX_DIM,
     QuantumNet,
@@ -191,7 +192,7 @@ def test_flow_census_is_the_per_net_loop(d):
         census = flow_census(u, gf)
         assert census.size == len(family) == net_count(d, fix_axes), name
         assert census.family == ("fixed-axes" if fix_axes else "all"), name
-        expected = [net.ray_choices for net in family if is_flow(u, net)]
+        expected = [net.ray_choices for net in family if dense_verdict(u, net)]
         assert [net.ray_choices for net in census.flows] == expected, name
         assert len(expected) == known.get(name, len(expected)), name
 
@@ -528,9 +529,17 @@ def test_flow_counts_over_every_d4_net_equal_the_reference():
 
 def dense_verdict(u, net):
     """The dense criterion on X = E^T T~ E for every point, with no
-    integer route and no early exit at the origin, T~ built here from the
-    transition probabilities T between the basis vectors (the frame) and
-    the net's 0/1 incidence E built here from its pencil."""
+    integer route and no early exit at the origin."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = dense_x(u, net)
+        x[x.argmax(axis=0), np.arange(net.dim**2)] -= 1.0
+        return bool(np.sqrt(np.einsum("ij,ij->j", x, x).max() / net.dim) < LOOKUP)
+
+
+def dense_x(u, net):
+    """X = E^T T~ E, X[gamma, alpha] the coefficient of A_gamma in U A_alpha U~,
+    T~ built here from the transition probabilities T between the basis
+    vectors (the frame) and the net's 0/1 incidence E built here from its pencil."""
     d, frame = net.dim, net.context.mub.frame
     incidence = np.zeros((d * (d + 1), d * d))
     for kappa in range(d + 1):
@@ -541,9 +550,7 @@ def dense_verdict(u, net):
         # and b_lam = |U~ phi_lam|^2 from the column and row sums of T
         a, b = t.sum(axis=0) / (d + 1), t.sum(axis=1) / (d + 1)
         table = (t - a / (d + 1) - b[:, None] / (d + 1) + a.sum() / (d + 1) ** 3) / d
-        x = incidence.T @ table @ incidence
-        x[x.argmax(axis=0), np.arange(d * d)] -= 1.0
-        return bool(np.sqrt(np.einsum("ij,ij->j", x, x).max() / d) < LOOKUP)
+        return incidence.T @ table @ incidence
 
 
 def record(u, mub):
@@ -616,6 +623,64 @@ def test_flow_routes_meet_at_the_gate(d):
                 assert nearest_image_distance(u, net) <= (2 * d + 1) / d * projector_error(u, ctx.mub)
 
 
+def exp_origin(net, theta):
+    """exp(i theta A_0) from the net's own origin point operator, which it commutes with."""
+    w, v = np.linalg.eigh(net.point_operator_table()[0])
+    return (v * np.exp(1j * theta * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_the_full_dense_check_refuses_what_the_origin_test_passes(d):
+    # exp(i theta A_0) keeps the net's origin point operator fixed, so the
+    # origin test passes it (measured distance <= 2e-15 at every d) and only
+    # the full check can refuse it; no benchmark unitary gets that far
+    ctx = standard_context(d)
+    rng = np.random.default_rng([d, 22])
+    if d <= ENUMERATION_MAX_DIM:  # family nets, decided with their whole family
+        family = list(enumerate_nets(field(d), fix_axes=d > 3))
+        nets = [family[k] for k in rng.choice(len(family), min(6, len(family)), replace=False)]
+    else:
+        nets = [ctx.complete(tuple(rng.integers(0, d, d + 1))) for _ in range(3)]
+    for net in nets:
+        for theta in (0.3, 1.0):
+            u = exp_origin(net, theta)
+            origin = dense_x(u, net)[:, 0]
+            origin[origin.argmax()] -= 1.0
+            assert np.sqrt(origin @ origin / d) < 1e-14
+            assert record(u, ctx.mub).transition is not None  # the dense route
+            assert is_flow(u, net) is dense_verdict(u, net) is False
+            assert (ctx in record(u, ctx.mub).flows) is (d <= ENUMERATION_MAX_DIM)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_family_verdicts_are_the_dense_verdicts(d):
+    # every family net at d <= 4 and a seeded 64-net sample at d = 5, as
+    # fresh net objects that read the family's verdicts from the record
+    gf, ctx = field(d), standard_context(d)
+    rng = np.random.default_rng([d, 23])
+    family = list(enumerate_nets(gf, fix_axes=d > 3))
+    nets = family if d <= 4 else [family[k] for k in np.sort(rng.choice(len(family), 64, replace=False))]
+    named = flow_test_inputs(gf, rng)
+    named += [(f"exp(i {theta} A_0)", exp_origin(nets[-1], theta)) for theta in (0.3, 1.0)]
+    for name, u in named:
+        assert [is_flow(u, net) for net in nets] == [dense_verdict(u, net) for net in nets], name
+        assert len(record(u, ctx.mub).flows[ctx]) == len(family), name
+
+
+def test_a_family_is_one_kernel_call_per_unitary(monkeypatch):
+    sizes = []
+    kernel = quantum_net._flow_verdicts
+    monkeypatch.setattr(quantum_net, "_flow_verdicts",
+                        lambda images, rows, *rest: sizes.append(rows.shape[1]) or kernel(images, rows, *rest))
+    gf, ctx = field(4), standard_context(4)
+    u = random_unitary(4, np.random.default_rng(25))
+    assert flow_census(u, gf).flows == () and sizes == [64]
+    assert not any(is_flow(u, net) for net in enumerate_nets(gf, fix_axes=True))
+    assert flow_census(u, gf).flows == () and sizes == [64]
+    assert not is_flow(u, ctx.complete((1, 0, 0, 0, 0)))  # a lone net is a stack of one
+    assert sizes == [64, 1]
+
+
 @pytest.mark.parametrize("d", (4, 8, 9))
 def test_clifford_flows_take_the_integer_route(d):
     gf = field(d)
@@ -623,14 +688,23 @@ def test_clifford_flows_take_the_integer_route(d):
     rng = np.random.default_rng([d, 19])
     named = dict(flow_test_inputs(gf, rng))
     exact = ["translation 0", "translation 1", "squeezing"] + ["fourier"] * (gf.p == 2)
+    family = list(enumerate_nets(gf, fix_axes=True)) if d <= ENUMERATION_MAX_DIM else []
+    members = np.random.default_rng([d, 24])
     for name in exact + ["haar 0", "1.5 x translation", "nan entry", "squeezing + 1e-07"]:
         net = ctx.complete(tuple(rng.integers(0, d, d + 1)))
+        assert not (d <= ENUMERATION_MAX_DIM and net.ray_choices[:2] == (0, 0))  # a lone net
         is_flow(named[name], net)
         images = record(named[name], ctx.mub)
         # a record holds the projector action or the transition table, never
-        # both; only the integer route reads the net's meet table
+        # both; only the integer route reads a lone net's meet table
         assert (images.action is None) is (images.transition is not None), name
         assert (images.transition is None and "meet" in vars(net)) is (name in exact), name
+        if family:
+            # a family net reads neither its meet nor its rows, on either
+            # route: the record's verdicts on the family, stacked once
+            member = family[int(members.integers(len(family)))]
+            assert is_flow(named[name], member) is dense_verdict(named[name], member), name
+            assert len(images.flows[ctx]) == len(family) and not {"meet", "rows"} & set(vars(member)), name
 
 
 def test_transition_memo_is_bounded():
@@ -664,6 +738,20 @@ def test_basis_pair_memo_is_bounded():
         if images.unitary:
             clifford.maps_mub_to_mub(u, ctx.mub, ctx.mub)
     assert clifford._basis_images.cache_info().currsize <= maxsize
+    # on d = 5 family nets each record also holds the family's verdicts,
+    # which go when their record does
+    ctx = standard_context(5)
+    nets = list(enumerate_nets(field(5), fix_axes=True))[::125]
+    first = random_unitary(5, rng)
+    is_flow(first, nets[0])
+    verdicts = weakref.ref(record(first, ctx.mub).flows[ctx])
+    for k in range(3 * maxsize):
+        u = random_unitary(5, rng) if k % 2 else ctx.labeling.unitary_at(ctx.points[1 + k % 24])
+        for net in nets:
+            is_flow(u, net)
+        assert len(record(u, ctx.mub).flows[ctx]) == 625
+        assert clifford._basis_images.cache_info().currsize <= maxsize
+    assert verdicts() is None
 
 
 @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
@@ -674,17 +762,20 @@ def test_one_record_per_unitary(d):
     gf = field(d)
     ctx = standard_context(d)
     rng = np.random.default_rng([d, 20])
-    net = ctx.complete(tuple(rng.integers(0, d, d + 1)))
-    shift = ctx.labeling.unitary_at(ctx.points[int(rng.integers(1, d * d))])
-    fresh = [random_unitary(d, rng), np.exp(2j * np.pi * rng.random()) * shift]
-    for u in fresh:
-        before = clifford._basis_images.cache_info()
-        flows = is_flow(u, net)
-        maps = clifford.maps_mub_to_mub(u, ctx.mub, ctx.mub)
-        affine = clifford.affine_extraction(u, gf)
-        after = clifford._basis_images.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
-        assert flows is bool(maps) is bool(affine) is (u is not fresh[0])
+    nets = [ctx.complete(tuple(rng.integers(0, d, d + 1)))]
+    if d <= ENUMERATION_MAX_DIM:  # and a net of the census family, which reads its verdicts
+        nets.append(ctx.complete((0, 0) + (d - 1,) * (d - 1)))
+    for net in nets:
+        shift = ctx.labeling.unitary_at(ctx.points[int(rng.integers(1, d * d))])
+        fresh = [random_unitary(d, rng), np.exp(2j * np.pi * rng.random()) * shift]
+        for u in fresh:
+            before = clifford._basis_images.cache_info()
+            flows = is_flow(u, net)
+            maps = clifford.maps_mub_to_mub(u, ctx.mub, ctx.mub)
+            affine = clifford.affine_extraction(u, gf)
+            after = clifford._basis_images.cache_info()
+            assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+            assert flows is bool(maps) is bool(affine) is (u is not fresh[0])
 
 
 @pytest.mark.parametrize("d", (2, 4))

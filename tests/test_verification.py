@@ -299,7 +299,7 @@ def test_only_main_returns_the_usage_exit_code():
 
 
 def test_package_stays_within_its_line_budget():
-    # the budget of ROADMAP item 10: new work pays for itself in removed lines
+    # the budget of ROADMAP's "Line budget" paragraph: new work pays for itself in removed lines
     package = Path(__file__).resolve().parents[1] / "src" / "dwf"
     lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
     assert lines <= 3150, f"src/dwf/*.py holds {lines} lines, over the budget of 3150"
