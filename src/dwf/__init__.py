@@ -51,7 +51,6 @@ from .classicality import (  # noqa: F401
     convex_decomposition,
     min_wigner,
     net_minima,
-    wigner_scan,
 )
 from .clifford import (  # noqa: F401
     affine_extraction,

@@ -6,12 +6,12 @@ Wigner value collects exactly the smallest probability from each basis, so
 the global minimum is (sum of per-basis minima - 1) / d and a minimizing
 configuration is explicit -- put each basis's minimizing projector on the
 ray and read the value at the origin.  `brute_force_min` validates that
-argument with the minimum of `net_minima`, the per-net minima of
-`wigner_scan` over every net at every point for d <= ENUMERATION_MAX_DIM;
-it must never be shortcut through the closed form.  `classify` lists the
-scan's WITNESS_COUNT most negative witnesses.  The scan and its minima
-are built in `wigner` and memoized on the state, so these two and every
-`wigner_function` call on one state read one scan.
+argument with the minimum of `net_minima`, the per-net minima of the scan
+of every net at every point for d <= ENUMERATION_MAX_DIM; it must never
+be shortcut through the closed form.  The scan is built in `wigner` and
+memoized on the state with its minima, so it and every `wigner_function`
+call on one state read one scan.  `classify` reads no scan: it lists the
+WITNESS_COUNT most negative witnesses from the probability table, at every d.
 
 Membership comes with a constructive certificate: the coefficients
 
@@ -29,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galois import FieldSpec
-from .geometry import PhasePoint, all_points, origin
+from .geometry import PhasePoint, build_striations, origin
 from .mub import MubSet
-from .quantum_net import ENUMERATION_MAX_DIM
+from .quantum_net import NetContext, net_context
 from .tolerances import MEMBERSHIP
-from .wigner import DensityState, ProbabilityTable, net_minima, probabilities, wigner_scan
+from .wigner import DensityState, ProbabilityTable, net_minima, probabilities
 
-WITNESS_COUNT = 5  # witnesses `classify` lists from a scan
+WITNESS_COUNT = 5  # most negative (net, point) pairs `classify` lists
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def _check_field(mub: MubSet, gf: FieldSpec) -> None:
 
 
 def brute_force_min(rho: DensityState, mub: MubSet, gf: FieldSpec) -> float:
-    """Minimum of `wigner_scan` over every net and point, read from
+    """Minimum of the scan over every net and point, read from
     `net_minima`, never through the closed form; gf must be the field of mub."""
     _check_field(mub, gf)
     return float(net_minima(rho, mub).min())
@@ -127,31 +127,45 @@ def convex_decomposition(rho: DensityState, mub: MubSet) -> DecompositionResult:
     return _decomposition(_table(rho, mub))
 
 
+def _witnesses(table: ProbabilityTable, ctx: NetContext) -> tuple[Witness, ...]:
+    """The WITNESS_COUNT most negative (net, point) pairs below -MEMBERSHIP,
+    by value, then `QuantumNet.scan_index`, then point: the scan of
+    `_pencil_scan`, its sums added in the same order, pruned per striation
+    to the first WITNESS_COUNT ray-choice prefixes by (least value, prefix).
+    Float addition is monotone, so a prefix's smallest sum ended with each
+    later striation's smallest probability is the least value of its nets,
+    one of which attains it: a dropped prefix's pairs sort after those."""
+    d, minima, rays = table.dim, table.minima(), np.arange(table.dim)
+    # gathered[kappa, r, alpha]: the probability ray choice r of kappa puts on alpha's line
+    gathered = table.values[np.arange(d + 1)[:, None, None], ctx.pencil].transpose(0, 2, 1)
+    prefix, sums = rays, gathered[0]  # sums[prefix row, alpha]
+    for kappa in range(1, d + 1):
+        if len(prefix) > WITNESS_COUNT:
+            least = sums.min(axis=1)
+            for smallest in minima[kappa:]:
+                least += smallest
+            keep = np.lexsort((prefix, (least - 1.0) / d))[:WITNESS_COUNT]
+            prefix, sums = prefix[keep], sums[keep]
+        sums = (sums[:, None] + gathered[kappa]).reshape(-1, d * d)
+        prefix = (prefix[:, None] * d + rays).ravel()
+    flat = (prefix[:, None] * d * d + np.arange(d * d)).ravel()  # scan_index * d^2 + point
+    values = ((sums - 1.0) / d).ravel()
+    picks = np.lexsort((flat, values))[:WITNESS_COUNT]
+    picks = picks[values[picks] < -MEMBERSHIP]
+    nets, points = np.divmod(flat[picks], d * d)
+    choices = zip(*np.unravel_index(nets, (d,) * (d + 1)), points.tolist(), values[picks].tolist())
+    return tuple(Witness(tuple(map(int, c)), ctx.points[alpha], value) for *c, alpha, value in choices)
+
+
 def classify(rho: DensityState, mub: MubSet, gf: FieldSpec) -> ClassificationReport:
     """Bundle probabilities, membership, decomposition and the WITNESS_COUNT
-    most negative witnessing (net, point) pairs, ties broken in scan order.
-
-    For d <= ENUMERATION_MAX_DIM witnesses come from the exhaustive scan;
-    above it, only the closed-form minimizing configuration is reported.
-    gf must be the field of mub."""
+    most negative witnessing (net, point) pairs, ties broken in scan order,
+    at every d; gf must be the field of mub."""
     _check_field(mub, gf)
     table = _table(rho, mub)
     report = _report(table, mub.field)
-    witnesses: list[Witness] = []
-    if not report.classical and gf.order > ENUMERATION_MAX_DIM:
-        witnesses = [Witness(report.witness_ray_choices, report.witness_point, report.min_wigner)]
-    elif not report.classical:
-        values = wigner_scan(rho, mub)
-        flat = values.ravel()
-        hits = np.flatnonzero(flat < -MEMBERSHIP)
-        if WITNESS_COUNT < len(hits):  # the smallest, ties kept, in scan order
-            kth = np.partition(flat[hits], WITNESS_COUNT - 1)[WITNESS_COUNT - 1]
-            hits = hits[flat[hits] <= kth]
-        points = all_points(gf)
-        for i in hits[np.argsort(flat[hits], kind="stable")][:WITNESS_COUNT]:
-            *choices, alpha = np.unravel_index(i, values.shape)
-            witnesses.append(Witness(tuple(map(int, choices)), points[alpha], float(flat[i])))
-    return ClassificationReport(table, report, _decomposition(table), tuple(witnesses))
+    witnesses = () if report.classical else _witnesses(table, net_context(mub, build_striations(gf)))
+    return ClassificationReport(table, report, _decomposition(table), witnesses)
 
 
 def random_projector_mixture(mub: MubSet, rng: np.random.Generator) -> DensityState:

@@ -10,10 +10,10 @@ Every net's table is a sum of the same (d+1) x d probabilities (Gibbons,
 Hoffman and Wootters), so a state memoizes its probability table per
 basis set.  One producer, `_pencil_scan`, turns that table into the
 tables of every net a pencil holds.  At d <= ENUMERATION_MAX_DIM the state
-memoizes its `wigner_scan` per net context: the Wigner values of all
-d^(d+1) nets at once, one row per net in `QuantumNet.scan_index` order,
-where `wigner_function` looks up the net's row; above it, the producer
-runs on the one net's pencil.  Tables are read-only at every d.
+memoizes its scan per net context: the Wigner values of all d^(d+1) nets
+at once, one row per net in `QuantumNet.scan_index` order, where
+`wigner_function` looks up the net's row; above it, the producer runs on
+the one net's pencil.  Tables are read-only at every d.
 
 The producer checks that every table sums to one and computes every
 table's minimum, so a `WignerTable` does no reduction of its own.  A
@@ -215,30 +215,16 @@ def _scan(rho: DensityState, ctx: NetContext) -> tuple[np.ndarray, np.ndarray]:
     return memo
 
 
-def _enumerable_scan(rho: DensityState, mub: MubSet) -> tuple[np.ndarray, np.ndarray]:
-    """`_scan` over the standard nets of mub, refused above ENUMERATION_MAX_DIM."""
+def net_minima(rho: DensityState, mub: MubSet) -> np.ndarray:
+    """Each net's smallest Wigner value, minima[r_0, ..., r_d]: the state's
+    memoized minima of its scan over the standard nets of mub, read-only.
+    Refused above ENUMERATION_MAX_DIM."""
     d = mub.dim
     if d > ENUMERATION_MAX_DIM:
         raise ValueError(
             f"brute force over {net_count(d)} nets at d={d} is not supported; use min_wigner"
         )
-    return _scan(rho, net_context(mub, build_striations(mub.field)))
-
-
-def wigner_scan(rho: DensityState, mub: MubSet) -> np.ndarray:
-    """Wigner values of every net at every point by exhaustive enumeration:
-    values[r_0, ..., r_d, alpha] for the net with ray choices (r_0 .. r_d),
-    a read-only view of the state's memoized scan.  Refused above
-    ENUMERATION_MAX_DIM (d^(d+1) nets)."""
-    d = mub.dim
-    return _enumerable_scan(rho, mub)[0].reshape((d,) * (d + 1) + (d * d,))
-
-
-def net_minima(rho: DensityState, mub: MubSet) -> np.ndarray:
-    """Each net's smallest Wigner value, minima[r_0, ..., r_d]: the state's
-    memoized minima of `wigner_scan` over its last axis, read-only.
-    Refused above ENUMERATION_MAX_DIM."""
-    return _enumerable_scan(rho, mub)[1].reshape((mub.dim,) * (mub.dim + 1))
+    return _scan(rho, net_context(mub, build_striations(mub.field)))[1].reshape((d,) * (d + 1))
 
 
 def wigner_function(rho: DensityState, net: QuantumNet) -> WignerTable:

@@ -1,6 +1,10 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+from dwf import wigner
+from dwf.geometry import build_striations
+from dwf.quantum_net import ENUMERATION_MAX_DIM, net_context
+
 settings.register_profile(
     "ci",
     max_examples=25,
@@ -18,6 +22,18 @@ _acceptance_lines: list[str] = []
 def acceptance_log():
     """Shared sink for the acceptance suite's one-line verdicts."""
     return _acceptance_lines
+
+
+@pytest.fixture
+def scan():
+    """scan(rho, mub): the state's memoized Wigner values of every net at
+    every point as values[r_0, ..., r_d, alpha], a read-only view."""
+    def values(rho, mub):
+        d = mub.dim
+        assert d <= ENUMERATION_MAX_DIM, f"no scan of {d ** (d + 1)} nets at d={d}"
+        ctx = net_context(mub, build_striations(mub.field))
+        return wigner._scan(rho, ctx)[0].reshape((d,) * (d + 1) + (d * d,))
+    return values
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -12,7 +12,6 @@ from dwf.classicality import (
     convex_decomposition,
     min_wigner,
     random_projector_mixture,
-    wigner_scan,
 )
 from dwf.galois import field
 from dwf.geometry import build_striations
@@ -87,15 +86,15 @@ def test_brute_force_refuses_large_dimension():
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
-def test_brute_force_min_is_the_minimum_of_the_whole_scan(d):
+def test_brute_force_min_is_the_minimum_of_the_whole_scan(d, scan):
     mub = standard_mub(d)
     rng = np.random.default_rng(1500 + d)
     for rho in (DensityState.random_pure(d, rng), DensityState.random_mixed(d, rng)):
-        assert brute_force_min(rho, mub, field(d)) == float(wigner_scan(rho, mub).min())
+        assert brute_force_min(rho, mub, field(d)) == float(scan(rho, mub).min())
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
-def test_wigner_scan_is_every_net_table_bit_for_bit(d):
+def test_wigner_scan_is_every_net_table_bit_for_bit(d, scan):
     ctx = standard_context(d)
     rng = np.random.default_rng(300 + d)
     if d < 5:
@@ -103,7 +102,7 @@ def test_wigner_scan_is_every_net_table_bit_for_bit(d):
     else:  # 15,625 nets: a seeded sample
         nets = [tuple(int(r) for r in rng.integers(0, d, d + 1)) for _ in range(200)]
     for rho in (DensityState.random_pure(d, rng), DensityState.random_mixed(d, rng)):
-        values = wigner_scan(rho, ctx.mub)
+        values = scan(rho, ctx.mub)
         assert values.shape == (d,) * (d + 1) + (d * d,)
         for r in nets:
             assert np.array_equal(values[r], wigner_function(rho, ctx.complete(r)).values.ravel())
@@ -196,8 +195,9 @@ def test_classify_random_pure_d5_lists_the_scanned_witnesses():
     ctx = standard_context(d)
     rho = DensityState.random_pure(d, np.random.default_rng(8))
     out = classify(rho, ctx.mub, field(d))
+    assert rho._scans == {}  # classify reads the probability table alone
     assert not out.report.classical
-    assert 1 <= len(out.witnesses) <= 5
+    assert len(out.witnesses) == WITNESS_COUNT
     values = [w.value for w in out.witnesses]
     assert values == sorted(values)
     assert abs(values[0] - out.report.min_wigner) < ALGEBRAIC
@@ -235,24 +235,57 @@ def test_entry_points_share_one_memoized_table(monkeypatch):
         table.values[0, 0] = 0.0
 
 
-def test_classify_witnesses_equal_a_full_stable_sort_of_the_scan():
-    """128 seeded states at d=2..5: the partial sort keeps exactly the
-    WITNESS_COUNT witnesses, ties in scan order included, that a stable
-    sort of every negative scan value puts first."""
+def tied_states(d, mub, rng):
+    """Half a basis projector plus a pure state, |0> + e^{i phi}|1>, and a
+    vector of Gaussian integers: they carry equal probabilities, and sums
+    that differ only below the rounding of their Wigner values."""
+    kappa, j = rng.integers(0, d + 1), rng.integers(0, d)
+    yield DensityState(0.5 * mub.projector(kappa, j) + 0.5 * DensityState.random_pure(d, rng).rho)
+    yield DensityState.from_vector([1.0, np.exp(2j * np.pi * rng.random())] + [0.0] * (d - 2))
+    yield DensityState.from_vector(np.r_[1.0, rng.integers(-1, 2, d - 1) + 1j * rng.integers(-1, 2, d - 1)])
+
+
+def test_classify_witnesses_equal_a_full_stable_sort_of_the_scan(scan):
+    """200 seeded states, 50 at each d=2..5, pure, mixed and with tied
+    probabilities: classify lists exactly the WITNESS_COUNT witnesses, ties
+    in scan order included, that a stable sort of every negative scan
+    value puts first, bit for bit."""
     rng = np.random.default_rng(13)
-    for case in range(128):
-        d = 2 + case % 4
+    for d in (2, 3, 4, 5):
         mub = standard_mub(d)
-        rho = (DensityState.random_pure if case % 3 else DensityState.random_mixed)(d, rng)
-        values = wigner_scan(rho, mub)
-        flat = values.ravel()
-        hits = np.flatnonzero(flat < -MEMBERSHIP)
-        expected = [
-            (tuple(int(r) for r in np.unravel_index(i, values.shape)), float(flat[i]))
-            for i in hits[np.argsort(flat[hits], kind="stable")][:WITNESS_COUNT]
-        ]
-        got = [(w.ray_choices + (w.point.index,), w.value) for w in classify(rho, mub, field(d)).witnesses]
-        assert got == expected, (case, d)
+        states = []
+        for _ in range(10):
+            states += [DensityState.random_pure(d, rng), DensityState.random_mixed(d, rng)]
+            states += tied_states(d, mub, rng)
+        for case, rho in enumerate(states):
+            values = scan(rho, mub)
+            flat = values.ravel()
+            hits = np.flatnonzero(flat < -MEMBERSHIP)
+            expected = [
+                (tuple(int(r) for r in np.unravel_index(i, values.shape)), float(flat[i]))
+                for i in hits[np.argsort(flat[hits], kind="stable")][:WITNESS_COUNT]
+            ]
+            out = classify(rho, mub, field(d))
+            got = [(w.ray_choices + (w.point.index,), w.value) for w in out.witnesses]
+            assert got == expected, (d, case)
+            assert (got == []) == out.report.classical, (d, case)
+
+
+@pytest.mark.parametrize("d", (7, 8, 9))
+def test_classify_lists_exact_witnesses_above_enumeration(d):
+    # no scan exists here: each witness is checked against its own net's table
+    ctx = standard_context(d)
+    rng = np.random.default_rng([d, 27])
+    for rho in (DensityState.random_pure(d, rng), DensityState.random_mixed(d, rng), *tied_states(d, ctx.mub, rng)):
+        out = classify(rho, ctx.mub, field(d))
+        assert not out.report.classical
+        assert len(out.witnesses) == WITNESS_COUNT
+        keys = [(w.value, ctx.complete(w.ray_choices).scan_index, w.point.index) for w in out.witnesses]
+        assert keys == sorted(keys) and len(set(keys)) == WITNESS_COUNT
+        assert abs(keys[0][0] - out.report.min_wigner) < ALGEBRAIC
+        for w in out.witnesses:
+            assert wigner_function(rho, ctx.complete(w.ray_choices)).value(w.point) == w.value
+        assert rho._scans == {}
 
 
 def test_a_field_other_than_the_basis_field_is_refused():

@@ -248,6 +248,15 @@ def test_classicality_brute_force_above_d5_is_a_usage_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_classicality_above_d5_lists_five_witnesses(tmp_path, capsys):
+    amps = [[0.6, 0], [0, 0.8]] + [[0, 0]] * 5
+    state = write_state(tmp_path / "d7.json", {"dim": 7, "kind": "pure", "data": amps})
+    assert main(["classicality", "--state", state]) == 0
+    out = capsys.readouterr().out
+    assert "classical: False" in out
+    assert out.count("  witness net=") == 5
+
+
 def test_clifford_check_accepts_hadamard(tmp_path, capsys):
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     path = write_state(tmp_path / "h.json", unitary_to_payload(h))

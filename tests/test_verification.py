@@ -138,49 +138,85 @@ READ_ONLY_BY_TESTS = {
     "lines_through": "the pencil through a point, read by the acceptance criteria",
     "symplectic_product": "the commutation test of two translations at the API edge",
     "power": "a translation's powers, which the spread record of ROADMAP item 1 reads;"
-             " a local variable in mub shares the name, so only attribute reads count",
+             " a local variable in mub shares the name, so only calls count",
 }
 
 
 def _names(tree):
-    """(bare names, attribute names) read anywhere in an ast subtree."""
-    bare, attributes = Counter(), Counter()
+    """(bare names, attribute names, called attribute names) read anywhere
+    in an ast subtree."""
+    bare, attributes, calls = Counter(), Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             bare[node.id] += 1
         elif isinstance(node, ast.Attribute):
             attributes[node.attr] += 1
-    return bare, attributes
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            calls[node.func.attr] += 1
+    return bare, attributes, calls
 
 
-def test_every_public_function_has_a_reader_outside_the_tests():
-    # a public function or method is named somewhere in the package outside
-    # its own body, in scripts/ or in perfbench/, or it is on the keep-list;
-    # a method counts only as an attribute read, obj.method
-    root = Path(__file__).resolve().parents[1]
-    trees = {path: ast.parse(path.read_text())
-             for d in ("src/dwf", "scripts", "perfbench") for path in sorted((root / d).rglob("*.py"))}
-    bare, attributes = Counter(), Counter()
-    for tree in trees.values():
-        found_bare, found_attributes = _names(tree)
-        bare.update(found_bare)
-        attributes.update(found_attributes)
+def _unread_public_functions(modules, readers):
+    """(defined, unread): the public functions and methods of the module
+    trees, and those that no reader tree names outside their own body.  A
+    function counts any read of its name, a property an attribute read,
+    obj.name, and any other method only a call, obj.name(...)."""
+    read = [Counter(), Counter(), Counter()]
+    for tree in readers:
+        for total, found in zip(read, _names(tree)):
+            total.update(found)
+    bare, attributes, calls = read
     defined, unread = set(), []
-    for tree in (tree for path, tree in trees.items() if path.parent.name == "dwf"):
+    for tree in modules:
         for node in tree.body:
             method = isinstance(node, ast.ClassDef)
             for func in node.body if method else [node]:
                 if not isinstance(func, ast.FunctionDef) or func.name.startswith("_"):
                     continue
                 defined.add(func.name)
-                own_bare, own_attributes = _names(func)
-                reads = attributes[func.name] - own_attributes[func.name]
+                own_bare, own_attributes, own_calls = _names(func)
+                decorators = {getattr(d, "id", getattr(d, "attr", None)) for d in func.decorator_list}
                 if not method:
-                    reads += bare[func.name] - own_bare[func.name]
-                if not reads and func.name not in READ_ONLY_BY_TESTS:
+                    reads = bare[func.name] - own_bare[func.name] + attributes[func.name] - own_attributes[func.name]
+                elif decorators & {"property", "cached_property"}:
+                    reads = attributes[func.name] - own_attributes[func.name]
+                else:
+                    reads = calls[func.name] - own_calls[func.name]
+                if not reads:
                     unread.append(f"{func.name} (line {func.lineno})")
-    assert unread == []
+    return defined, unread
+
+
+def test_every_public_function_has_a_reader_outside_the_tests():
+    # a public function or method is named somewhere in the package outside
+    # its own body, in scripts/ or in perfbench/, or it is on the keep-list
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text())
+             for d in ("src/dwf", "scripts", "perfbench") for path in sorted((root / d).rglob("*.py"))}
+    defined, unread = _unread_public_functions(
+        [tree for path, tree in trees.items() if path.parent.name == "dwf"], trees.values())
+    assert [name for name in unread if name.split()[0] not in READ_ONLY_BY_TESTS] == []
     assert set(READ_ONLY_BY_TESTS) <= defined  # the keep-list names only live code
+
+
+def test_a_method_read_only_as_an_attribute_has_no_reader():
+    # `b.rows` reads a property, not a plain method: only a call counts for one
+    module = ast.parse(
+        "class A:\n"
+        "    def rows(self): return 1\n"
+        "    @property\n"
+        "    def size(self): return 2\n"
+        "    @cached_property\n"
+        "    def table(self): return 3\n"
+        "    def sums(self): return 4\n"
+        "def build(): return A()\n"
+    )
+    reader = ast.parse("b = build()\nb.rows, b.size, b.table, b.sums()\n")
+    defined, unread = _unread_public_functions([module], [module, reader])
+    assert defined == {"rows", "size", "table", "sums", "build"}
+    assert unread == ["rows (line 2)"]
+    _, unread = _unread_public_functions([module], [module, ast.parse("build().rows()\n")])
+    assert unread == ["size (line 4)", "table (line 6)", "sums (line 7)"]
 
 
 def _passes(call, name, position, arg):

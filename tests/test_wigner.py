@@ -21,7 +21,6 @@ from dwf.wigner import (
     reconstruct_state,
     wigner_from_point_operators,
     wigner_function,
-    wigner_scan,
 )
 
 
@@ -361,10 +360,14 @@ def test_one_scan_and_one_table_per_state_across_every_reader(probability_calls,
     for _ in range(8):
         wigner_function(rho, ctx.complete(tuple(rng.integers(0, d, d + 1))))
     brute_force_min(rho, ctx.mub, field(d))
-    assert classify(rho, ctx.mub, field(d)).witnesses  # the scan route ran
+    assert classify(rho, ctx.mub, field(d)).witnesses
     assert len(scans) == 1
     assert [state for state, _ in probability_calls] == [rho]
     assert list(rho._scans) == [ctx]
+    # classify reads the table alone: on a fresh state it runs no scan
+    fresh = DensityState.random_pure(d, rng)
+    assert classify(fresh, ctx.mub, field(d)).witnesses
+    assert len(scans) == 1 and fresh._scans == {}
 
 
 @pytest.mark.parametrize("d", (2, 3, 5, 7, 8, 9))
@@ -401,10 +404,10 @@ def test_tables_of_a_scanned_state_check_nothing_again(monkeypatch):
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
-def test_scan_rows_are_in_scan_index_order(d):
+def test_scan_rows_are_in_scan_index_order(d, scan):
     ctx = standard_context(d)
     rho = DensityState.random_mixed(d, np.random.default_rng([d, 22]))
-    values, minima = wigner_scan(rho, ctx.mub), net_minima(rho, ctx.mub)
+    values, minima = scan(rho, ctx.mub), net_minima(rho, ctx.mub)
     rows, row_minima = rho._scans[ctx]
     assert rows.shape == (d ** (d + 1), d, d) and row_minima.shape == (d ** (d + 1),)
     assert values.shape == (d,) * (d + 1) + (d * d,) and minima.shape == (d,) * (d + 1)
@@ -428,13 +431,13 @@ def test_a_net_of_another_dimension_is_refused_after_a_scan():
             wigner_function(rho, base_net(d))
 
 
-def test_net_minima_are_read_only_and_refused_above_enumeration():
+def test_net_minima_are_read_only_and_refused_above_enumeration(scan):
     d = 3
     mub = standard_mub(d)
     rho = DensityState.random_pure(d, np.random.default_rng(16))
     minima = net_minima(rho, mub)
     assert minima.shape == (d,) * (d + 1)
-    assert np.array_equal(minima, wigner_scan(rho, mub).min(axis=-1))
+    assert np.array_equal(minima, scan(rho, mub).min(axis=-1))
     with pytest.raises(ValueError, match="read-only"):
         minima[(0,) * (d + 1)] = 0.0
     with pytest.raises(ValueError, match="not supported"):
