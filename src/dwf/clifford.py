@@ -26,12 +26,13 @@ Primitives come from the layers below: mod-p rank and inverse from
 symplectic form and dense Pauli strings from `pauli`, the spectral
 projection to a phase-fixed vector from `mub.joint_eigenvector` and the
 X-type basis from `mub.standard_mub`.
-One monomial test, `_extract_permutation`, takes stacks only: it decides
-all (d+1)^2 basis-pair blocks of one overlap product V2~ u V1 in the
-per-unitary record `_basis_images` that `quantum_net.is_flow`,
-`maps_mub_to_mub` and `affine_extraction` read, with its one unitarity
-check; the certificate U|z> = e^(i(2 pi/p c.z + delta)) |A z + b> comes
-off its Z block in computational order.  The last two refuse non-unitaries.
+The per-unitary record `_basis_images`, which `quantum_net.is_flow`,
+`maps_mub_to_mub` and `affine_extraction` read, holds the monomial test of
+all (d+1)^2 basis-pair blocks of one overlap product V2~ u V1, decided in
+one pass of `_column_peaks`, and one unitarity check; the last two refuse
+non-unitaries.  The certificate U|z> = e^(i(2 pi/p c.z + delta)) |A z + b>
+comes off its Z block in computational order and stays in the record, and
+`is_clifford` memoizes its certificate by u's value too: a unitary pays once.
 """
 
 from __future__ import annotations
@@ -129,15 +130,28 @@ def _is_unitary(u: np.ndarray) -> bool:
 
 def is_clifford(u: np.ndarray, gf: FieldSpec):
     """SymplecticClifford if conjugation maps every generator to a scaled
-    translation, else NotClifford carrying the first failing generator."""
+    translation, else NotClifford carrying the first failing generator; the
+    certificate is memoized by u's value, and `dense` is u itself."""
     u = _require_shape(u, gf.order)
-    if not _is_unitary(u):
+    verdict = _certificate(u.astype(complex, copy=False).tobytes(), gf)  # C order
+    if verdict is None:
         raise ValueError("input matrix is not unitary")
-    generators = _generator_stack(gf)
-    labels, phases, deficits = _match_translation(gf, u @ generators @ u.conj().T)
+    if isinstance(verdict[0], int):
+        return NotClifford(generator_operators(gf)[verdict[0]], verdict[1])
+    return SymplecticClifford(gf, *verdict, u)
+
+
+@lru_cache(maxsize=16)  # like `_basis_images`: a `flows` round's 11 unitaries
+def _certificate(entries: bytes, gf: FieldSpec):
+    """`is_clifford` on the matrix of C-order complex bytes `entries`: None if not unitary,
+    (read-only table, exponents), or (first failing generator's index, its deficit)."""
+    u = np.frombuffer(entries, dtype=complex).reshape(gf.order, gf.order)
+    if not _is_unitary(u):
+        return None
+    labels, phases, deficits = _match_translation(gf, u @ _generator_stack(gf) @ u.conj().T)
     failing = np.flatnonzero(deficits > LOOKUP)
     if failing.size:
-        return NotClifford(generator_operators(gf)[failing[0]], deficits[failing[0]])
+        return int(failing[0]), deficits[failing[0]]
     order = _phase_order(gf.p)
     exponents = np.rint(np.angle(phases) / (2 * np.pi / order)).astype(np.int64) % order
     off = np.abs(phases - np.exp(2j * np.pi * exponents / order)) > LOOKUP * 100
@@ -146,14 +160,8 @@ def is_clifford(u: np.ndarray, gf: FieldSpec):
     table = labels.T.copy()
     if not is_symplectic_table(table, gf.p):
         raise AssertionError("conjugation table does not preserve the symplectic form")
-    return SymplecticClifford(gf, table, tuple(exponents.tolist()), u)
-
-
-def _shared(result: SymplecticClifford) -> SymplecticClifford:
-    """Freeze the arrays of a result that every caller receives."""
-    result.symplectic.flags.writeable = False
-    result.dense.flags.writeable = False
-    return result
+    table.flags.writeable = False
+    return table, tuple(exponents.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +238,9 @@ def squeezing_operator(gf: FieldSpec) -> SymplecticClifford:
     m = gf.companion
     zero = np.zeros_like(m)
     f = np.block([[m, zero], [zero, inverse_mod_p(m.T, gf.p)]])
-    return _shared(clifford_from_symplectic(f, gf))
+    result = clifford_from_symplectic(f, gf)
+    result.dense.flags.writeable = False  # the table already is
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -267,7 +277,8 @@ def fourier_operator(gf: FieldSpec) -> SymplecticClifford:
     result = is_clifford((-1.0) ** signs / np.sqrt(gf.order), gf)
     if not result:
         raise AssertionError("Fourier matrix failed the Clifford check")
-    return _shared(result)
+    result.dense.flags.writeable = False  # the table already is
+    return result
 
 
 def hadamard_in_chart(gf: FieldSpec) -> np.ndarray:
@@ -301,14 +312,15 @@ class BasisImages:
     action if the blocks within flow_gate(d) permute the bases, else T~."""
 
     unitary: bool  # the predicate `is_clifford` applies too
-    passes: np.ndarray  # the block's monomial test (`_extract_permutation`)
+    passes: np.ndarray  # the block's monomial test (`_column_peaks`)
     perms: np.ndarray  # the row of column j's peak
-    phases: np.ndarray  # the peak's angle
+    phases: np.ndarray  # phases[j], the peak's angle in block [0, 0] alone: what `affine_extraction` reads
     leaks: np.ndarray  # the column's norm off its peak
     action: np.ndarray | None = None  # action[k d + j] = sigma(k) d + pi_k(j)
     order: np.ndarray | None = None  # sigma^-1
     transition: np.ndarray | None = None  # T~ of `quantum_net.is_flow`
     flows: dict = dc_field(default_factory=dict)  # net context -> `is_flow` verdicts on its census family
+    affine: dict = dc_field(default_factory=dict)  # field -> `affine_extraction`'s result
 
 
 @lru_cache(maxsize=16)  # holds every record of one `flows` benchmark round: 11 unitaries
@@ -320,15 +332,14 @@ def _basis_images(entries: bytes, source: MubSet, target: MubSet) -> BasisImages
     overlap = target.frame.conj().T @ (u @ source.frame)
     t = np.abs(overlap) ** 2  # T[lam, mu]
     # each overlap column's peak within each target basis, put in block order
-    peaks = _column_peaks(t.reshape(k2, d, k1 * d).copy())
-    _, peak, leaks = peaks = [a.reshape(k2, k1, d).transpose(1, 0, 2).reshape(-1, d) for a in peaks]
-    (perms, phases), bad, _ = _extract_permutation(np.moveaxis(overlap.reshape(k2, d, k1, d), 2, 0), peaks)
+    *peaks, passes = _column_peaks(t.reshape(k2, d, k1 * d).copy())
+    perms, peak, leaks = [a.reshape(k2, k1, d).swapaxes(0, 1) for a in peaks]
+    passes, phases = passes.T, np.angle(overlap[perms[0, 0], np.arange(d)])
     error = np.abs(peak - 1.0) + 2.0 * np.sqrt(peak) * leaks + leaks**2  # >= |U P U~ - Q|
-    passes, leaks = bad < 0, leaks.reshape(perms.shape)
     for array in (passes, perms, phases, leaks):
         array.flags.writeable = False
     record = (_is_unitary(u), passes, perms, phases, leaks)
-    within = passes & (error.max(axis=1) <= flow_gate(d)).reshape(passes.shape)
+    within = passes & (error.max(axis=2) <= flow_gate(d))
     if source is not target:
         return BasisImages(*record)
     if not ((within.sum(axis=0) == 1).all() and (within.sum(axis=1) == 1).all()):
@@ -402,37 +413,18 @@ class NotBasisPreserving:
 
 
 def _column_peaks(weight: np.ndarray):
-    """(perm, peak, leak) of each column of a stack (count, rows, cols) of squared
-    moduli: its peak's row and value, and the norm of the rest once the peak is
-    zeroed, in place."""
-    stack, cols = np.arange(len(weight))[:, None], np.arange(weight.shape[-1])
+    """The monomial test on a stack (count, d, blocks d) of squared moduli: (perm, peak,
+    leak, passes), each column's peak row and value and its norm off the peak (zeroed in
+    place), and passes[c, b] iff block b of matrix c has every leak <= LOOKUP and its
+    peaks in distinct rows, so that it is a permutation matrix with phases."""
+    count, d, width = weight.shape
+    stack, cols = np.arange(count)[:, None], np.arange(width)
     perm = np.argmax(weight, axis=1)
     peak = weight[stack, perm, cols]
     weight[stack, perm, cols] = 0.0
-    return perm, peak, np.sqrt(weight.sum(axis=1))
-
-
-def _extract_permutation(u: np.ndarray, peaks=None):
-    """The monomial test on a stack (..., d, d): is each matrix a
-    permutation matrix with phases?  Each column's leak (norm off its
-    largest entry) must be <= LOOKUP and the largest entries must sit in
-    distinct rows.  Returns ((perms, phases), bad, leaks) as arrays over
-    the leading axes: perms[..., z] is the row of column z's peak, and
-    bad = -1, leak = 0.0 exactly where a matrix passes; elsewhere bad is
-    the failing column and leak its leak.  `peaks` reuses `_column_peaks`.
-    """
-    *lead, d, _ = u.shape
-    flat = u.reshape(-1, d, d)
-    stack, cols = np.arange(len(flat))[:, None], np.arange(d)
-    perm, _, leaks = _column_peaks(flat.real**2 + flat.imag**2) if peaks is None else peaks
-    distinct = (np.sort(perm, axis=1) == cols).all(axis=1)
-    leaky = leaks > LOOKUP
-    has_leak = leaky.any(axis=1)
-    first = np.argmax(leaky, axis=1)
-    bad = np.where(has_leak, first, np.where(distinct, -1, perm[:, 0]))
-    leak = np.where(has_leak, leaks[stack[:, 0], first], np.where(distinct, 0.0, 1.0))
-    phases = np.angle(flat[stack, perm, cols])
-    return (perm.reshape(*lead, d), phases.reshape(*lead, d)), bad.reshape(lead), leak.reshape(lead)
+    leak = np.sqrt(weight.sum(axis=1))
+    distinct = (np.sort(perm.reshape(count, -1, d), axis=2) == np.arange(d)).all(axis=2)
+    return perm, peak, leak, distinct & ~(leak > LOOKUP).reshape(count, -1, d).any(axis=2)
 
 
 def affine_extraction(u: np.ndarray, gf: FieldSpec):
@@ -440,13 +432,21 @@ def affine_extraction(u: np.ndarray, gf: FieldSpec):
     (up to phases), else NotBasisPreserving naming the failure, the Z basis
     first: the Z and X blocks of the `_basis_images` record on `standard_mub(d)`,
     the certificate read off the Z block's permutation z -> A z + b in
-    computational order.  Anything but a finite d x d unitary raises ValueError."""
-    p, n, d = gf.p, gf.n, gf.order
-    mub = standard_mub(d)
+    computational order and kept there, a_matrix read-only.  Anything but a
+    finite d x d unitary raises ValueError."""
+    mub = standard_mub(gf.order)
     images = _images(u, mub, mub, strict=True)
+    if gf not in images.affine:
+        images.affine[gf] = _affine(images, mub.z_order, gf)
+    return images.affine[gf]
+
+
+def _affine(images: BasisImages, z_order: tuple, gf: FieldSpec):
+    """`affine_extraction`'s result from the record of u."""
+    p, n = gf.p, gf.n
     # vector j of the Z basis is |z[j]>, so column z[j] of u peaks at row z[perm[j]]
-    z, label = mub.z_order
-    perm, phases = z[images.perms[0, 0]][label], images.phases[0, 0][label]
+    z, label = z_order
+    perm, phases = z[images.perms[0, 0]][label], images.phases[label]
     # a unitary's columns are orthogonal, so where none leaks their peaks are distinct
     for basis, leaks in (("Z", images.leaks[0, 0][label]), ("X", images.leaks[1, 1])):
         if (leaks > LOOKUP).any():
@@ -467,6 +467,7 @@ def affine_extraction(u: np.ndarray, gf: FieldSpec):
     predicted = np.exp(1j * (2 * np.pi / p * (coords @ c) + delta))
     if np.max(np.abs(np.exp(1j * phases) - predicted)) > LOOKUP * 100:
         raise AssertionError("basis-preserving phases are not affine; internal error")
+    a.flags.writeable = False
     return AffineData(a, tuple(int(x) for x in b), tuple(int(x) for x in c), delta)
 
 

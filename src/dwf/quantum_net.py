@@ -225,22 +225,22 @@ def is_flow(unitary: np.ndarray, net: QuantumNet) -> bool:
             return bool(_family_verdicts(unitary, ctx)[net.scan_index])
     images = _images(unitary, ctx.mub, ctx.mub, strict=False)
     rows = net.rows[:, None]  # a stack of one
-    return bool(_flow_verdicts(images, rows, rows, lambda key: net.meet.take(key - d))[0])
+    return bool(_flow_verdicts(images, rows, rows, net.meet, 0)[0])
 
 
-def _flow_verdicts(images, rows: np.ndarray, columns: np.ndarray, meet) -> np.ndarray:
+def _flow_verdicts(images, rows: np.ndarray, columns: np.ndarray, meet: np.ndarray, offset: np.ndarray | int) -> np.ndarray:
     """`is_flow` on each net n of a stack: rows[:, n] holds its `rows`, columns = rows * count + n,
-    and meet(j0 d + j1), read by the integer route only, is n d^2 + `meet`[j0, j1 - d] of net n."""
+    offset[n] = n d^2, and meet (integer route) holds n d^2 + `meet`[j0, j1 - d] at offset[n] + j0 d + j1 - d."""
     d = len(rows) - 1
     if images.action is not None:
         image = images.action.take(rows.take(images.order, axis=0))  # image[kappa] in basis kappa
-        beta = meet(image[0] * d + image[1])
+        beta = meet.take(image[0] * d + image[1] + (offset - d))
         return (rows.reshape(d + 1, -1).take(beta, axis=1) == image).all(axis=(0, 2))
     table = images.transition
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan
         origin = table[:, rows[:, :, 0].T].sum(axis=2).take(columns).sum(axis=0)  # X[:, 0]
-        origin[np.arange(len(origin)), origin.argmax(axis=1)] -= 1.0
-        verdicts = np.sqrt(np.einsum("ni,ni->n", origin, origin) / d) < LOOKUP
+        origin.reshape(-1)[origin.argmax(axis=1, keepdims=True) + offset] -= 1.0
+        verdicts = np.sqrt(np.vecdot(origin, origin) / d) < LOOKUP  # a BLAS dot per net, as origin @ origin
         if np.count_nonzero(verdicts):  # the origin's gather at every alpha, on the nets that pass
             held = rows[:, verdicts]
             x = sum(table[:, h] for h in held)  # x[lam, m, alpha]
@@ -263,14 +263,13 @@ class FlowCensus:
 @lru_cache(maxsize=None)
 def _census_family(gf: FieldSpec) -> tuple[tuple[QuantumNet, ...], str, tuple]:
     """(nets, kind, stack) of the census family, completed once per field and
-    shared; the stack is the rows, columns and meet of `_flow_verdicts`."""
+    shared; the stack is the rows, columns, meet and offset of `_flow_verdicts`."""
     fix_axes, d = gf.order > 3, gf.order
     nets = tuple(enumerate_nets(gf, fix_axes))
     rows, n = np.stack([net.rows for net in nets], axis=1), np.arange(len(nets))[:, None]
-    columns, meet = rows * len(nets) + n, np.stack([net.meet.ravel() for net in nets]) + n * d * d
-    for array in (rows, columns, meet):
+    stack = rows, rows * len(nets) + n, np.stack([net.meet.ravel() for net in nets]) + n * d * d, n * d * d
+    for array in stack:
         array.flags.writeable = False
-    stack = rows, columns, lambda key: meet.take(key + n * d * d - d)
     return nets, "fixed-axes" if fix_axes else "all", stack
 
 

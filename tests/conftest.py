@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -34,6 +35,27 @@ def scan():
         ctx = net_context(mub, build_striations(mub.field))
         return wigner._scan(rho, ctx)[0].reshape((d,) * (d + 1) + (d * d,))
     return values
+
+
+@pytest.fixture
+def symplectic_tables():
+    """symplectic_tables(gf): the X <-> Z swap table (its lower block negated
+    for odd p, to stay symplectic), then six seeded products of it with
+    transvections x -> x + <x, v> v, the same tables at every call."""
+    def tables(gf):
+        n, p = gf.n, gf.p
+        j = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]]).astype(np.int64)
+        rng = np.random.default_rng(gf.order)
+        f = np.zeros((2 * n, 2 * n), dtype=np.int64)
+        f[:n, n:] = np.eye(n, dtype=np.int64)
+        f[n:, :n] = (-np.eye(n, dtype=np.int64)) % p
+        found = [f]
+        for _ in range(6):
+            for v in rng.integers(0, p, size=(4, 2 * n)):
+                f = (np.eye(2 * n, dtype=np.int64) + np.outer(v, j @ v)) @ f % p
+            found.append(f)
+        return found
+    return tables
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -71,6 +71,7 @@ def test_a_phase_off_the_unit_roots_is_an_internal_error(monkeypatch):
         return labels, phases, deficits
 
     monkeypatch.setattr(clifford, "_match_translation", skewed)
+    clifford._certificate.cache_clear()  # verdicts are memoized by value: H2 may be known
     with pytest.raises(AssertionError, match="is not a unit root of order 4"):
         is_clifford(H2, field(2))
     with pytest.raises(AssertionError, match="is not a unit root of order 3"):
@@ -142,23 +143,13 @@ def test_standardize_rejects_intersecting_sets():
 # -- synthesis from a symplectic table ---------------------------------------
 
 @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
-def test_clifford_from_symplectic_round_trip(d):
+def test_clifford_from_symplectic_round_trip(d, symplectic_tables):
     gf = field(d)
     n, p = gf.n, gf.p
-    j = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]]).astype(np.int64)
-    rng = np.random.default_rng(d)
-    # the X <-> Z swap table (negated block for odd p to stay symplectic),
-    # then seeded products of transvections x -> x + <x, v> v
-    f = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    f[:n, n:] = np.eye(n, dtype=np.int64)
-    f[n:, :n] = (-np.eye(n, dtype=np.int64)) % p
-    tables = [f]
-    for _ in range(6):
-        for v in rng.integers(0, p, size=(4, 2 * n)):
-            f = (np.eye(2 * n, dtype=np.int64) + np.outer(v, j @ v)) @ f % p
-        assert is_symplectic_table(f, p)
-        tables.append(f)
+    tables = symplectic_tables(gf)
+    assert len(tables) == 7
     for f in tables:
+        assert is_symplectic_table(f, p)
         result = clifford_from_symplectic(f, gf)
         assert np.array_equal(result.symplectic, f)
         assert result.phase_exponents == (0,) * (2 * n)
@@ -475,18 +466,25 @@ def test_composed_standardizers_make_any_mub_map_affine():
         assert isinstance(out, AffineData)
 
 
+def basis_record(u, mub):
+    """The `clifford._basis_images` record of u on one set of bases."""
+    from dwf import clifford
+
+    return clifford._basis_images(np.ascontiguousarray(u, dtype=complex).tobytes(), mub, mub)
+
+
 def direct_affine(u, gf):
     """The certificate from u and W~ u W directly, with no record: the
-    monomial test on both, then the affine arithmetic on u's permutation."""
-    from dwf.clifford import _extract_permutation
-
+    column-by-column `reference_monomial` on both, then the affine
+    arithmetic on u's permutation."""
     p, n, d = gf.p, gf.n, gf.order
     w = standard_mub(d).bases[1].vectors
-    (perms, phase_rows), bad, leaks = _extract_permutation(np.stack([u, w.conj().T @ u @ w]))
-    for basis, col, leak in zip("ZX", bad.tolist(), leaks.tolist()):
-        if col >= 0:
+    for basis, block in zip("ZX", (u, w.conj().T @ u @ w)):
+        perm, col, leak = reference_monomial(block)
+        if perm is None:
             return NotBasisPreserving(basis, col, leak)
-    perm, phases = perms[0], phase_rows[0]
+    perm = np.array(reference_monomial(u)[0])
+    phases = np.angle(u[perm, np.arange(d)])
     coords = np.array([e.coords for e in gf.elements], dtype=np.int64)
     units = p ** np.arange(n)
     b = coords[perm[0]]
@@ -522,16 +520,27 @@ def affine_oracle_inputs(gf, rng):
 
 
 @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
-def test_affine_extraction_equals_the_direct_route(d):
+def test_affine_extraction_equals_the_direct_route(d, symplectic_tables):
+    # the unitary's record keeps the result: a repeated call returns it, and
+    # it equals the certificate computed with no record at all
     gf = field(d)
+    z, label = standard_mub(d).z_order
+    named = affine_oracle_inputs(gf, np.random.default_rng([d, 21]))
+    named += [(f"table {k}", clifford_from_symplectic(f, gf).dense) for k, f in enumerate(symplectic_tables(gf))]
     kinds = set()
-    for name, u in affine_oracle_inputs(gf, np.random.default_rng([d, 21])):
+    for name, u in named:
         out, reference = affine_extraction(u, gf), direct_affine(u, gf)
+        assert affine_extraction(u, gf) is out, name
         assert type(out) is type(reference), name
         if isinstance(reference, AffineData):
             assert np.array_equal(out.a_matrix, reference.a_matrix), name
+            assert not out.a_matrix.flags.writeable, name
             assert (out.b_shift, out.c_phase) == (reference.b_shift, reference.c_phase), name
             assert out.global_phase == reference.global_phase, name
+            # the record's phases are the Z block's peak angles, read in label order
+            images = basis_record(u, standard_mub(d))
+            perm = z[images.perms[0, 0]][label]
+            assert np.array_equal(images.phases[label], np.angle(np.asarray(u, dtype=complex)[perm, np.arange(d)])), name
         else:
             assert (out.basis, out.state_index) == (reference.basis, reference.state_index), name
             assert abs(out.leak - reference.leak) <= ALGEBRAIC, name
@@ -761,7 +770,7 @@ def test_batched_kernels_equal_the_per_item_loops(d):
 
 
 def test_stacked_monomial_test_matches_single_calls_at_lookup():
-    from dwf.clifford import _extract_permutation
+    from dwf.clifford import _column_peaks
 
     d = 4
     rng = np.random.default_rng(5)
@@ -782,16 +791,26 @@ def test_stacked_monomial_test_matches_single_calls_at_lookup():
     two_leaks = leaking(100.0, leaking(10.0), col=3)  # the first leak is reported
     blocks = [monomial(), leaking(0.1), monomial(), leaking(10.0), shared_row, two_leaks]
     stack = np.stack(blocks).reshape(2, 3, d, d)
-    (perms, phases), bad, leaks = _extract_permutation(stack)
-    assert bad.shape == leaks.shape == (2, 3) and perms.shape == (2, 3, d)
+    # each matrix of the stack holds three blocks side by side, as a record's overlap does
+    weight = np.abs(stack.transpose(0, 2, 1, 3).reshape(2, d, 3 * d)) ** 2
+    *columns, passes = _column_peaks(weight)
+    perms, peaks, column_leaks = (a.reshape(2, 3, d) for a in columns)
+    # the failing column and its leak, read as `affine_extraction` reads them:
+    # the first leaky column, else the first peak's row when two peaks share a row
+    leaky = column_leaks > LOOKUP
+    first = leaky.argmax(axis=2)
+    bad = np.where(passes, -1, np.where(leaky.any(axis=2), first, perms[..., 0]))
+    leak_at_first = np.take_along_axis(column_leaks, first[..., None], axis=2)[..., 0]
+    leaks = np.where(passes, 0.0, np.where(leaky.any(axis=2), leak_at_first, 1.0))
+    assert bad.shape == leaks.shape == passes.shape == (2, 3) and perms.shape == (2, 3, d)
     for index, block in zip(np.ndindex(2, 3), blocks):
         reference = reference_monomial(block)
-        assert (bad[index] >= 0) == (reference[0] is None)
+        assert (bad[index] >= 0) == (reference[0] is None) == (not passes[index])
         assert bad[index] == reference[1]
         assert abs(leaks[index] - reference[2]) < 1e-15
         if reference[0] is not None:
             assert perms[index].tolist() == reference[0]
-            assert np.allclose(np.exp(1j * phases[index]), block[perms[index], np.arange(d)])
+            assert np.allclose(peaks[index], np.abs(block[perms[index], np.arange(d)]) ** 2)
     assert bad.ravel().tolist() == [-1, -1, -1, 1, int(np.argmax(np.abs(blocks[4][:, 0]))), 1]
     assert leaks[1, 0] == leaks[1, 2] == pytest.approx(10 * LOOKUP)
 
@@ -823,3 +842,51 @@ def test_field_constants_are_built_once_and_read_only():
         assert form is _symplectic_form(n) and not form.flags.writeable
     for cached in (generator_operators, _generator_stack, squeezing_operator, fourier_operator):
         assert cached.cache_info().currsize <= len(SUPPORTED_DIMENSIONS)
+
+
+# -- per-unitary memos: keyed by value and bounded ----------------------------------
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_is_clifford_memo_is_keyed_by_value(d, symplectic_tables):
+    from dwf import clifford
+
+    gf = field(d)
+    for f in symplectic_tables(gf):
+        u = np.array(clifford_from_symplectic(f, gf).dense)  # a writable copy
+        before = clifford._certificate.cache_info()
+        results = [is_clifford(u, gf) for _ in range(3)]
+        after = clifford._certificate.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (0, 3)  # synthesis certified u
+        assert all(r.dense is u for r in results) and u.flags.writeable
+        for r in results:
+            assert np.array_equal(r.symplectic, f) and r.phase_exponents == results[0].phase_exponents
+            assert not r.symplectic.flags.writeable
+        # an in-place edit is a new value: U diag(e^0.3i, 1, ...) is no Clifford
+        kept = u.copy()
+        u[:, 0] *= np.exp(0.3j)
+        edited = is_clifford(u, gf)
+        assert isinstance(edited, NotClifford) and edited.deficit > LOOKUP
+        u[:] = kept
+        again = is_clifford(u, gf)
+        assert again.dense is u and np.array_equal(again.symplectic, f)
+
+
+def test_certificate_memos_are_bounded(symplectic_tables):
+    from dwf import clifford
+
+    memos = (clifford._certificate, clifford._basis_images)
+    for memo in memos:
+        assert memo.cache_info().maxsize is not None and memo.cache_info().maxsize <= 16
+    for d in SUPPORTED_DIMENSIONS:
+        gf = field(d)
+        rng = np.random.default_rng([d, 28])
+        tables = symplectic_tables(gf)
+        for k in range(3 * 16):
+            if k % 2:  # a Clifford with a fresh global phase
+                u = clifford_from_symplectic(tables[k % len(tables)], gf).dense * np.exp(2j * np.pi * rng.random())
+            else:
+                u = random_unitary(d, rng)
+            assert bool(is_clifford(u, gf)) is bool(k % 2)
+            affine_extraction(u, gf)
+            for memo in memos:
+                assert memo.cache_info().currsize <= memo.cache_info().maxsize
