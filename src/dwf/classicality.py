@@ -10,8 +10,8 @@ argument with the minimum of `net_minima`, the per-net minima of the scan
 of every net at every point for d <= ENUMERATION_MAX_DIM; it must never
 be shortcut through the closed form.  The scan is built in `wigner` and
 memoized on the state with its minima, so it and every `wigner_function`
-call on one state read one scan.  `classify` reads no scan: it lists the
-WITNESS_COUNT most negative witnesses from the probability table, at every d.
+call on one state read one scan.  `classify` memoizes no scan: it lists the
+WITNESS_COUNT most negative witnesses from a bounded `_pencil_scan`, at every d.
 
 Membership comes with a constructive certificate: the coefficients
 
@@ -33,7 +33,7 @@ from .geometry import PhasePoint, build_striations, origin
 from .mub import MubSet
 from .quantum_net import NetContext, net_context
 from .tolerances import MEMBERSHIP
-from .wigner import DensityState, ProbabilityTable, net_minima, probabilities
+from .wigner import DensityState, ProbabilityTable, _pencil_scan, net_minima, probabilities
 
 WITNESS_COUNT = 5  # most negative (net, point) pairs `classify` lists
 
@@ -129,27 +129,13 @@ def convex_decomposition(rho: DensityState, mub: MubSet) -> DecompositionResult:
 
 def _witnesses(table: ProbabilityTable, ctx: NetContext) -> tuple[Witness, ...]:
     """The WITNESS_COUNT most negative (net, point) pairs below -MEMBERSHIP,
-    by value, then `QuantumNet.scan_index`, then point: the scan of
-    `_pencil_scan`, its sums added in the same order, pruned per striation
-    to the first WITNESS_COUNT ray-choice prefixes by (least value, prefix).
-    Float addition is monotone, so a prefix's smallest sum ended with each
-    later striation's smallest probability is the least value of its nets,
-    one of which attains it: a dropped prefix's pairs sort after those."""
-    d, minima, rays = table.dim, table.minima(), np.arange(table.dim)
-    # gathered[kappa, r, alpha]: the probability ray choice r of kappa puts on alpha's line
-    gathered = table.values[np.arange(d + 1)[:, None, None], ctx.pencil].transpose(0, 2, 1)
-    prefix, sums = rays, gathered[0]  # sums[prefix row, alpha]
-    for kappa in range(1, d + 1):
-        if len(prefix) > WITNESS_COUNT:
-            least = sums.min(axis=1)
-            for smallest in minima[kappa:]:
-                least += smallest
-            keep = np.lexsort((prefix, (least - 1.0) / d))[:WITNESS_COUNT]
-            prefix, sums = prefix[keep], sums[keep]
-        sums = (sums[:, None] + gathered[kappa]).reshape(-1, d * d)
-        prefix = (prefix[:, None] * d + rays).ravel()
-    flat = (prefix[:, None] * d * d + np.arange(d * d)).ravel()  # scan_index * d^2 + point
-    values = ((sums - 1.0) / d).ravel()
+    by value, then `QuantumNet.scan_index`, then point, read off the scan
+    of `_pencil_scan` bounded to WITNESS_COUNT ray-choice prefixes per
+    striation, which keeps every net those pairs lie on."""
+    d = table.dim
+    values, _, nets = _pencil_scan(table.values, ctx.pencil, WITNESS_COUNT)
+    flat = (nets[:, None] * d * d + np.arange(d * d)).ravel()  # scan_index * d^2 + point
+    values = values.ravel()
     picks = np.lexsort((flat, values))[:WITNESS_COUNT]
     picks = picks[values[picks] < -MEMBERSHIP]
     nets, points = np.divmod(flat[picks], d * d)

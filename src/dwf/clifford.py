@@ -311,7 +311,7 @@ class BasisImages:
     [k1, k2] = V2[k2]~ U V1[k1], then column j.  When source is target, the
     action if the blocks within flow_gate(d) permute the bases, else T~."""
 
-    unitary: bool  # the predicate `is_clifford` applies too
+    unitary: bool  # `_certificate` exists: one unitarity check serves `is_clifford` too
     passes: np.ndarray  # the block's monomial test (`_column_peaks`)
     perms: np.ndarray  # the row of column j's peak
     phases: np.ndarray  # phases[j], the peak's angle in block [0, 0] alone: what `affine_extraction` reads
@@ -338,7 +338,7 @@ def _basis_images(entries: bytes, source: MubSet, target: MubSet) -> BasisImages
     error = np.abs(peak - 1.0) + 2.0 * np.sqrt(peak) * leaks + leaks**2  # >= |U P U~ - Q|
     for array in (passes, perms, phases, leaks):
         array.flags.writeable = False
-    record = (_is_unitary(u), passes, perms, phases, leaks)
+    record = (_certificate(entries, source.field) is not None, passes, perms, phases, leaks)
     within = passes & (error.max(axis=2) <= flow_gate(d))
     if source is not target:
         return BasisImages(*record)

@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .galois import FieldSpec
-from .geometry import PhasePoint
+from .geometry import PhasePoint, build_striations
 
 
 def _phase_order(p: int) -> int:
@@ -82,9 +82,8 @@ def _symplectic_form(n: int) -> np.ndarray:
     return j
 
 
-def _translation_matrix(p: int, qvec, pvec, phase_exp: int = 0) -> np.ndarray:
-    """phase_unit^phase_exp T(qvec, pvec) on len(qvec) registers of
-    dimension p, as a dense matrix."""
+def _translation_matrix(p: int, qvec, pvec) -> np.ndarray:
+    """T(qvec, pvec) on len(qvec) registers of dimension p, as a dense matrix."""
     w = np.exp(2j * np.pi / p)
     shift = np.roll(np.eye(p, dtype=complex), 1, axis=0)  # |z> -> |z + 1>
     clock = np.diag([w**z for z in range(p)])
@@ -99,7 +98,7 @@ def _translation_matrix(p: int, qvec, pvec, phase_exp: int = 0) -> np.ndarray:
             eta = np.exp(2j * np.pi * pow(2, -1, p) / p)
             f = eta ** (-qi * pi) * f
         out = f if out is None else (out[:, None, :, None] * f[None, :, None, :]).reshape(len(out) * p, -1)
-    return _phase_unit(p) ** phase_exp * out
+    return out
 
 
 @dataclass(unsafe_hash=True)
@@ -255,15 +254,9 @@ def build_labeling(gf: FieldSpec) -> Labeling:
 
 @lru_cache(maxsize=None)
 def standard_sets(gf: FieldSpec) -> tuple[AbelianSet, ...]:
-    """The d+1 disjoint commuting sets, ordered like the striations:
-    vertical (Z-type), horizontal (X-type), then oblique by ray slope."""
-    labeling = build_labeling(gf)
-    zero = (0,) * gf.n
-    e0 = (1,) + (0,) * (gf.n - 1)
-    sets = [abelian_set(gf, zero, e0), abelian_set(gf, e0, zero)]
-    for k in range(gf.order - 1):
-        # the point (0, slope) has index slope.index
-        slope = gf.generator_power(k)
-        sets.append(abelian_set(gf, e0, labeling.labels[slope.index, gf.n :]))
-    return tuple(sets)
-
+    """The d+1 disjoint commuting sets in striation order: set kappa is S_(a, b)
+    for the label (a | b) of the direction point (alpha, beta) of striation
+    kappa, so the nonzero points of the striation's ray label its members."""
+    labels, d, n = build_labeling(gf).labels, gf.order, gf.n
+    directions = (labels[s.alpha.index * d + s.beta.index] for s in build_striations(gf))
+    return tuple(abelian_set(gf, label[:n], label[n:]) for label in directions)

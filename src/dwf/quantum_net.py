@@ -29,7 +29,7 @@ nets whether conjugation by U permutes each net's point operators, from
 U's record `clifford._basis_images`: in integers from its projector action
 when U sends basis projectors within `tolerances.flow_gate` of them, else
 from its transition table gathered at the nets' rows.  The record memoizes
-U's verdicts on the census family, whose nets are stacked once per field.
+U's verdicts on the census family, whose nets are stacked once per dimension.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def is_flow(unitary: np.ndarray, net: QuantumNet) -> bool:
     """
     d, ctx = net.dim, net.context
     if d <= 3 or d <= ENUMERATION_MAX_DIM and net.ray_choices[:2] == (0, 0):  # shaped like a family net
-        if ctx is _census_family(ctx.field)[0][0].context:  # of the standard context, too
+        if ctx is standard_context(d):  # of the standard context, too
             return bool(_family_verdicts(unitary, ctx)[net.scan_index])
     images = _images(unitary, ctx.mub, ctx.mub, strict=False)
     rows = net.rows[:, None]  # a stack of one
@@ -261,23 +261,22 @@ class FlowCensus:
 
 
 @lru_cache(maxsize=None)
-def _census_family(gf: FieldSpec) -> tuple[tuple[QuantumNet, ...], str, tuple]:
-    """(nets, kind, stack) of the census family, completed once per field and
+def _census_family(d: int) -> tuple[tuple[QuantumNet, ...], str, tuple]:
+    """(nets, kind, stack) of the census family, completed once per dimension and
     shared; the stack is the rows, columns, meet and offset of `_flow_verdicts`."""
-    fix_axes, d = gf.order > 3, gf.order
-    nets = tuple(enumerate_nets(gf, fix_axes))
+    nets = tuple(enumerate_nets(field(d), d > 3))
     rows, n = np.stack([net.rows for net in nets], axis=1), np.arange(len(nets))[:, None]
     stack = rows, rows * len(nets) + n, np.stack([net.meet.ravel() for net in nets]) + n * d * d, n * d * d
     for array in stack:
         array.flags.writeable = False
-    return nets, "fixed-axes" if fix_axes else "all", stack
+    return nets, "fixed-axes" if d > 3 else "all", stack
 
 
 def _family_verdicts(unitary: np.ndarray, ctx: NetContext) -> np.ndarray:
     """`is_flow` on the census family nets of ctx, in enumeration order, memoized in U's record."""
     images = _images(unitary, ctx.mub, ctx.mub, strict=False)
     if ctx not in images.flows:
-        images.flows[ctx] = _flow_verdicts(images, *_census_family(ctx.field)[2])
+        images.flows[ctx] = _flow_verdicts(images, *_census_family(ctx.dim)[2])
     return images.flows[ctx]
 
 
@@ -285,6 +284,6 @@ def flow_census(unitary: np.ndarray, gf: FieldSpec) -> FlowCensus:
     """The census family nets that `is_flow` passes, read off the family's
     verdicts: all nets at d <= 3, the d^(d-1) fixed-axes nets above (64 at
     d = 4, 625 at d = 5).  Above ENUMERATION_MAX_DIM it raises like `enumerate_nets`."""
-    nets, family, _ = _census_family(gf)
+    nets, family, _ = _census_family(gf.order)
     verdicts = _family_verdicts(unitary, nets[0].context)
     return FlowCensus(tuple(itertools.compress(nets, verdicts)), len(nets), family)

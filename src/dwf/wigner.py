@@ -9,11 +9,13 @@ together; the functions never call each other.
 Every net's table is a sum of the same (d+1) x d probabilities (Gibbons,
 Hoffman and Wootters), so a state memoizes its probability table per
 basis set.  One producer, `_pencil_scan`, turns that table into the
-tables of every net a pencil holds.  At d <= ENUMERATION_MAX_DIM the state
-memoizes its scan per net context: the Wigner values of all d^(d+1) nets
-at once, one row per net in `QuantumNet.scan_index` order, where
-`wigner_function` looks up the net's row; above it, the producer runs on
-the one net's pencil.  Tables are read-only at every d.
+tables of every net a pencil holds, or, under a bound, of the nets that
+hold its least values (`classicality.classify`'s witnesses, memoized
+nowhere).  At d <= ENUMERATION_MAX_DIM the state memoizes its scan per
+net context: the Wigner values of all d^(d+1) nets at once, one row per
+net in `QuantumNet.scan_index` order, where `wigner_function` looks up
+the net's row; above it, the producer runs on the one net's pencil.
+Tables are read-only at every d.
 
 The producer checks that every table sums to one and computes every
 table's minimum, so a `WignerTable` does no reduction of its own.  A
@@ -172,23 +174,34 @@ def _table(rho: DensityState, mub: MubSet) -> ProbabilityTable:
     return table
 
 
-def _pencil_scan(probs: np.ndarray, pencil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values[i, q, p], minima[i]), read-only: the Wigner values and the
-    minimum of every net of a pencil[kappa, alpha, r] of c ray choices,
-    from a (d+1) x d probability table; row i reads the net's choices as
-    base-c digits, first most significant.  Raises on the table whose sum
-    strays furthest from one.
+def _pencil_scan(probs: np.ndarray, pencil: np.ndarray, keep: int | None = None):
+    """(values[i, q, p], minima[i], nets[i]): the read-only Wigner values and
+    minimum and the scan index of every net of a pencil[kappa, alpha, r] of
+    c ray choices (base-c digits, first most significant), from a (d+1) x d
+    probability table.  Raises on the table whose sum strays furthest from one.
 
     The sums grow one striation at a time: striation kappa opens axis
     r_kappa and adds the probability of the line through alpha that ray
     r_kappa assigns.  That is the striation order in which a per-net
-    gather sums them, so each net's values equal that gather bit for bit."""
-    d = probs.shape[1]
-    values = probs[0, pencil[0].T]  # [r_0, alpha]
+    gather sums them, so each net's values equal that gather bit for bit.
+    A bound keeps the first `keep` prefixes by (least value, prefix) per step.
+    Float addition is monotone, so a prefix's smallest sum ended with each
+    later striation's least probability is the least value of its nets, one
+    of which attains it in a pencil of all d choices: a dropped prefix's
+    (net, point) pairs sort after the `keep` least of the kept nets."""
+    d, choices = probs.shape[1], np.arange(pencil.shape[2])
+    nets, values = choices, probs[0, pencil[0].T]  # values[prefix row, alpha]
     for kappa in range(1, d + 1):
-        grown = np.empty((len(values), pencil.shape[2], d * d))
+        if keep is not None and len(nets) > keep:
+            least = values.min(axis=1)
+            for smallest in probs[kappa:].min(axis=1):
+                least += smallest
+            kept = np.lexsort((nets, (least - 1.0) / d))[:keep]
+            nets, values = nets[kept], values[kept]
+        grown = np.empty((len(values), len(choices), d * d))
         np.add(values[:, None, :], probs[kappa, pencil[kappa].T], out=grown)
         values = grown.reshape(-1, d * d)  # [(r_0, ..., r_kappa), alpha]
+        nets = (nets[:, None] * len(choices) + choices).ravel()
     values -= 1.0
     values /= d
     # a product and a loop over the d^2 columns: both far faster than
@@ -201,17 +214,16 @@ def _pencil_scan(probs: np.ndarray, pencil: np.ndarray) -> tuple[np.ndarray, np.
     for column in values.T[1:]:
         np.minimum(minima, column, out=minima)
     values = values.reshape(-1, d, d)
-    values.flags.writeable = False  # memoized per state and shared by every reader
-    minima.flags.writeable = False
-    return values, minima
+    values.flags.writeable = minima.flags.writeable = False  # memoized per state, shared by every reader
+    return values, minima, nets
 
 
 def _scan(rho: DensityState, ctx: NetContext) -> tuple[np.ndarray, np.ndarray]:
-    """The state's memoized `_pencil_scan` over the nets of ctx, one row per
-    net in `QuantumNet.scan_index` order, built on a miss."""
+    """The state's memoized `_pencil_scan` values and minima over the nets of
+    ctx, one row per net in `QuantumNet.scan_index` order, built on a miss."""
     memo = rho._scans.get(ctx)
     if memo is None:
-        memo = rho._scans[ctx] = _pencil_scan(_table(rho, ctx.mub).values, ctx.pencil)
+        memo = rho._scans[ctx] = _pencil_scan(_table(rho, ctx.mub).values, ctx.pencil)[:2]
     return memo
 
 
@@ -239,7 +251,7 @@ def wigner_function(rho: DensityState, net: QuantumNet) -> WignerTable:
         if rho.dim != d:
             raise ValueError(f"state dimension {rho.dim} != net dimension {d}")
         if d > ENUMERATION_MAX_DIM:
-            values, minima = _pencil_scan(_table(rho, net.context.mub).values, net.pencil[:, :, None])
+            values, minima, _ = _pencil_scan(_table(rho, net.context.mub).values, net.pencil[:, :, None])
             return WignerTable(values[0], net, minima[0])
         memo = _scan(rho, net.context)
     values, minima = memo

@@ -871,6 +871,28 @@ def test_is_clifford_memo_is_keyed_by_value(d, symplectic_tables):
         assert again.dense is u and np.array_equal(again.symplectic, f)
 
 
+@pytest.mark.parametrize("d", (2, 4, 9))
+def test_a_fresh_unitary_checks_unitarity_once(d, monkeypatch, symplectic_tables):
+    # the record reads its unitary bit off the certificate, so the four
+    # questions about one unitary share one unitarity check
+    from dwf import clifford
+
+    calls = []
+    is_unitary = clifford._is_unitary
+    monkeypatch.setattr(clifford, "_is_unitary", lambda u: calls.append(1) or is_unitary(u))
+    gf, ctx = field(d), standard_context(d)
+    rng = np.random.default_rng([d, 29])
+    phase = np.exp(2j * np.pi * rng.random())  # a fresh value: no memo holds it
+    haar, clifford_u = random_unitary(d, rng), clifford_from_symplectic(symplectic_tables(gf)[1], gf).dense * phase
+    for u in (haar, clifford_u):
+        calls.clear()
+        is_flow(u, ctx.complete((0,) * (d + 1)))
+        assert bool(is_clifford(u, gf)) is (u is clifford_u)
+        maps_mub_to_mub(u, ctx.mub, ctx.mub)
+        affine_extraction(u, gf)
+        assert len(calls) == 1
+
+
 def test_certificate_memos_are_bounded(symplectic_tables):
     from dwf import clifford
 

@@ -401,7 +401,8 @@ def test_translation_matrix_equals_the_kron_reference_bit_for_bit(d):
     for label in all_labels(gf):
         for e in range(4 if gf.p == 2 else gf.p):
             reference = _kron_reference(gf.p, label[: gf.n], label[gf.n :], e)
-            assert _translation_matrix(gf.p, label[: gf.n], label[gf.n :], e).tobytes() == reference.tobytes()
+            unit = 1j if gf.p == 2 else np.exp(2j * np.pi / gf.p)
+            assert (unit**e * _translation_matrix(gf.p, label[: gf.n], label[gf.n :])).tobytes() == reference.tobytes()
 
 
 def test_translation_matrix_is_the_qubit_pauli_string():

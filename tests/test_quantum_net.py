@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dwf.clifford import fourier_operator, random_unitary, squeezing_operator
-from dwf.galois import SUPPORTED_DIMENSIONS, field
+from dwf.galois import SUPPORTED_DIMENSIONS, FieldSpec, field
 from dwf.geometry import PhasePoint, build_striations, line_points
 from dwf.mub import standard_mub
 from dwf.formats import net_from_payload
@@ -679,6 +679,23 @@ def test_a_family_is_one_kernel_call_per_unitary(monkeypatch):
     assert flow_census(u, gf).flows == () and sizes == [64]
     assert not is_flow(u, ctx.complete((1, 0, 0, 0, 0)))  # a lone net is a stack of one
     assert sizes == [64, 1]
+
+
+def test_a_family_net_flow_test_hashes_no_field(monkeypatch):
+    # the census family is keyed by d and the standard context by int: a
+    # repeated family-net test hashes no FieldSpec
+    ctx = standard_context(4)
+    u = random_unitary(4, np.random.default_rng(29))
+    net = ctx.complete((0, 0, 1, 2, 3))
+    verdict = is_flow(u, net)  # warm-up: the family and u's record exist
+    calls = []
+    spec_hash = FieldSpec.__hash__
+    monkeypatch.setattr(FieldSpec, "__hash__", lambda gf: calls.append(1) or spec_hash(gf))
+    hash(field(4))  # the counter sees a hash
+    assert calls == [1]
+    calls.clear()
+    assert is_flow(u, net) is verdict
+    assert calls == []
 
 
 @pytest.mark.parametrize("d", (4, 8, 9))

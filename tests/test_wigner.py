@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dwf import wigner
-from dwf.classicality import brute_force_min, classify
+from dwf import classicality, wigner
+from dwf.classicality import WITNESS_COUNT, brute_force_min, classify
 from dwf.galois import SUPPORTED_DIMENSIONS, field
 from dwf.geometry import build_striations, line_points, origin
 from dwf.mub import MubSet, standard_mub
@@ -346,11 +346,15 @@ def test_density_state_is_immutable():
 
 
 def test_one_scan_and_one_table_per_state_across_every_reader(probability_calls, monkeypatch):
-    scans = []
+    scans, bounded = [], []  # unbounded calls are scans; classify's calls carry a bound
     original = wigner._pencil_scan
-    monkeypatch.setattr(
-        wigner, "_pencil_scan", lambda probs, pencil: scans.append(1) or original(probs, pencil)
-    )
+
+    def counting(probs, pencil, keep=None):
+        (scans if keep is None else bounded).append(keep)
+        return original(probs, pencil, keep)
+
+    for module in (wigner, classicality):  # classicality imports the producer by name
+        monkeypatch.setattr(module, "_pencil_scan", counting)
     d = 4
     ctx = standard_context(d)
     rho = DensityState.random_pure(d, np.random.default_rng(8))
@@ -361,13 +365,26 @@ def test_one_scan_and_one_table_per_state_across_every_reader(probability_calls,
         wigner_function(rho, ctx.complete(tuple(rng.integers(0, d, d + 1))))
     brute_force_min(rho, ctx.mub, field(d))
     assert classify(rho, ctx.mub, field(d)).witnesses
-    assert len(scans) == 1
+    assert len(scans) == 1 and bounded == [WITNESS_COUNT]
     assert [state for state, _ in probability_calls] == [rho]
     assert list(rho._scans) == [ctx]
-    # classify reads the table alone: on a fresh state it runs no scan
+    # classify runs a bounded producer and memoizes nothing: a fresh state holds no scan
     fresh = DensityState.random_pure(d, rng)
     assert classify(fresh, ctx.mub, field(d)).witnesses
-    assert len(scans) == 1 and fresh._scans == {}
+    assert len(scans) == 1 and bounded == [WITNESS_COUNT] * 2 and fresh._scans == {}
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_a_bound_above_the_net_count_is_the_unbounded_scan(d):
+    ctx = standard_context(d)
+    rng = np.random.default_rng([d, 29])
+    for rho in (DensityState.random_pure(d, rng), DensityState.random_mixed(d, rng)):
+        probs = probabilities(rho, ctx.mub).values
+        values, minima, nets = wigner._pencil_scan(probs, ctx.pencil)
+        assert np.array_equal(nets, np.arange(d ** (d + 1)))
+        for keep in (d ** (d + 1), d ** (d + 1) + 1):
+            bounded = wigner._pencil_scan(probs, ctx.pencil, keep)
+            assert [a.tobytes() for a in bounded] == [values.tobytes(), minima.tobytes(), nets.tobytes()]
 
 
 @pytest.mark.parametrize("d", (2, 3, 5, 7, 8, 9))
