@@ -27,12 +27,12 @@ symplectic form and dense Pauli strings from `pauli`, the spectral
 projection to a phase-fixed vector from `mub.joint_eigenvector` and the
 X-type basis from `mub.standard_mub`.
 The per-unitary record `_basis_images`, which `quantum_net.is_flow`,
-`maps_mub_to_mub` and `affine_extraction` read, holds the monomial test of
-all (d+1)^2 basis-pair blocks of one overlap product V2~ u V1, decided in
-one pass of `_column_peaks`, and one unitarity check; the last two refuse
-non-unitaries.  The certificate U|z> = e^(i(2 pi/p c.z + delta)) |A z + b>
-comes off its Z block in computational order and stays in the record, and
-`is_clifford` memoizes its certificate by u's value too: a unitary pays once.
+`maps_mub_to_mub` and `affine_extraction` read, holds only the monomial test
+of all (d+1)^2 basis-pair blocks of one overlap product V2~ u V1, decided in
+one pass of `_column_peaks`.  `is_clifford` memoizes its certificate by u's
+value, and the last two readers refuse non-unitaries by asking it first.  The
+certificate U|z> = e^(i(2 pi/p c.z + delta)) |A z + b> reads A and b off the
+record's Z block and its phases off u, and stays in the record.
 """
 
 from __future__ import annotations
@@ -114,11 +114,12 @@ def _match_translation(gf: FieldSpec, ops: np.ndarray):
     return labeling.labels[best], phases, 1.0 - np.abs(phases)
 
 
-def _require_shape(u: np.ndarray, d: int) -> np.ndarray:
+def _entries(u: np.ndarray, d: int) -> bytes:
+    """The C-order complex bytes of the d x d matrix u, which key its memos."""
     u = np.asarray(u)
     if u.shape != (d, d):
         raise ValueError(f"expected a {d} x {d} matrix, got {u.shape}")
-    return u
+    return u.astype(complex, copy=False).tobytes()
 
 
 def _is_unitary(u: np.ndarray) -> bool:
@@ -132,8 +133,8 @@ def is_clifford(u: np.ndarray, gf: FieldSpec):
     """SymplecticClifford if conjugation maps every generator to a scaled
     translation, else NotClifford carrying the first failing generator; the
     certificate is memoized by u's value, and `dense` is u itself."""
-    u = _require_shape(u, gf.order)
-    verdict = _certificate(u.astype(complex, copy=False).tobytes(), gf)  # C order
+    u = np.asarray(u)
+    verdict = _certificate(_entries(u, gf.order), gf)
     if verdict is None:
         raise ValueError("input matrix is not unitary")
     if isinstance(verdict[0], int):
@@ -307,14 +308,12 @@ class MubMapResult:
 
 @dataclass(frozen=True, eq=False)
 class BasisImages:
-    """What one overlap product says about U: read-only arrays indexed by block
-    [k1, k2] = V2[k2]~ U V1[k1], then column j.  When source is target, the
-    action if the blocks within flow_gate(d) permute the bases, else T~."""
+    """What one overlap product says about U, and no unitarity check: read-only arrays
+    indexed by block [k1, k2] = V2[k2]~ U V1[k1], then column j.  When source is
+    target, the action if the blocks within flow_gate(d) permute the bases, else T~."""
 
-    unitary: bool  # `_certificate` exists: one unitarity check serves `is_clifford` too
     passes: np.ndarray  # the block's monomial test (`_column_peaks`)
     perms: np.ndarray  # the row of column j's peak
-    phases: np.ndarray  # phases[j], the peak's angle in block [0, 0] alone: what `affine_extraction` reads
     leaks: np.ndarray  # the column's norm off its peak
     action: np.ndarray | None = None  # action[k d + j] = sigma(k) d + pi_k(j)
     order: np.ndarray | None = None  # sigma^-1
@@ -334,11 +333,11 @@ def _basis_images(entries: bytes, source: MubSet, target: MubSet) -> BasisImages
     # each overlap column's peak within each target basis, put in block order
     *peaks, passes = _column_peaks(t.reshape(k2, d, k1 * d).copy())
     perms, peak, leaks = [a.reshape(k2, k1, d).swapaxes(0, 1) for a in peaks]
-    passes, phases = passes.T, np.angle(overlap[perms[0, 0], np.arange(d)])
+    passes = passes.T
     error = np.abs(peak - 1.0) + 2.0 * np.sqrt(peak) * leaks + leaks**2  # >= |U P U~ - Q|
-    for array in (passes, perms, phases, leaks):
+    record = (passes, perms, leaks)
+    for array in record:
         array.flags.writeable = False
-    record = (_certificate(entries, source.field) is not None, passes, perms, phases, leaks)
     within = passes & (error.max(axis=2) <= flow_gate(d))
     if source is not target:
         return BasisImages(*record)
@@ -356,13 +355,12 @@ def _basis_images(entries: bytes, source: MubSet, target: MubSet) -> BasisImages
 
 
 def _images(u: np.ndarray, source: MubSet, target: MubSet, strict: bool) -> BasisImages:
-    """The `_basis_images` record of u.  A wrong shape raises ValueError, and
-    so, when strict, does anything but a finite unitary."""
-    entries = _require_shape(u, source.dim).astype(complex, copy=False).tobytes()  # C order
-    images = _basis_images(entries, source, target)
-    if strict and not images.unitary:
+    """The `_basis_images` record of u.  A wrong shape raises ValueError, and so, when
+    strict, does anything but a finite unitary (`_certificate`), before any record is built."""
+    entries = _entries(u, source.dim)
+    if strict and _certificate(entries, source.field) is None:
         raise ValueError("input matrix is not unitary")
-    return images
+    return _basis_images(entries, source, target)
 
 
 def maps_mub_to_mub(u: np.ndarray, b1: MubSet, b2: MubSet) -> MubMapResult:
@@ -437,16 +435,16 @@ def affine_extraction(u: np.ndarray, gf: FieldSpec):
     mub = standard_mub(gf.order)
     images = _images(u, mub, mub, strict=True)
     if gf not in images.affine:
-        images.affine[gf] = _affine(images, mub.z_order, gf)
+        images.affine[gf] = _affine(images, np.asarray(u), mub.z_order, gf)
     return images.affine[gf]
 
 
-def _affine(images: BasisImages, z_order: tuple, gf: FieldSpec):
-    """`affine_extraction`'s result from the record of u."""
+def _affine(images: BasisImages, u: np.ndarray, z_order: tuple, gf: FieldSpec):
+    """`affine_extraction`'s result from u and its record."""
     p, n = gf.p, gf.n
     # vector j of the Z basis is |z[j]>, so column z[j] of u peaks at row z[perm[j]]
     z, label = z_order
-    perm, phases = z[images.perms[0, 0]][label], images.phases[label]
+    perm = z[images.perms[0, 0]][label]
     # a unitary's columns are orthogonal, so where none leaks their peaks are distinct
     for basis, leaks in (("Z", images.leaks[0, 0][label]), ("X", images.leaks[1, 1])):
         if (leaks > LOOKUP).any():
@@ -462,6 +460,7 @@ def _affine(images: BasisImages, z_order: tuple, gf: FieldSpec):
     if not np.array_equal((coords @ a.T + b) % p @ units, perm):
         raise AssertionError("basis-preserving map is not affine; internal error")
 
+    phases = np.angle(u[perm, np.arange(len(perm))])  # the peaks' angles: the Z vectors are exact unit vectors
     delta = float(phases[0])
     c = np.round((phases[units] - delta) / (2 * np.pi / p)).astype(np.int64) % p
     predicted = np.exp(1j * (2 * np.pi / p * (coords @ c) + delta))

@@ -31,7 +31,7 @@ from .mub import _fix_phase, standard_mub, unbiasedness_report
 from .pauli import _symplectic_form, build_labeling, standard_sets
 from .quantum_net import ENUMERATION_MAX_DIM, enumerate_nets, is_flow, net_count, standard_context
 from .tolerances import ALGEBRAIC, SPECTRAL
-from .wigner import DensityState, reconstruct_state, wigner_from_point_operators, wigner_function
+from .wigner import DensityState, line_probability, reconstruct_state, wigner_from_point_operators, wigner_function
 
 DEFAULT_SEED = 20250808
 
@@ -156,8 +156,7 @@ def _check_wigner(d, rng):
             return False, "probability route disagrees with trace route"
         for s in ctx.striations:
             for line in s.lines:
-                kappa, j = net.projector_index(line)
-                target = np.trace(rho.rho @ ctx.mub.projector(kappa, j)).real
+                target = line_probability(rho, net, line)
                 total = sum(table.value(pt) for pt in line_points(line))
                 if abs(total - target) > SPECTRAL:
                     return False, "line sums break the defining property"

@@ -8,12 +8,12 @@ together; the functions never call each other.
 
 Every net's table is a sum of the same (d+1) x d probabilities (Gibbons,
 Hoffman and Wootters), so a state memoizes its probability table per
-basis set.  One producer, `_pencil_scan`, turns that table into the
-tables of every net a pencil holds, or, under a bound, of the nets that
+basis set.  One producer, `_pencil_scan`, sums that table point-major into
+the tables of every net a pencil holds, or, under a bound, of the nets that
 hold its least values (`classicality.classify`'s witnesses, memoized
 nowhere).  At d <= ENUMERATION_MAX_DIM the state memoizes its scan per
-net context: the Wigner values of all d^(d+1) nets at once, one row per
-net in `QuantumNet.scan_index` order, where `wigner_function` looks up
+net context: the Wigner values of all d^(d+1) nets at once, read one row
+per net in `QuantumNet.scan_index` order, where `wigner_function` looks up
 the net's row; above it, the producer runs on the one net's pencil.
 Tables are read-only at every d.
 
@@ -180,40 +180,34 @@ def _pencil_scan(probs: np.ndarray, pencil: np.ndarray, keep: int | None = None)
     c ray choices (base-c digits, first most significant), from a (d+1) x d
     probability table.  Raises on the table whose sum strays furthest from one.
 
-    The sums grow one striation at a time: striation kappa opens axis
-    r_kappa and adds the probability of the line through alpha that ray
-    r_kappa assigns.  That is the striation order in which a per-net
-    gather sums them, so each net's values equal that gather bit for bit.
+    The sums grow one striation at a time, point-major, so every reduction
+    runs along the leading axis: striation kappa opens axis r_kappa and adds
+    the probability of the line through alpha that ray r_kappa assigns, the
+    order in which a per-net gather sums them: each net's values equal it.
     A bound keeps the first `keep` prefixes by (least value, prefix) per step.
     Float addition is monotone, so a prefix's smallest sum ended with each
     later striation's least probability is the least value of its nets, one
     of which attains it in a pencil of all d choices: a dropped prefix's
     (net, point) pairs sort after the `keep` least of the kept nets."""
     d, choices = probs.shape[1], np.arange(pencil.shape[2])
-    nets, values = choices, probs[0, pencil[0].T]  # values[prefix row, alpha]
+    nets, values = choices, probs[0, pencil[0]]  # values[alpha, prefix]
     for kappa in range(1, d + 1):
         if keep is not None and len(nets) > keep:
-            least = values.min(axis=1)
+            least = values.min(axis=0)
             for smallest in probs[kappa:].min(axis=1):
                 least += smallest
             kept = np.lexsort((nets, (least - 1.0) / d))[:keep]
-            nets, values = nets[kept], values[kept]
-        grown = np.empty((len(values), len(choices), d * d))
-        np.add(values[:, None, :], probs[kappa, pencil[kappa].T], out=grown)
-        values = grown.reshape(-1, d * d)  # [(r_0, ..., r_kappa), alpha]
+            nets, values = nets[kept], values.take(kept, axis=1)  # C order: [:, kept] would make the reshape copy
+        values = (values[:, :, None] + probs[kappa, pencil[kappa]][:, None, :]).reshape(d * d, -1)
         nets = (nets[:, None] * len(choices) + choices).ravel()
     values -= 1.0
     values /= d
-    # a product and a loop over the d^2 columns: both far faster than
-    # numpy's reductions over a short last axis
-    sums = values @ np.ones(d * d)
+    sums = values.sum(axis=0)
     worst = np.abs(sums - 1.0).argmax()
     if abs(sums[worst] - 1.0) > SPECTRAL:
         raise ValueError(f"Wigner table sums to {sums[worst]:.12f}")
-    minima = values[:, 0].copy()
-    for column in values.T[1:]:
-        np.minimum(minima, column, out=minima)
-    values = values.reshape(-1, d, d)
+    minima = values.min(axis=0)
+    values = values.T.reshape(-1, d, d)  # a view, one row per net
     values.flags.writeable = minima.flags.writeable = False  # memoized per state, shared by every reader
     return values, minima, nets
 

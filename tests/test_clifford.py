@@ -466,13 +466,6 @@ def test_composed_standardizers_make_any_mub_map_affine():
         assert isinstance(out, AffineData)
 
 
-def basis_record(u, mub):
-    """The `clifford._basis_images` record of u on one set of bases."""
-    from dwf import clifford
-
-    return clifford._basis_images(np.ascontiguousarray(u, dtype=complex).tobytes(), mub, mub)
-
-
 def direct_affine(u, gf):
     """The certificate from u and W~ u W directly, with no record: the
     column-by-column `reference_monomial` on both, then the affine
@@ -524,7 +517,6 @@ def test_affine_extraction_equals_the_direct_route(d, symplectic_tables):
     # the unitary's record keeps the result: a repeated call returns it, and
     # it equals the certificate computed with no record at all
     gf = field(d)
-    z, label = standard_mub(d).z_order
     named = affine_oracle_inputs(gf, np.random.default_rng([d, 21]))
     named += [(f"table {k}", clifford_from_symplectic(f, gf).dense) for k, f in enumerate(symplectic_tables(gf))]
     kinds = set()
@@ -537,10 +529,6 @@ def test_affine_extraction_equals_the_direct_route(d, symplectic_tables):
             assert not out.a_matrix.flags.writeable, name
             assert (out.b_shift, out.c_phase) == (reference.b_shift, reference.c_phase), name
             assert out.global_phase == reference.global_phase, name
-            # the record's phases are the Z block's peak angles, read in label order
-            images = basis_record(u, standard_mub(d))
-            perm = z[images.perms[0, 0]][label]
-            assert np.array_equal(images.phases[label], np.angle(np.asarray(u, dtype=complex)[perm, np.arange(d)])), name
         else:
             assert (out.basis, out.state_index) == (reference.basis, reference.state_index), name
             assert abs(out.leak - reference.leak) <= ALGEBRAIC, name
@@ -891,6 +879,28 @@ def test_a_fresh_unitary_checks_unitarity_once(d, monkeypatch, symplectic_tables
         maps_mub_to_mub(u, ctx.mub, ctx.mub)
         affine_extraction(u, gf)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", (2, 4, 9))
+def test_a_record_holds_no_unitarity_check(d, monkeypatch):
+    # a strict reader asks the certificate before it builds a record, so a
+    # refused matrix leaves none behind, and is_flow alone builds no certificate
+    from dwf import clifford
+
+    gf, ctx = field(d), standard_context(d)
+    rng = np.random.default_rng([d, 32])
+    u = 1.5 * random_unitary(d, rng)
+    before = clifford._basis_images.cache_info()
+    for reader in (lambda: maps_mub_to_mub(u, ctx.mub, ctx.mub), lambda: affine_extraction(u, gf)):
+        with pytest.raises(ValueError, match="not unitary"):
+            reader()
+    after = clifford._basis_images.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    calls = []
+    certificate = clifford._certificate
+    monkeypatch.setattr(clifford, "_certificate", lambda *key: calls.append(1) or certificate(*key))
+    is_flow(random_unitary(d, rng), ctx.complete((0,) * (d + 1)))
+    assert calls == []
 
 
 def test_certificate_memos_are_bounded(symplectic_tables):

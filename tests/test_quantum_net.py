@@ -747,12 +747,13 @@ def test_basis_pair_memo_is_bounded():
     for k in range(3 * maxsize):
         u = random_unitary(9, rng) if k % 2 else ctx.labeling.unitary_at(ctx.points[k % 81])
         if k % 4 == 1:
-            u = 1.5 * u  # not unitary: a record that maps_mub_to_mub refuses
+            u = 1.5 * u  # not unitary: is_flow builds its record, maps_mub_to_mub refuses it
         is_flow(u, net)
         images = record(u, ctx.mub)
-        assert images.unitary is (k % 4 != 1)
+        refused = clifford._certificate(np.ascontiguousarray(u, dtype=complex).tobytes(), ctx.field) is None
+        assert refused is (k % 4 == 1)
         assert (images.action is None) is (images.transition is not None) is bool(k % 2)
-        if images.unitary:
+        if not refused:
             clifford.maps_mub_to_mub(u, ctx.mub, ctx.mub)
     assert clifford._basis_images.cache_info().currsize <= maxsize
     # on d = 5 family nets each record also holds the family's verdicts,

@@ -131,7 +131,6 @@ READ_ONLY_BY_TESTS = {
     "hadamard_in_chart": "the independent construction that fourier_operator is checked against",
     "random_unitary": "Haar unitaries, the negative cases of the Clifford and flow checks",
     "maximally_mixed": "the flat state of the Wigner and classicality checks",
-    "line_probability": "the projector route that Wigner line sums are checked against",
     "state_to_payload": "the write half of the state format's round trip",
     "unitary_to_payload": "the write half of the unitary format's round trip",
     "wigner_values_from_csv": "the read half of the Wigner CSV format's round trip",
