@@ -130,8 +130,8 @@ def convex_decomposition(rho: DensityState, mub: MubSet) -> DecompositionResult:
 def _witnesses(table: ProbabilityTable, ctx: NetContext) -> tuple[Witness, ...]:
     """The WITNESS_COUNT most negative (net, point) pairs below -MEMBERSHIP,
     by value, then `QuantumNet.scan_index`, then point, read off the scan
-    of `_pencil_scan` bounded to WITNESS_COUNT ray-choice prefixes per
-    striation, which keeps every net those pairs lie on."""
+    of `_pencil_scan` bounded to WITNESS_COUNT nets: the first by (least
+    value, scan index), which hold every pair that can be picked."""
     d = table.dim
     values, _, nets = _pencil_scan(table.values, ctx.pencil, WITNESS_COUNT)
     flat = (nets[:, None] * d * d + np.arange(d * d)).ravel()  # scan_index * d^2 + point

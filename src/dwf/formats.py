@@ -1,24 +1,26 @@
 """On-disk formats: state JSON, net JSON, unitary JSON, Wigner CSV.
 
-Complex numbers are [re, im] pairs everywhere.  Loaders raise FormatError
-with the offending field named, so the CLI can turn any malformed input
-into a usage error that says what to fix.  Writers embed a meta block
-(dimension, primitive polynomial, seed, tool version) making every output
-reproducible from its own header.
+Complex numbers are [re, im] pairs everywhere.  Each field has one checked
+reader, which raises FormatError naming the field, so the CLI can turn any
+malformed input into a usage error that says what to fix: `dim` passes on
+`galois.field`'s refusal, [re, im] arrays hold finite JSON numbers (a
+boolean is none) and `ray_choices` passes on `QuantumNet`'s.  Writers embed
+a meta block (dimension, primitive polynomial, seed, tool version) making
+every output reproducible from its own header.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
 
 from . import __version__
 from .galois import field
-from .geometry import build_striations
-from .mub import MubSet, standard_mub
-from .quantum_net import QuantumNet, covariant_completion
+from .mub import MubSet
+from .quantum_net import QuantumNet, standard_context
 from .wigner import DensityState, WignerTable
 
 
@@ -35,16 +37,31 @@ def _require(payload: dict, key: str, kind) -> Any:
     return value
 
 
-def _pair_to_complex(entry, where: str) -> complex:
-    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-        raise FormatError(f"field '{where}' must contain [re, im] pairs")
-    re, im = entry
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-        raise FormatError(f"field '{where}' must contain numeric [re, im] pairs")
+def _read_dim(payload: dict) -> int:
+    d = _require(payload, "dim", int)
     try:
-        return complex(re, im)
-    except OverflowError:
-        raise FormatError(f"field '{where}' has a number too large for a float") from None
+        return field(d).order
+    except ValueError as exc:
+        raise FormatError(f"field 'dim': {exc}") from None
+
+
+def _read_pairs(payload: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex array of the given shape held in field `key` as nested
+    [re, im] pairs of JSON numbers, read one nesting level at a time."""
+    level = [_require(payload, key, list)]
+    for n in shape + (2,):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {n}:
+            raise FormatError(f"field '{key}' must hold {' rows of '.join(map(str, shape))} [re, im] pairs")
+        level = [x for entry in level for x in entry]
+    if not set(map(type, level)) <= {int, float}:  # type, not isinstance: a bool is no number
+        raise FormatError(f"field '{key}' must contain numeric [re, im] pairs")
+    try:
+        finite = all(map(math.isfinite, level))
+    except OverflowError:  # an int beyond the largest float
+        raise FormatError(f"field '{key}' has a number too large for a float") from None
+    if not finite:
+        raise FormatError(f"field '{key}' has non-finite entries")
+    return np.array(level, dtype=float).view(complex).reshape(shape)
 
 
 def _complex_to_pair(z: complex) -> list[float]:
@@ -71,28 +88,15 @@ def state_to_payload(state: DensityState) -> dict:
 
 
 def state_from_payload(payload: dict) -> DensityState:
-    d = _require(payload, "dim", int)
+    d = _read_dim(payload)
     kind = _require(payload, "kind", str)
-    data = _require(payload, "data", list)
-    if kind == "pure":
-        if len(data) != d:
-            raise FormatError(f"field 'data' must hold {d} amplitudes for a pure state")
-        amps = [_pair_to_complex(x, "data") for x in data]
-        try:
-            return DensityState.from_vector(amps)
-        except ValueError as exc:
-            raise FormatError(f"field 'data': {exc}") from exc
-    if kind == "density":
-        if len(data) != d or any(not isinstance(row, list) or len(row) != d for row in data):
-            raise FormatError(f"field 'data' must be a {d}x{d} matrix of [re, im] pairs")
-        rho = np.array(
-            [[_pair_to_complex(x, "data") for x in row] for row in data]
-        )
-        try:
-            return DensityState(rho, kind="mixed")
-        except ValueError as exc:
-            raise FormatError(f"field 'data': {exc}") from exc
-    raise FormatError("field 'kind' must be 'pure' or 'density'")
+    if kind not in ("pure", "density"):
+        raise FormatError("field 'kind' must be 'pure' or 'density'")
+    data = _read_pairs(payload, "data", (d,) if kind == "pure" else (d, d))
+    try:
+        return DensityState.from_vector(data) if kind == "pure" else DensityState(data, kind="mixed")
+    except ValueError as exc:
+        raise FormatError(f"field 'data': {exc}") from exc
 
 
 # -- nets ----------------------------------------------------------------------
@@ -102,17 +106,12 @@ def net_to_payload(net: QuantumNet) -> dict:
 
 
 def net_from_payload(payload: dict) -> QuantumNet:
-    d = _require(payload, "dim", int)
+    d = _read_dim(payload)
     choices = _require(payload, "ray_choices", list)
-    if len(choices) != d + 1 or any(
-        isinstance(r, bool) or not isinstance(r, int) or not 0 <= r < d for r in choices
-    ):
-        raise FormatError(f"field 'ray_choices' must be {d + 1} integers in [0, {d})")
     try:
-        gf = field(d)
+        return standard_context(d).complete(choices)
     except ValueError as exc:
-        raise FormatError(f"field 'dim': {exc}") from exc
-    return covariant_completion(tuple(choices), standard_mub(d), build_striations(gf))
+        raise FormatError(f"field 'ray_choices': {exc}") from None
 
 
 # -- unitaries -------------------------------------------------------------------
@@ -125,14 +124,8 @@ def unitary_to_payload(u: np.ndarray) -> dict:
 
 
 def unitary_from_payload(payload: dict) -> np.ndarray:
-    d = _require(payload, "dim", int)
-    rows = _require(payload, "matrix", list)
-    if len(rows) != d or any(not isinstance(row, list) or len(row) != d for row in rows):
-        raise FormatError(f"field 'matrix' must be a {d}x{d} array of [re, im] pairs")
-    u = np.array([[_pair_to_complex(x, "matrix") for x in row] for row in rows])
-    if not np.isfinite(u).all():
-        raise FormatError("field 'matrix' has non-finite entries")
-    return u
+    d = _read_dim(payload)
+    return _read_pairs(payload, "matrix", (d, d))
 
 
 # -- bases -----------------------------------------------------------------------

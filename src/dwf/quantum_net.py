@@ -45,7 +45,7 @@ from .clifford import _images
 from .galois import FieldSpec, field
 from .geometry import Line, PhasePoint, Striation, all_points, build_striations
 from .mub import MubSet, standard_mub
-from .pauli import Labeling, _symplectic_form, build_labeling
+from .pauli import _symplectic_form, build_labeling
 from .tolerances import LOOKUP
 
 # Largest d whose nets are enumerated exhaustively (d^(d+1) = 15,625 at
@@ -60,7 +60,6 @@ class NetContext:
     field: FieldSpec
     striations: tuple[Striation, ...]
     mub: MubSet
-    labeling: Labeling
     sigma: np.ndarray  # sigma[kappa, line position, ray choice] = projector index
     pencil: np.ndarray  # pencil[kappa, point index, ray choice] = projector index
     points: tuple[PhasePoint, ...]
@@ -91,7 +90,7 @@ def net_context(mub: MubSet, striations: tuple[Striation, ...]) -> NetContext:
     sigma = pencil[np.arange(d + 1)[:, None], anchor]
     for shared in (sigma, pencil):
         shared.flags.writeable = False
-    return NetContext(gf, striations, mub, labeling, sigma, pencil, all_points(gf))
+    return NetContext(gf, striations, mub, sigma, pencil, all_points(gf))
 
 
 @lru_cache(maxsize=None)
@@ -112,8 +111,9 @@ class QuantumNet:
 
     def __post_init__(self):
         d, self.scan_index = self.dim, 0  # not np.ravel_multi_index: it costs more than a completion
-        try:  # numpy integers become Python ints
-            self.ray_choices = tuple(map(operator.index, self.ray_choices))
+        try:  # numpy integers become Python ints; a bool is no index (numpy's already fail)
+            choices = tuple(self.ray_choices)
+            self.ray_choices = () if bool in map(type, choices) else tuple(map(operator.index, choices))
         except TypeError:  # a non-integer choice
             self.ray_choices = ()
         if len(self.ray_choices) != d + 1 or not 0 <= min(self.ray_choices) <= max(self.ray_choices) < d:

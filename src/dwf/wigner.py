@@ -184,22 +184,24 @@ def _pencil_scan(probs: np.ndarray, pencil: np.ndarray, keep: int | None = None)
     runs along the leading axis: striation kappa opens axis r_kappa and adds
     the probability of the line through alpha that ray r_kappa assigns, the
     order in which a per-net gather sums them: each net's values equal it.
-    A bound keeps the first `keep` prefixes by (least value, prefix) per step.
+    A bound keeps the first `keep` prefixes by (least value, prefix) after
+    every striation, the last included, so at most `keep` nets come back.
     Float addition is monotone, so a prefix's smallest sum ended with each
     later striation's least probability is the least value of its nets, one
     of which attains it in a pencil of all d choices: a dropped prefix's
     (net, point) pairs sort after the `keep` least of the kept nets."""
     d, choices = probs.shape[1], np.arange(pencil.shape[2])
     nets, values = choices, probs[0, pencil[0]]  # values[alpha, prefix]
-    for kappa in range(1, d + 1):
+    for kappa in range(d + 1):
+        if kappa:
+            values = (values[:, :, None] + probs[kappa, pencil[kappa]][:, None, :]).reshape(d * d, -1)
+            nets = (nets[:, None] * len(choices) + choices).ravel()
         if keep is not None and len(nets) > keep:
             least = values.min(axis=0)
-            for smallest in probs[kappa:].min(axis=1):
+            for smallest in probs[kappa + 1:].min(axis=1):
                 least += smallest
             kept = np.lexsort((nets, (least - 1.0) / d))[:keep]
             nets, values = nets[kept], values.take(kept, axis=1)  # C order: [:, kept] would make the reshape copy
-        values = (values[:, :, None] + probs[kappa, pencil[kappa]][:, None, :]).reshape(d * d, -1)
-        nets = (nets[:, None] * len(choices) + choices).ravel()
     values -= 1.0
     values /= d
     sums = values.sum(axis=0)

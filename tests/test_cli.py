@@ -335,7 +335,8 @@ HUGE = b"1" * 401
      "not valid JSON", False),
     ("clifford", "--check", b'{"dim": 2, "matrix": [[[' + HUGE + b', 0], [0, 0]], [[0, 0], [1, 0]]]}',
      "'matrix'", False),
-], ids=["deep nesting", "not utf-8", "huge amplitude", "huge dim", "huge matrix entry"])
+    ("classicality", "--state", b'{"dim": 2, "kind": "pure", "data": [[true, 0], [0, 0]]}', "'data'", False),
+], ids=["deep nesting", "not utf-8", "huge amplitude", "huge dim", "huge matrix entry", "boolean amplitude"])
 def test_unreadable_file_is_a_one_line_usage_error(tmp_path, capsys, subcommand, flag, document, names,
                                                    fresh):
     path = tmp_path / "input.json"

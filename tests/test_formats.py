@@ -51,6 +51,11 @@ def test_state_pure_payload():
         ({"dim": 2, "kind": "pure", "data": [[1, 0], ["x", 0]]}, "data"),
         ({"dim": 2, "kind": "density", "data": [[1, 0], [0, 0]]}, "data"),
         ({"dim": "2", "kind": "pure", "data": [[1, 0], [0, 0]]}, "dim"),
+        ({"dim": 2, "kind": "pure", "data": [[1, 0], [True, 0]]}, "data"),
+        ({"dim": 2, "kind": "density", "data": [[[1, 0], [0, 0]], [[0, 0], [0, False]]]}, "data"),
+        ({"dim": 2, "kind": "density", "data": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]},
+         "field 'data' has non-finite entries"),
+        ({"dim": 6, "kind": "pure", "data": [[1, 0]] + [[0, 0]] * 5}, "field 'dim': dimension 6 not supported"),
     ],
 )
 def test_state_payload_errors_name_the_field(payload, fragment):
@@ -80,6 +85,8 @@ def test_net_round_trip():
         ({"dim": 3, "ray_choices": [0, 0]}, "ray_choices"),
         ({"dim": 3, "ray_choices": [0, 0, 3, 0]}, "ray_choices"),
         ({"dim": 6, "ray_choices": [0] * 7}, "dim"),
+        ({"dim": 2, "ray_choices": [True, 0, 0]}, "ray_choices"),
+        ({"dim": 2, "ray_choices": [0, 0.0, 0]}, "ray_choices"),
     ],
 )
 def test_net_payload_errors(payload, fragment):
@@ -96,6 +103,10 @@ def test_unitary_round_trip():
 def test_unitary_payload_errors():
     with pytest.raises(FormatError, match="matrix"):
         unitary_from_payload({"dim": 2, "matrix": [[[1, 0]]]})
+    with pytest.raises(FormatError, match="matrix"):
+        unitary_from_payload({"dim": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0], [True, 0]]]})
+    with pytest.raises(FormatError, match="field 'dim': dimension 6 not supported"):
+        unitary_from_payload(unitary_to_payload(np.eye(6)))
 
 
 def test_mub_payload_shape():

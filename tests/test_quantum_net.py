@@ -9,6 +9,7 @@ from dwf.clifford import fourier_operator, random_unitary, squeezing_operator
 from dwf.galois import SUPPORTED_DIMENSIONS, FieldSpec, field
 from dwf.geometry import PhasePoint, build_striations, line_points
 from dwf.mub import standard_mub
+from dwf.pauli import build_labeling
 from dwf.formats import net_from_payload
 from dwf import clifford, quantum_net
 from dwf.quantum_net import (
@@ -109,10 +110,11 @@ def test_a_hand_built_net_with_bad_ray_choices_is_refused(d):
 @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
 def test_non_integer_ray_choices_are_refused(d):
     # int() once truncated 1.7 to 1 in a completion, and 0.5 passed the
-    # range check of a hand-built net, then failed the gather with IndexError
+    # range check of a hand-built net, then failed the gather with IndexError;
+    # True once passed as choice 1
     ctx = standard_context(d)
     rest = (0,) * d
-    for choices in ((1.7,) + rest, (0.5,) + rest, ("1",) + rest, 1):
+    for choices in ((1.7,) + rest, (0.5,) + rest, ("1",) + rest, 1, (True,) + rest, (np.False_,) + rest):
         with pytest.raises(ValueError, match=f"ray_choices must be {d + 1} indices"):
             ctx.complete(choices)
         with pytest.raises(ValueError, match=f"ray_choices must be {d + 1} indices"):
@@ -224,7 +226,7 @@ def test_covariance_under_translation_restatement():
                 kappa, j = net.projector_index(line)
                 p_line = ctx.mub.projector(kappa, j)
                 for shift_pt in ctx.points:
-                    u = ctx.labeling.unitary_at(shift_pt)
+                    u = build_labeling(ctx.field).unitary_at(shift_pt)
                     moved = frozenset(
                         PhasePoint(pt.q + shift_pt.q, pt.p + shift_pt.p)
                         for pt in line_points(line)
@@ -315,7 +317,7 @@ def dense_transport(ctx, kappa, line):
     kappa with the translation to the lowest-index point of the line and
     match the image against the basis."""
     d = ctx.dim
-    u = ctx.labeling.unitary_at(min(line_points(line), key=lambda pt: pt.index))
+    u = build_labeling(ctx.field).unitary_at(min(line_points(line), key=lambda pt: pt.index))
     row = []
     for r in range(d):
         conj = u @ ctx.mub.projector(kappa, r) @ u.conj().T
@@ -368,7 +370,7 @@ def flow_test_inputs(gf, rng):
     d = gf.order
     ctx = standard_context(d)
     picks = rng.choice(np.arange(1, d * d), 2, replace=False)
-    named = [(f"translation {i}", ctx.labeling.unitary_at(ctx.points[pt]))
+    named = [(f"translation {i}", build_labeling(ctx.field).unitary_at(ctx.points[pt]))
              for i, pt in enumerate(picks)]
     if gf.n >= 2:
         us = squeezing_operator(gf).dense
@@ -426,7 +428,7 @@ def test_is_flow_refuses_a_matrix_of_the_wrong_shape():
 def test_is_flow_builds_no_point_operator(d):
     ctx = standard_context(d)
     net = ctx.complete((1,) * (d + 1))
-    assert is_flow(ctx.labeling.unitary_at(ctx.points[5]), net)
+    assert is_flow(build_labeling(ctx.field).unitary_at(ctx.points[5]), net)
     assert not is_flow(random_unitary(d, np.random.default_rng(d)), net)
     assert net._point_ops is None
 
@@ -435,11 +437,11 @@ def test_is_flow_sees_an_array_rewritten_in_place():
     d = 4
     ctx = standard_context(d)
     net = ctx.complete((0, 1, 2, 3, 0))
-    u = np.array(ctx.labeling.unitary_at(ctx.points[7]), dtype=complex)
+    u = np.array(build_labeling(ctx.field).unitary_at(ctx.points[7]), dtype=complex)
     assert is_flow(u, net)
     u[...] = random_unitary(d, np.random.default_rng(1))
     assert not is_flow(u, net)
-    u[...] = ctx.labeling.unitary_at(ctx.points[7])
+    u[...] = build_labeling(ctx.field).unitary_at(ctx.points[7])
     assert is_flow(u, net)
 
 
@@ -453,7 +455,7 @@ def test_is_flow_reads_any_memory_layout_as_its_c_complex_copy(d):
         nets += flow_census(squeezing_operator(gf).dense, gf).flows[:1]
     # the translation by (1, 0) as a real permutation, the real Fourier
     # matrix, squeezing, a Haar unitary and a real non-unitary matrix
-    shift = ctx.labeling.unitary_at(ctx.points[d]).real
+    shift = build_labeling(ctx.field).unitary_at(ctx.points[d]).real
     inputs = [shift, squeezing_operator(gf).dense, random_unitary(d, rng),
               rng.standard_normal((d, d))]
     if gf.p == 2:
@@ -475,7 +477,7 @@ def test_is_flow_reads_any_memory_layout_as_its_c_complex_copy(d):
 def test_is_flow_is_false_and_silent_on_huge_or_infinite_entries(d):
     ctx = standard_context(d)
     net = ctx.complete((0,) * (d + 1))
-    u = ctx.labeling.unitary_at(ctx.points[1])
+    u = build_labeling(ctx.field).unitary_at(ctx.points[1])
     holed = np.array(u, dtype=complex)
     holed[0, d - 1] = np.inf
     negative = np.array(u, dtype=complex)
@@ -511,7 +513,7 @@ def test_flow_counts_over_every_d4_net_equal_the_reference():
         assert nearest_image_distances(u, [net])[0] == pytest.approx(
             nearest_image_distance(u, net), abs=1e-14)
     unitaries = {
-        "translation": ctx.labeling.unitary_at(ctx.points[6]),
+        "translation": build_labeling(ctx.field).unitary_at(ctx.points[6]),
         "squeezing": squeezing_operator(gf).dense,
         "fourier": fourier_operator(gf).dense,
         "haar": random_unitary(4, np.random.default_rng(7)),
@@ -604,7 +606,7 @@ def test_flow_routes_meet_at_the_gate(d):
     # the second the dense one, and both still flow on every net
     ctx = standard_context(d)
     rng = np.random.default_rng([d, 18])
-    shift = ctx.labeling.unitary_at(ctx.points[1])
+    shift = build_labeling(ctx.field).unitary_at(ctx.points[1])
     g = rng.standard_normal((d, d, 2)) @ np.array([1.0, 1.0j])
     lam, v = np.linalg.eigh(g + g.conj().T)
 
@@ -745,7 +747,7 @@ def test_basis_pair_memo_is_bounded():
     net = ctx.complete((0,) * 10)
     rng = np.random.default_rng(3)
     for k in range(3 * maxsize):
-        u = random_unitary(9, rng) if k % 2 else ctx.labeling.unitary_at(ctx.points[k % 81])
+        u = random_unitary(9, rng) if k % 2 else build_labeling(ctx.field).unitary_at(ctx.points[k % 81])
         if k % 4 == 1:
             u = 1.5 * u  # not unitary: is_flow builds its record, maps_mub_to_mub refuses it
         is_flow(u, net)
@@ -764,7 +766,7 @@ def test_basis_pair_memo_is_bounded():
     is_flow(first, nets[0])
     verdicts = weakref.ref(record(first, ctx.mub).flows[ctx])
     for k in range(3 * maxsize):
-        u = random_unitary(5, rng) if k % 2 else ctx.labeling.unitary_at(ctx.points[1 + k % 24])
+        u = random_unitary(5, rng) if k % 2 else build_labeling(ctx.field).unitary_at(ctx.points[1 + k % 24])
         for net in nets:
             is_flow(u, net)
         assert len(record(u, ctx.mub).flows[ctx]) == 625
@@ -784,7 +786,7 @@ def test_one_record_per_unitary(d):
     if d <= ENUMERATION_MAX_DIM:  # and a net of the census family, which reads its verdicts
         nets.append(ctx.complete((0, 0) + (d - 1,) * (d - 1)))
     for net in nets:
-        shift = ctx.labeling.unitary_at(ctx.points[int(rng.integers(1, d * d))])
+        shift = build_labeling(ctx.field).unitary_at(ctx.points[int(rng.integers(1, d * d))])
         fresh = [random_unitary(d, rng), np.exp(2j * np.pi * rng.random()) * shift]
         for u in fresh:
             before = clifford._basis_images.cache_info()
@@ -800,8 +802,8 @@ def test_one_record_per_unitary(d):
 def test_censuses_share_their_family_nets(d):
     gf = field(d)
     ctx = standard_context(d)
-    first = flow_census(ctx.labeling.unitary_at(ctx.points[1]), gf)
-    second = flow_census(ctx.labeling.unitary_at(ctx.points[2]), gf)
+    first = flow_census(build_labeling(ctx.field).unitary_at(ctx.points[1]), gf)
+    second = flow_census(build_labeling(ctx.field).unitary_at(ctx.points[2]), gf)
     assert len(first.flows) == len(second.flows) == first.size
     assert all(a is b for a, b in zip(first.flows, second.flows))
     assert all("meet" in vars(net) for net in first.flows)

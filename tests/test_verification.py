@@ -333,6 +333,23 @@ def test_only_main_returns_the_usage_exit_code():
     assert found == ["main"]
 
 
+def test_only_galois_and_the_dimension_flag_name_the_supported_dimensions():
+    # galois.field refuses every other dimension, and the loaders pass its refusal on;
+    # the --d flag's type checks the list itself, so argparse can print the choices
+    package = Path(__file__).resolve().parents[1] / "src" / "dwf"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "galois.py":
+            continue
+        tree = ast.parse(path.read_text())
+        owner = {id(node) for func in tree.body if path.name == "cli.py" and isinstance(func, ast.FunctionDef)
+                 and func.name == "dimension" for node in ast.walk(func)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if "SUPPORTED_DIMENSIONS" in (getattr(node, "id", None), getattr(node, "attr", None))
+                  and id(node) not in owner]
+    assert found == []
+
+
 def test_package_stays_within_its_line_budget():
     # the budget of ROADMAP's "Line budget" paragraph: new work pays for itself in removed lines
     package = Path(__file__).resolve().parents[1] / "src" / "dwf"
